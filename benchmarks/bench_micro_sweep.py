@@ -1,4 +1,4 @@
-"""Micro-benchmarks: graph hand-off and batched-BFS sweep kernels.
+"""Micro-benchmarks: graph hand-off and the bit-packed BFS sweep.
 
 Two uses:
 
@@ -12,10 +12,8 @@ Two uses:
     (the old pool-initializer payload) vs one shared-memory export plus
     per-worker ``materialize()`` — the report's ``handoff_speedup`` is
     the pickle/shm ratio for ``--workers`` workers;
-  - **kernels**: sampled-source sweep wall time for the bit-packed
-    uint64 kernel vs the dense scipy block kernel vs the flat
-    per-source BFS (skipped past 10^5 nodes — that is the point of the
-    batched ones).
+  - **sweep**: sampled-source sweep wall time of the bit-packed uint64
+    kernel, reported as ``kernel_s.bitpack``.
 
   Results land in ``results/BENCH_sweep.json`` and one row per case is
   upserted into ``results/runtimes.csv``.
@@ -44,7 +42,7 @@ from repro.topology.shm import export_graph
 
 RESULTS_PATH = os.path.join("results", "BENCH_sweep.json")
 
-#: hand-off + kernel comparison instances (quick keeps the first).
+#: hand-off + sweep instances (quick keeps the first).
 SWEEP = [
     AbcccSpec(4, 3, 2),  # 1,024 servers
     AbcccSpec(8, 4, 2),  # 163,840 servers — CI scale-smoke size
@@ -60,21 +58,7 @@ def _view(spec) -> CSRGraphView:
 def test_bench_bitpack_sweep_1k(benchmark):
     view = _view(AbcccSpec(4, 3, 2))
     stats = benchmark(
-        sweep_graph_distance_stats,
-        view,
-        sample_sources=KERNEL_SOURCES,
-        kernel="bitpack",
-    )
-    assert stats.pairs > 0
-
-
-def test_bench_dense_sweep_1k(benchmark):
-    view = _view(AbcccSpec(4, 3, 2))
-    stats = benchmark(
-        sweep_graph_distance_stats,
-        view,
-        sample_sources=KERNEL_SOURCES,
-        kernel="dense",
+        sweep_graph_distance_stats, view, sample_sources=KERNEL_SOURCES
     )
     assert stats.pairs > 0
 
@@ -131,7 +115,7 @@ def _measure_handoff(graph, view, workers: int, repeats: int = 3) -> dict:
 
 
 def run_sweep(quick: bool = False, out_dir: str = "results", workers: int = 8) -> dict:
-    """Measure hand-off + kernels, write JSON, upsert runtimes.csv."""
+    """Measure hand-off + sweep, write JSON, upsert runtimes.csv."""
     from repro.experiments.harness import _append_runtime
 
     rows = []
@@ -148,32 +132,20 @@ def run_sweep(quick: bool = False, out_dir: str = "results", workers: int = 8) -
             "sources": KERNEL_SOURCES,
         }
         row.update(_measure_handoff(graph, view, workers))
-        kernels = {}
-        for kernel in ("bitpack", "dense", "flat"):
-            if kernel == "flat" and view.num_nodes > 100_000:
-                kernels[kernel] = None  # one BFS per source: not at this size
-                continue
-            seconds, stats = _time(
-                lambda kernel=kernel: sweep_graph_distance_stats(
-                    view, sample_sources=KERNEL_SOURCES, kernel=kernel
-                )
-            )
-            kernels[kernel] = round(seconds, 4)
-            assert stats.pairs > 0
-        row["kernel_s"] = kernels
-        if kernels.get("dense") and kernels.get("bitpack"):
-            row["bitpack_speedup"] = round(kernels["dense"] / kernels["bitpack"], 2)
+        seconds, stats = _time(
+            lambda: sweep_graph_distance_stats(view, sample_sources=KERNEL_SOURCES)
+        )
+        assert stats.pairs > 0
+        sweep_s = round(seconds, 4)
+        row["kernel_s"] = {"bitpack": sweep_s}
         rows.append(row)
         _append_runtime(
             out_dir,
             f"BENCH_sweep:{spec.label}",
             quick,
             workers,
-            kernels.get("bitpack") or 0.0,
-            phases={
-                "engine.sweep": kernels.get("bitpack") or 0.0,
-                "engine.handoff": row["shm_s"],
-            },
+            sweep_s,
+            phases={"engine.sweep": sweep_s, "engine.handoff": row["shm_s"]},
             peak_rss_mb=peak_rss_mb(),
         )
     report = {
@@ -197,14 +169,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     report = run_sweep(quick=args.quick, out_dir=args.out, workers=args.workers)
     for row in report["rows"]:
-        kernels = " ".join(
-            f"{name}={seconds if seconds is not None else '-'}s"
-            for name, seconds in row["kernel_s"].items()
-        )
         print(
             f"{row['spec']:<24} servers={row['servers']:<8} "
             f"handoff: pickle={row['pickle_s']}s shm={row['shm_s']}s "
-            f"({row['handoff_speedup']}x)  sweep[{row['sources']} src]: {kernels}"
+            f"({row['handoff_speedup']}x)  "
+            f"sweep[{row['sources']} src]: {row['kernel_s']['bitpack']}s"
         )
     return 0
 

@@ -14,12 +14,12 @@ Commands:
   built topology.
 * ``verify FILE [--params n=…,k=…,s=…]`` — load a JSON network and check
   ABCCC conformance (parameters inferred when omitted).
-* ``sweep KIND --params … [--sample N] [--kernel K] [--workers N]`` —
+* ``sweep KIND --params … [--sample N] [--workers N]`` —
   distance sweep straight on the compiled CSR graph
   (:func:`repro.metrics.engine.sweep_graph_distance_stats`): no
   ``Network`` object is ever built, so million-server instances fit.
   ``--sample N`` sweeps N sources (mean carries a 95% CI; exact when
-  omitted and small), ``--kernel`` forces bitpack/dense/flat.
+  omitted and small).
 * ``manifest KIND --params …`` — print the deployment manifest (rack
   BOMs + cable schedule).
 * ``experiments`` — list the evaluation suite.
@@ -177,7 +177,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             sample_sources=args.sample,
             seed=args.seed,
             workers=args.workers,
-            kernel=args.kernel,
             label=spec.label,
         )
         swept_at = time.perf_counter()
@@ -368,8 +367,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 #: matrix families accepted by ``repro traffic`` — kept in lockstep with
-#: repro.traffic.MATRICES (asserted by the test suite) so the parser
-#: stays importable without numpy.
+#: repro.traffic.MATRICES (asserted by the test suite) so building the
+#: parser does not import numpy.
 TRAFFIC_PATTERNS = ("all_to_all", "hot_rack", "incast", "job", "permutation", "uniform")
 
 #: --faults classes, mapped onto random_index_failures keywords.
@@ -652,12 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="processes for the sweep (0 = all cores; default 1)",
-    )
-    sweep.add_argument(
-        "--kernel",
-        choices=("auto", "bitpack", "dense", "flat"),
-        default=None,
-        help="BFS kernel (default auto: bitpack on big graphs)",
     )
     sweep.add_argument(
         "--memmap",

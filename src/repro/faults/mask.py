@@ -6,7 +6,8 @@ the CSR arrays, and only then does the connectivity question get
 answered.  A :class:`MaskedGraph` skips both copies — it keeps the
 original :class:`~repro.topology.compiled.CompiledGraph` and overlays a
 node-alive bitmap plus a dead-entry set, so a degradation sweep reuses
-one compiled kernel across all its trials.
+one compiled kernel across all its trials.  The node-alive bitmap is a
+numpy bool array.
 
 Parity: :func:`masked_connection_ratio` and
 :func:`masked_largest_component_fraction` reproduce the legacy
@@ -19,20 +20,13 @@ across topology families.
 from __future__ import annotations
 
 import random
-from array import array
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
+
+import numpy as _np
 
 from repro.faults.plan import FailureScenario, FaultPlan
-from repro.topology.compiled import (
-    HAVE_NUMPY,
-    CompiledGraph,
-    CSRGraphView,
-    compile_graph,
-)
+from repro.topology.compiled import CompiledGraph, CSRGraphView, compile_graph
 from repro.topology.graph import Network
-
-if HAVE_NUMPY:
-    import numpy as _np
 
 
 def _scenario_of(scenario) -> FailureScenario:
@@ -61,14 +55,9 @@ class MaskedGraph:
             for i in (index.get(name),)
             if i is not None
         ]
-        if HAVE_NUMPY:
-            alive = _np.ones(graph.num_nodes, dtype=bool)
-            alive[dead_nodes] = False
-            self.node_alive = alive
-        else:
-            self.node_alive = [True] * graph.num_nodes
-            for i in dead_nodes:
-                self.node_alive[i] = False
+        alive = _np.ones(graph.num_nodes, dtype=bool)
+        alive[dead_nodes] = False
+        self.node_alive = alive
         dead_entries: Set[int] = set()
         dead_edge_ids: List[int] = []
         for u_name, v_name in scenario.dead_links:
@@ -108,14 +97,9 @@ class MaskedGraph:
         masked = cls.__new__(cls)
         masked.graph = graph
         dead_node_list = [int(i) for i in dead_nodes]
-        if HAVE_NUMPY:
-            alive = _np.ones(graph.num_nodes, dtype=bool)
-            alive[dead_node_list] = False
-            masked.node_alive = alive
-        else:
-            masked.node_alive = [True] * graph.num_nodes
-            for i in dead_node_list:
-                masked.node_alive[i] = False
+        alive = _np.ones(graph.num_nodes, dtype=bool)
+        alive[dead_node_list] = False
+        masked.node_alive = alive
         dead_entries: Set[int] = set()
         edge_u, edge_v = graph.edge_u, graph.edge_v
         for e in dead_edges:
@@ -170,55 +154,27 @@ class MaskedGraph:
             return self._sweep_view
         graph = self.graph
         num_nodes = graph.num_nodes
-        if HAVE_NUMPY:
-            neighbors = _np.asarray(graph.neighbors)
-            rows = graph._entry_rows()
-            alive = _np.asarray(self.node_alive, dtype=bool)
-            keep = alive[rows] & alive[neighbors.astype(_np.int64)]
-            if self.dead_entries:
-                keep[list(self.dead_entries)] = False
-            kept = _np.ascontiguousarray(neighbors[keep], dtype=_np.uint32)
-            counts = _np.bincount(rows[keep], minlength=num_nodes)
-            offsets = _np.zeros(num_nodes + 1, dtype=_np.int64)
-            _np.cumsum(counts, out=offsets[1:])
-            servers = _np.asarray(graph.server_indices)
-            alive_servers = _np.ascontiguousarray(
-                servers[alive[servers.astype(_np.int64)]], dtype=_np.uint32
-            )
-            view = CSRGraphView(
-                num_nodes, offsets.astype(_np.uint32), kept, alive_servers
-            )
-        else:
-            offsets, neighbors = graph.offsets, graph.neighbors
-            alive = self.node_alive
-            dead_entries = self.dead_entries or ()
-            new_offsets = [0]
-            kept_list: List[int] = []
-            for u in range(num_nodes):
-                if alive[u]:
-                    for j in range(offsets[u], offsets[u + 1]):
-                        v = neighbors[j]
-                        if j in dead_entries or not alive[v]:
-                            continue
-                        kept_list.append(int(v))
-                new_offsets.append(len(kept_list))
-            alive_servers_list = [
-                int(i) for i in graph.server_indices if alive[i]
-            ]
-            view = CSRGraphView(
-                num_nodes,
-                array("q", new_offsets),
-                array("q", kept_list),
-                array("q", alive_servers_list),
-            )
+        neighbors = _np.asarray(graph.neighbors)
+        rows = graph._entry_rows()
+        alive = _np.asarray(self.node_alive, dtype=bool)
+        keep = alive[rows] & alive[neighbors.astype(_np.int64)]
+        if self.dead_entries:
+            keep[list(self.dead_entries)] = False
+        kept = _np.ascontiguousarray(neighbors[keep], dtype=_np.uint32)
+        counts = _np.bincount(rows[keep], minlength=num_nodes)
+        offsets = _np.zeros(num_nodes + 1, dtype=_np.int64)
+        _np.cumsum(counts, out=offsets[1:])
+        servers = _np.asarray(graph.server_indices)
+        alive_servers = _np.ascontiguousarray(
+            servers[alive[servers.astype(_np.int64)]], dtype=_np.uint32
+        )
+        view = CSRGraphView(num_nodes, offsets.astype(_np.uint32), kept, alive_servers)
         self._sweep_view = view
         return view
 
     def num_alive_servers(self) -> int:
         alive = self.node_alive
-        if HAVE_NUMPY:
-            return int(_np.asarray(alive, dtype=bool)[self.graph.server_indices].sum())
-        return sum(1 for i in self.graph.server_indices if alive[i])
+        return int(_np.asarray(alive, dtype=bool)[self.graph.server_indices].sum())
 
     def connected(self, src: str, dst: str) -> bool:
         """Are two alive nodes in the same alive component?"""
@@ -234,35 +190,20 @@ class MaskedGraph:
 
         Dead servers carry label ``-1``, so the alive-server count and
         the component membership histogram both fall out of the label
-        array directly (vectorised when numpy is present).
+        array directly.
         """
         labels = self.component_labels()
-        if HAVE_NUMPY:
-            server_labels = _np.asarray(labels)[self.graph.server_indices]
-            server_labels = server_labels[server_labels >= 0]
-            if server_labels.size == 0:
-                return 0.0
-            return int(_np.bincount(server_labels).max()) / int(server_labels.size)
-        alive_total = self.num_alive_servers()
-        if alive_total == 0:
+        server_labels = _np.asarray(labels)[self.graph.server_indices]
+        server_labels = server_labels[server_labels >= 0]
+        if server_labels.size == 0:
             return 0.0
-        members: Dict[int, int] = {}
-        for server in self.graph.server_indices:
-            label = int(labels[server])
-            if label < 0:
-                continue
-            members[label] = members.get(label, 0) + 1
-        return max(members.values()) / alive_total
+        return int(_np.bincount(server_labels).max()) / int(server_labels.size)
 
     def alive_server_indices(self):
-        """Node ids of alive servers, insertion order (flat int sequence)."""
-        servers = self.graph.server_indices
-        alive = self.node_alive
-        if HAVE_NUMPY:
-            servers = _np.asarray(servers)
-            mask = _np.asarray(alive, dtype=bool)[servers.astype(_np.int64)]
-            return servers[mask]
-        return array("q", (int(i) for i in servers if alive[i]))
+        """Node ids of alive servers, insertion order (numpy array)."""
+        servers = _np.asarray(self.graph.server_indices)
+        mask = _np.asarray(self.node_alive, dtype=bool)[servers.astype(_np.int64)]
+        return servers[mask]
 
     def connection_ratio_indexed(self, sample_pairs: int = 200, seed: int = 0) -> float:
         """Sampled pair-connectivity ratio over server *indices*.
@@ -297,35 +238,16 @@ class MaskedGraph:
         the majority partition.  ``(0, [])`` when no server survives.
         """
         labels = self.component_labels()
-        if HAVE_NUMPY:
-            servers = _np.asarray(self.graph.server_indices).astype(_np.int64)
-            server_labels = _np.asarray(labels)[servers]
-            alive = server_labels >= 0
-            if not bool(alive.any()):
-                return 0, []
-            majority = int(_np.bincount(server_labels[alive]).argmax())
-            cut = alive & (server_labels != majority)
-            count = int(cut.sum())
-            names = self.graph.names
-            examples = [names[int(i)] for i in servers[cut][:limit]]
-            return count, examples
-        counts: Dict[int, int] = {}
-        for server in self.graph.server_indices:
-            label = int(labels[server])
-            if label >= 0:
-                counts[label] = counts.get(label, 0) + 1
-        if not counts:
+        servers = _np.asarray(self.graph.server_indices).astype(_np.int64)
+        server_labels = _np.asarray(labels)[servers]
+        alive = server_labels >= 0
+        if not bool(alive.any()):
             return 0, []
-        majority = max(counts, key=lambda label: (counts[label], -label))
+        majority = int(_np.bincount(server_labels[alive]).argmax())
+        cut = alive & (server_labels != majority)
+        count = int(cut.sum())
         names = self.graph.names
-        count = 0
-        examples: List[str] = []
-        for server in self.graph.server_indices:
-            label = int(labels[server])
-            if label >= 0 and label != majority:
-                count += 1
-                if len(examples) < limit:
-                    examples.append(names[int(server)])
+        examples = [names[int(i)] for i in servers[cut][:limit]]
         return count, examples
 
     def connection_ratio(self, sample_pairs: int = 200, seed: int = 0) -> float:
@@ -361,27 +283,16 @@ class MaskedGraph:
         lookups per pair instead of an RNG draw.
         """
         labels = self.component_labels()
-        alive = self.node_alive
-        if HAVE_NUMPY:
-            arr = _np.asarray(panel)
-            pu, pv = arr[:, 0], arr[:, 1]
-            alive_arr = _np.asarray(alive, dtype=bool)
-            ok = alive_arr[pu] & alive_arr[pv]
-            total = int(ok.sum())
-            if not total:
-                return 0.0
-            lab = _np.asarray(labels)
-            connected = int((ok & (lab[pu] == lab[pv])).sum())
-            return connected / total
-        connected = 0
-        total = 0
-        for u, v in panel:
-            if not (alive[u] and alive[v]):
-                continue
-            total += 1
-            if labels[u] == labels[v]:
-                connected += 1
-        return connected / total if total else 0.0
+        arr = _np.asarray(panel)
+        pu, pv = arr[:, 0], arr[:, 1]
+        alive = _np.asarray(self.node_alive, dtype=bool)
+        ok = alive[pu] & alive[pv]
+        total = int(ok.sum())
+        if not total:
+            return 0.0
+        lab = _np.asarray(labels)
+        connected = int((ok & (lab[pu] == lab[pv])).sum())
+        return connected / total
 
 
 # ----------------------------------------------------------------------

@@ -326,10 +326,6 @@ def random_index_failures(
     stream-compatible replacement: the name-based protocol samples
     sorted *name* lists with one shared ``random.Random``.
     """
-    from repro.topology.compiled import HAVE_NUMPY
-
-    if not HAVE_NUMPY:
-        raise RuntimeError("random_index_failures requires numpy")
     import numpy as np
 
     for name, fraction in (

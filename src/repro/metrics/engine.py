@@ -25,18 +25,11 @@ Two public entries:
   ``DistanceStats`` (asserted in ``tests/test_metrics_engine.py`` and
   ``tests/test_engine_graph_native.py``).
 
-Three BFS kernels produce identical histograms (``resolve_kernel``
-picks; ``REPRO_SWEEP_KERNEL`` overrides):
-
-* ``bitpack`` — level-synchronous multi-source BFS with the frontier
-  bit-packed into uint64 words (64 sources per word, ~32x smaller
-  working set than the old dense int32 frontier); expansion is a CSR
-  gather + ``bitwise_or.reduceat``, histogramming is popcount.  The
-  default above ``BITPACK_AUTO_NODES`` nodes.
-* ``dense`` — the original scipy sparse-matmul block BFS (default for
-  small graphs, where its constants win).
-* ``flat`` — one BFS per source over the flat arrays (no scipy, or no
-  numpy at all).
+One BFS kernel does the work: a level-synchronous multi-source BFS
+with the frontier bit-packed into uint64 words (64 sources per word).
+Expansion is a CSR gather + ``bitwise_or.reduceat``, histogramming is
+popcount, and distances never materialise.  Sources run in blocks sized
+from ``SWEEP_BUDGET_MB``.
 
 Worker-count resolution (``resolve_workers``): an explicit int wins; 0
 or a negative value means "all cores"; ``None`` falls back to the
@@ -51,7 +44,6 @@ import math
 import os
 import pickle
 import random
-import sys
 import time
 import warnings
 from collections import Counter
@@ -59,20 +51,17 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as _np
+
 from repro.metrics.distance import DistanceStats
 from repro.obs import trace as _obs
 from repro.topology.compiled import (
-    HAVE_NUMPY,
-    HAVE_SCIPY,
     CompiledGraph,
     CSRGraphView,
     compile_graph,
     compile_server_projection,
 )
 from repro.topology.graph import Network
-
-if HAVE_NUMPY:
-    import numpy as _np
 
 #: below this many sources the fork/pickle overhead outweighs the fan-out.
 PARALLEL_THRESHOLD = 16
@@ -89,22 +78,9 @@ AUTO_SAMPLE_THRESHOLD = 20_000
 #: sources drawn when auto-sampling kicks in.
 AUTO_SAMPLE_SOURCES = 1024
 
-#: the bit-packed kernel beats the scipy dense-frontier kernel once the
-#: dense (nodes x block) working set stops fitting in cache; below this
-#: node count the matmul's constants win.
-BITPACK_AUTO_NODES = 4096
-
-#: recognised kernel names (``resolve_kernel`` maps "auto" to a real one).
-SWEEP_KERNELS = ("auto", "bitpack", "dense", "flat")
-
 #: per-block working-set budget of the bit-packed kernel, in MB
-#: (gather buffer + frontier + visited + next); REPRO_SWEEP_BUDGET_MB
-#: overrides.
+#: (gather buffer + frontier + visited + next).
 SWEEP_BUDGET_MB = 192.0
-
-#: the bit-packed kernel maps word bits to source columns through a
-#: little-endian byte view; big-endian platforms fall back to "flat".
-_BITPACK_OK = HAVE_NUMPY and sys.byteorder == "little"
 
 #: exception classes that mean "the worker pool is unusable", not "the
 #: computation is wrong": a crashed/OOM-killed worker, an unpicklable
@@ -236,192 +212,37 @@ def resolve_workers(workers: Optional[int] = None) -> int:
 
 
 def resolve_kernel(kernel: Optional[str] = None, graph: Optional[CompiledGraph] = None) -> str:
-    """Resolve a kernel name to a concrete, available kernel.
+    """Name of the sweep kernel, for reports: always ``"bitpack"``.
 
-    ``None`` reads ``REPRO_SWEEP_KERNEL`` (empty = "auto"); "auto" picks
-    bit-packed at ``BITPACK_AUTO_NODES``+ nodes, scipy dense below, flat
-    without scipy.  An explicit kernel that is unavailable on this
-    platform degrades to "flat" rather than failing — all kernels give
-    identical results.
+    The bit-packed BFS below is the only kernel; both arguments are
+    accepted for callers that report the kernel and are ignored.
     """
-    if kernel is None:
-        kernel = os.environ.get("REPRO_SWEEP_KERNEL", "").strip().lower() or "auto"
-    if kernel not in SWEEP_KERNELS:
-        raise ValueError(
-            f"sweep kernel must be one of {SWEEP_KERNELS}, got {kernel!r}"
-        )
-    if kernel == "auto":
-        nodes = graph.num_nodes if graph is not None else 0
-        if _BITPACK_OK and nodes >= BITPACK_AUTO_NODES:
-            return "bitpack"
-        if HAVE_SCIPY:
-            return "dense"
-        return "flat"
-    if kernel == "bitpack" and not _BITPACK_OK:
-        return "flat"
-    if kernel == "dense" and not HAVE_SCIPY:
-        return "flat"
-    return kernel
+    return "bitpack"
 
 
 # ----------------------------------------------------------------------
-# the kernels: multi-source sweep ->
+# the kernel: multi-source sweep ->
 #   (histogram, unreachable count, per-source sums, per-source reached)
 # ----------------------------------------------------------------------
-def _sweep_sources(
-    graph: CompiledGraph,
-    sources: Sequence[int],
-    kernel: str = "auto",
-    per_source: bool = False,
-) -> Tuple[Dict[int, int], int, List[int], List[int]]:
-    """Histogram of server->server distances from ``sources``.
-
-    Distance 0 entries (the source itself) are excluded; unreachable
-    (src, dst) pairs are counted, not raised — the caller decides.  With
-    ``per_source`` the last two elements carry, per source in input
-    order, the sum of its distances and its reached-target count (exact
-    ints, so every kernel returns bit-identical values) — the raw
-    material for the sampled-sweep confidence interval.
-    """
-    kernel = resolve_kernel(kernel, graph)
-    if kernel == "bitpack":
-        return _sweep_bitpack(graph, sources, per_source)
-    if kernel == "dense":
-        return _sweep_dense(graph, sources, per_source)
-    return _sweep_flat(graph, sources, per_source)
-
-
-def _merge_hist(acc, counts):
-    """Accumulate a bincount into the (growing) histogram array."""
-    if counts.size > acc.size:
-        counts = counts.astype(_np.int64, copy=True)
-        counts[: acc.size] += acc
-        return counts
-    acc += counts
-    return acc
-
-
 def _hist_dict(acc) -> Dict[int, int]:
     return {int(h): int(c) for h, c in enumerate(acc) if c}
 
 
-def _sweep_flat(
-    graph: CompiledGraph, sources: Sequence[int], per_source: bool
-) -> Tuple[Dict[int, int], int, List[int], List[int]]:
-    """One BFS per source: vectorised frontier (numpy) or flat lists."""
-    targets = graph.server_indices
-    unreachable = 0
-    sums: List[int] = []
-    reached: List[int] = []
-    if HAVE_NUMPY:
-        acc = _np.zeros(1, dtype=_np.int64)
-        for src in sources:
-            d = graph.bfs_distances(src)[targets]
-            unreachable += int((d < 0).sum())
-            pos = d > 0
-            acc = _merge_hist(acc, _np.bincount(d[pos], minlength=acc.size))
-            if per_source:
-                sums.append(int(d[pos].sum()))
-                reached.append(int(pos.sum()))
-        return _hist_dict(acc), unreachable, sums, reached
-    histogram: Counter = Counter()
-    for src in sources:
-        dist = graph.bfs_distances(src)
-        total = 0
-        count = 0
-        for t in targets:
-            hops = dist[t]
-            if hops < 0:
-                unreachable += 1
-            elif hops > 0:
-                histogram[hops] += 1
-                total += hops
-                count += 1
-        if per_source:
-            sums.append(total)
-            reached.append(count)
-    return dict(histogram), unreachable, sums, reached
+#: _BYTE_BITS[b, j] = bit j of byte b — turns per-byte-value counts
+#: into per-bit counts with one (256 x 8) matmul.
+_BYTE_BITS = _np.array(
+    [[(b >> j) & 1 for j in range(8)] for b in range(256)], dtype=_np.int64
+)
+if hasattr(_np, "bitwise_count"):
 
+    def _popcount_sum(a) -> int:
+        return int(_np.bitwise_count(a).sum())
 
-def _dense_block(nodes: int) -> int:
-    """Sources per dense block: caps the (nodes x block) int32 frontier."""
-    return int(min(max(8_000_000 // max(nodes, 1), 16), 1024))
+else:  # pragma: no cover - numpy < 2.0
+    _POP8 = _np.array([bin(b).count("1") for b in range(256)], dtype=_np.uint8)
 
-
-def _block_bfs_dense(mat, nodes: int, chunk):
-    """Level-synchronous BFS over one block of sources at once.
-
-    The frontier of the whole block is one dense (nodes x width) matrix;
-    expanding every frontier is a single sparse-matrix multiply, so the
-    per-level Python overhead is amortised over the block.  Returns the
-    (nodes x width) int32 distance matrix (-1 = unreachable).  Shared by
-    the all-pairs sweep and :func:`pairwise_distances` — this is the one
-    copy of the dense block-BFS loop.
-    """
-    width = len(chunk)
-    cols = _np.arange(width)
-    frontier = _np.zeros((nodes, width), dtype=_np.int32)
-    frontier[chunk, cols] = 1
-    visited = frontier > 0
-    dist = _np.full((nodes, width), -1, dtype=_np.int32)
-    dist[chunk, cols] = 0
-    level = 0
-    while True:
-        level += 1
-        fresh = (mat @ frontier) > 0
-        fresh &= ~visited
-        if not fresh.any():
-            break
-        dist[fresh] = level
-        visited |= fresh
-        frontier = fresh.astype(_np.int32)
-    return dist
-
-
-def _sweep_dense(
-    graph: CompiledGraph, sources: Sequence[int], per_source: bool
-) -> Tuple[Dict[int, int], int, List[int], List[int]]:
-    """Block BFS via scipy sparse matmul (the original batched kernel)."""
-    mat = graph.sparse_adjacency()
-    nodes = graph.num_nodes
-    targets = _np.asarray(graph.server_indices, dtype=_np.int64)
-    source_arr = _np.asarray(sources, dtype=_np.int64)
-    block = _dense_block(nodes)
-    acc = _np.zeros(1, dtype=_np.int64)
-    unreachable = 0
-    sums: List[int] = []
-    reached: List[int] = []
-    for lo in range(0, len(source_arr), block):
-        chunk = source_arr[lo : lo + block]
-        sub = _block_bfs_dense(mat, nodes, chunk)[targets, :]
-        unreachable += int((sub < 0).sum())
-        pos = sub > 0
-        acc = _merge_hist(acc, _np.bincount(sub[pos], minlength=acc.size))
-        if per_source:
-            sums.extend(
-                int(v) for v in _np.where(pos, sub, 0).sum(axis=0, dtype=_np.int64)
-            )
-            reached.extend(int(v) for v in pos.sum(axis=0))
-    return _hist_dict(acc), unreachable, sums, reached
-
-
-# -- the bit-packed kernel ---------------------------------------------
-if HAVE_NUMPY:
-    #: _BYTE_BITS[b, j] = bit j of byte b — turns per-byte-value counts
-    #: into per-bit counts with one (256 x 8) matmul.
-    _BYTE_BITS = _np.array(
-        [[(b >> j) & 1 for j in range(8)] for b in range(256)], dtype=_np.int64
-    )
-    if hasattr(_np, "bitwise_count"):
-
-        def _popcount_sum(a) -> int:
-            return int(_np.bitwise_count(a).sum())
-
-    else:  # pragma: no cover - numpy < 2.0
-        _POP8 = _np.array([bin(b).count("1") for b in range(256)], dtype=_np.uint8)
-
-        def _popcount_sum(a) -> int:
-            return int(_POP8[_np.ascontiguousarray(a).view(_np.uint8)].sum(dtype=_np.int64))
+    def _popcount_sum(a) -> int:
+        return int(_POP8[_np.ascontiguousarray(a).view(_np.uint8)].sum(dtype=_np.int64))
 
 
 def _per_source_counts(bits, width: int):
@@ -430,9 +251,13 @@ def _per_source_counts(bits, width: int):
     Column ``j`` of the packed matrix is source ``j``: byte ``p`` of the
     little-endian word stream holds sources ``8p .. 8p+7``, so one
     bincount per byte column + the byte->bit table recovers every
-    source's count without unpacking the matrix.
+    source's count without unpacking the matrix.  The words are read as
+    little-endian whatever the host byte order (no copy on
+    little-endian hosts).
     """
-    byte_cols = _np.ascontiguousarray(bits).view(_np.uint8).reshape(len(bits), -1)
+    byte_cols = (
+        _np.ascontiguousarray(bits, dtype="<u8").view(_np.uint8).reshape(len(bits), -1)
+    )
     out = _np.zeros(byte_cols.shape[1] * 8, dtype=_np.int64)
     for p in range(byte_cols.shape[1]):
         out[p * 8 : (p + 1) * 8] = (
@@ -447,18 +272,10 @@ def _bitpack_block(nodes: int, entries: int) -> int:
     Each uint64 word column costs ``8 * (entries + 3 * nodes)`` bytes
     (the gather buffer dominates); the budget caps that, and 64 words
     (4096 sources) caps the per-level popcount work.  Even at 1M nodes
-    the block stays in the thousands — the dense kernel's cap at that
-    size is 16.
+    the block stays in the thousands.
     """
-    budget_mb = SWEEP_BUDGET_MB
-    env = os.environ.get("REPRO_SWEEP_BUDGET_MB", "").strip()
-    if env:
-        try:
-            budget_mb = float(env)
-        except ValueError:
-            pass
     per_word = 8.0 * (entries + 3 * max(nodes, 1))
-    words = int(budget_mb * 1e6 // per_word)
+    words = int(SWEEP_BUDGET_MB * 1e6 // per_word)
     return 64 * max(1, min(words, 64))
 
 
@@ -468,24 +285,26 @@ class _BitExpander:
     ``expand(frontier)[v] = OR of frontier[u] over u adjacent to v`` —
     valid as the transpose-free form because the graphs are undirected
     (CSR == its transpose).  Implemented as one gather of the neighbor
-    rows plus ``bitwise_or.reduceat`` over the row starts; degree-0 rows
-    (possible in masked views) get their start index clipped and their
-    output zeroed, since ``reduceat`` cannot express an empty slice.
+    rows plus ``bitwise_or.reduceat`` over the row starts.  ``reduceat``
+    cannot express an empty slice, so when a view has degree-0 rows
+    (dead nodes in masked views) it reduces over the non-empty rows only
+    and scatters them into a zeroed frontier.
     """
 
-    __slots__ = ("neighbors", "starts", "zero_rows", "entries")
+    __slots__ = ("neighbors", "starts", "rows", "entries")
 
     def __init__(self, graph: CompiledGraph) -> None:
         offsets = _np.asarray(graph.offsets, dtype=_np.int64)
         self.neighbors = _np.asarray(graph.neighbors, dtype=_np.int64)
         self.entries = len(self.neighbors)
         starts = offsets[:-1]
-        self.zero_rows = None
+        #: ids of the non-empty rows, or None when every row is non-empty.
+        self.rows = None
         if self.entries:
-            degree = offsets[1:] - starts
-            if bool((degree == 0).any()):
-                self.zero_rows = degree == 0
-                starts = _np.minimum(starts, self.entries - 1)
+            nonempty = offsets[1:] > starts
+            if not bool(nonempty.all()):
+                self.rows = _np.flatnonzero(nonempty)
+                starts = starts[self.rows]
         self.starts = starts
 
     def expand(self, frontier):
@@ -493,9 +312,11 @@ class _BitExpander:
             return _np.zeros_like(frontier)
         gathered = frontier[self.neighbors]
         nxt = _np.bitwise_or.reduceat(gathered, self.starts, axis=0)
-        if self.zero_rows is not None:
-            nxt[self.zero_rows] = 0
-        return nxt
+        if self.rows is None:
+            return nxt
+        out = _np.zeros_like(frontier)
+        out[self.rows] = nxt
+        return out
 
 
 def _sweep_bitpack(
@@ -504,10 +325,14 @@ def _sweep_bitpack(
     """Bit-packed level-synchronous multi-source BFS (see module docstring).
 
     The frontier/visited sets of a whole block are (nodes x words)
-    uint64 matrices — 64 sources per word — so the working set is ~32x
-    smaller than the dense kernel's int32 frontier and the block size
-    grows to thousands of sources where dense is capped at 16.
-    Histogram increments are popcounts; distances never materialise.
+    uint64 matrices — 64 sources per word, one bit per (node, source)
+    — so a block holds thousands of sources.  Histogram increments are
+    popcounts; distances never materialise.  With ``per_source`` the
+    last two elements carry, per source in input order, the sum of its
+    distances and its reached-target count (exact ints) — the raw
+    material for the sampled-sweep confidence interval.  Distance 0
+    (the source itself) is excluded; unreachable (src, dst) pairs are
+    counted, not raised — the caller decides.
     """
     expander = _BitExpander(graph)
     nodes = graph.num_nodes
@@ -559,48 +384,19 @@ def _sweep_bitpack(
 
 
 def pairwise_distances(
-    graph: CompiledGraph,
-    pairs: Sequence[Tuple[int, int]],
-    kernel: Optional[str] = None,
+    graph: CompiledGraph, pairs: Sequence[Tuple[int, int]]
 ) -> List[int]:
     """Hop distance for each ``(src, dst)`` node-index pair (-1 = unreachable).
 
-    Sources are deduplicated and run through the shared block-BFS
-    kernels: the bit-packed frontier when ``resolve_kernel`` picks it
-    (big graphs, or ``kernel="bitpack"``), else the dense scipy block
-    BFS — a panel of hundreds of pairs costs a handful of block
-    expansions instead of one full BFS per distinct source.  Used by the
-    fault-routing experiments for their shortest-path baselines.
+    Sources are deduplicated and run through the bit-packed block BFS,
+    so a panel of hundreds of pairs costs a handful of block expansions
+    instead of one full BFS per distinct source.  Instead of
+    materialising distance columns, each pair watches one (row, word,
+    bit) cell of the packed frontier and records the level at which its
+    destination's bit first appears.  Used by the fault-routing
+    experiments for their shortest-path baselines.
     """
     sources = sorted({u for u, _ in pairs})
-    kernel = resolve_kernel(kernel, graph)
-    if kernel == "bitpack" and len(sources) >= 2:
-        return _pairwise_bitpack(graph, pairs, sources)
-    dist: Dict[int, Sequence[int]] = {}
-    if kernel == "dense" and len(sources) >= 4:
-        mat = graph.sparse_adjacency()
-        nodes = graph.num_nodes
-        block = _dense_block(nodes)
-        for lo in range(0, len(sources), block):
-            chunk = _np.asarray(sources[lo : lo + block], dtype=_np.int64)
-            d = _block_bfs_dense(mat, nodes, chunk)
-            for j, src in enumerate(sources[lo : lo + block]):
-                dist[src] = d[:, j]
-    else:
-        for src in sources:
-            dist[src] = graph.bfs_distances(src)
-    return [int(dist[u][v]) for u, v in pairs]
-
-
-def _pairwise_bitpack(
-    graph: CompiledGraph, pairs: Sequence[Tuple[int, int]], sources: List[int]
-) -> List[int]:
-    """Pairwise distances through the bit-packed frontier.
-
-    Instead of materialising distance columns, each pair watches one
-    (row, word, bit) cell of the packed frontier and records the level
-    at which its destination's bit first appears.
-    """
     expander = _BitExpander(graph)
     nodes = graph.num_nodes
     block = _bitpack_block(nodes, expander.entries)
@@ -658,16 +454,14 @@ def _pairwise_bitpack(
 # — as a GraphHandle attaching shared memory, or (legacy/test path) a
 # pickled graph — and is reused by every chunk the worker executes.
 _WORKER_GRAPH: Optional[CompiledGraph] = None
-_WORKER_KERNEL: str = "auto"
 _WORKER_PER_SOURCE: bool = False
 
 
-def _worker_init(graph, kernel: str = "auto", per_source: bool = False) -> None:
-    global _WORKER_GRAPH, _WORKER_KERNEL, _WORKER_PER_SOURCE
+def _worker_init(graph, per_source: bool = False) -> None:
+    global _WORKER_GRAPH, _WORKER_PER_SOURCE
     if hasattr(graph, "materialize"):  # a shm GraphHandle descriptor
         graph = graph.materialize()
     _WORKER_GRAPH = graph
-    _WORKER_KERNEL = kernel
     _WORKER_PER_SOURCE = per_source
     _obs.maybe_init_worker()
 
@@ -677,7 +471,7 @@ def _worker_sweep(sources: Sequence[int]):
     with _obs.span("engine.batch", sources=len(sources)):
         _obs.counter("engine.batches")
         _obs.counter("engine.sources", len(sources))
-        return _sweep_sources(_WORKER_GRAPH, sources, _WORKER_KERNEL, _WORKER_PER_SOURCE)
+        return _sweep_bitpack(_WORKER_GRAPH, sources, _WORKER_PER_SOURCE)
 
 
 def _chunk(sources: Sequence[int], workers: int) -> List[Sequence[int]]:
@@ -690,12 +484,10 @@ def _parallel_sweep(
     graph: CompiledGraph,
     sources: Sequence[int],
     workers: int,
-    kernel: str = "auto",
     per_source: bool = False,
 ) -> Tuple[Dict[int, int], int, List[int], List[int]]:
     from repro.topology import shm as _shm
 
-    kernel = resolve_kernel(kernel, graph)
     with _obs.span("engine.handoff", workers=workers):
         handle = _shm.export_graph(CSRGraphView.of(graph))
     try:
@@ -704,9 +496,9 @@ def _parallel_sweep(
             _chunk(sources, workers),
             workers=workers,
             initializer=_worker_init,
-            initargs=(handle, kernel, per_source),
+            initargs=(handle, per_source),
             sequential=lambda chunks: [
-                _sweep_sources(graph, c, kernel, per_source) for c in chunks
+                _sweep_bitpack(graph, c, per_source) for c in chunks
             ],
             context="all-pairs distance sweep",
         )
@@ -733,8 +525,8 @@ def _mean_ci95(sums: Sequence[int], reached: Sequence[int]) -> float:
     Sources are the independent sampling unit, so the CI comes from the
     spread of per-source mean distances (sources that reach nothing are
     excluded — with drop semantics they contribute no pairs).  Inputs
-    are exact ints from the kernels, so the result is bit-identical
-    across kernels and across the parallel/sequential paths.
+    are exact ints from the kernel, so the result is bit-identical
+    across the parallel/sequential paths.
     """
     means = [s / r for s, r in zip(sums, reached) if r]
     k = len(means)
@@ -758,7 +550,6 @@ def sweep_graph_distance_stats(
     sample_sources: Optional[int] = None,
     seed: int = 0,
     workers: Optional[int] = None,
-    kernel: Optional[str] = None,
     unreachable: Optional[str] = None,
     auto_sample: bool = True,
     auto_sample_threshold: Optional[int] = None,
@@ -832,24 +623,22 @@ def sweep_graph_distance_stats(
         positions = random.Random(seed).sample(range(num_servers), sample_sources)
         source_idx = [int(servers[p]) for p in positions]
 
-    kernel_name = resolve_kernel(kernel, view)
     per_source = not exact
     workers = resolve_workers(workers)
     with _obs.span(
         "engine.sweep",
-        kernel=kernel_name,
         sources=len(source_idx),
         workers=workers,
         exact=exact,
     ):
         if workers <= 1 or len(source_idx) < max(PARALLEL_THRESHOLD, 2 * workers):
             _obs.counter("engine.sources", len(source_idx))
-            histogram, missed, sums, reached = _sweep_sources(
-                view, source_idx, kernel_name, per_source
+            histogram, missed, sums, reached = _sweep_bitpack(
+                view, source_idx, per_source
             )
         else:
             histogram, missed, sums, reached = _parallel_sweep(
-                view, source_idx, workers, kernel_name, per_source
+                view, source_idx, workers, per_source
             )
     if missed and unreachable == "raise":
         raise ValueError(
@@ -876,7 +665,6 @@ def sweep_distance_stats(
     sample_sources: Optional[int] = None,
     seed: int = 0,
     workers: Optional[int] = None,
-    kernel: Optional[str] = None,
 ) -> DistanceStats:
     """All-pairs (or sampled-source) server distance stats for ``net``.
 
@@ -898,7 +686,6 @@ def sweep_distance_stats(
         sample_sources=sample_sources,
         seed=seed,
         workers=workers,
-        kernel=kernel,
         auto_sample=False,
         label=f"{net.name!r} ({hops} hops)",
     )

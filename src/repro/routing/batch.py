@@ -29,11 +29,9 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.topology.compiled import HAVE_NUMPY
-from repro.traffic.routes import RouteSet
+import numpy as _np
 
-if HAVE_NUMPY:
-    import numpy as _np
+from repro.traffic.routes import RouteSet
 
 
 class BatchRoutingError(ValueError):

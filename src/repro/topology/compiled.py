@@ -6,8 +6,8 @@ every distance/resilience experiment: each BFS step pays a hash lookup
 per neighbor and allocates a dict entry per settled node.  This module
 flattens a network once into int-indexed CSR arrays (``offsets`` +
 ``neighbors``) plus name/server lookup tables, and runs the BFS frontier
-loop over those flat arrays — vectorised with numpy when available,
-otherwise over :mod:`array`-backed flat lists.
+loop over those flat arrays, vectorised with numpy.  Masked component
+labels on larger graphs go through scipy's ``connected_components``.
 
 Two compiled views exist per network:
 
@@ -30,37 +30,18 @@ once per pool, not once per BFS.
 
 from __future__ import annotations
 
-from array import array
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+
+import numpy as _np
+from scipy.sparse import csr_matrix as _scipy_csr
+from scipy.sparse.csgraph import connected_components as _scipy_components
 
 from repro.obs import trace as _obs
 from repro.topology.graph import Network
 
-try:  # numpy accelerates the frontier loop ~an order of magnitude
-    import numpy as _np
-except ImportError:  # pragma: no cover - the test image bakes numpy in
-    _np = None
-
-try:  # scipy unlocks the batched multi-source BFS (C-speed sparse matmul)
-    from scipy.sparse import csr_matrix as _scipy_csr
-    from scipy.sparse.csgraph import connected_components as _scipy_components
-except ImportError:  # pragma: no cover
-    _scipy_csr = None
-    _scipy_components = None
-
-HAVE_NUMPY = _np is not None
-HAVE_SCIPY = _np is not None and _scipy_csr is not None
-
-
-def _int_array(values: Iterable[int]):
-    """A flat int sequence: numpy int64 when available, else array('q')."""
-    if HAVE_NUMPY:
-        return _np.fromiter(values, dtype=_np.int64)
-    return array("q", values)
-
 
 def _index_array(values: Iterable[int]):
-    """A flat *node/entry index* sequence: numpy uint32 or array('q').
+    """A flat *node/entry index* sequence as a numpy uint32 array.
 
     Indices are non-negative and bounded by the node/entry count, so
     uint32 is always wide enough (compilation refuses larger graphs)
@@ -69,9 +50,7 @@ def _index_array(values: Iterable[int]):
     reserved for value arrays that need a ``-1`` sentinel (distances,
     component labels).
     """
-    if HAVE_NUMPY:
-        return _np.fromiter(values, dtype=_np.uint32)
-    return array("q", values)
+    return _np.fromiter(values, dtype=_np.uint32)
 
 
 class CompiledGraph:
@@ -98,7 +77,7 @@ class CompiledGraph:
         "edge_v",
         "edge_capacity",
         "_edge_lookup",
-        "_sparse",
+        "_indices32",
         "_rows",
         "_masked_template",
     )
@@ -122,7 +101,7 @@ class CompiledGraph:
         self.edge_v = edge_v
         self.edge_capacity = edge_capacity
         self._edge_lookup: Optional[Dict[Tuple[int, int], int]] = None
-        self._sparse = None
+        self._indices32 = None
         self._rows = None
         self._masked_template = None
 
@@ -236,39 +215,14 @@ class CompiledGraph:
             }
         return self._edge_lookup[(u, v) if u < v else (v, u)]
 
-    def sparse_adjacency(self):
-        """The scipy CSR adjacency matrix (0/1 entries), built lazily.
-
-        Returns ``None`` when scipy is unavailable; callers fall back to
-        the per-source frontier kernels.  Cached per compiled graph (and
-        therefore per worker process — the matrix itself is rebuilt from
-        the pickled offset/neighbor arrays, not shipped).
-        """
-        if not HAVE_SCIPY:
-            return None
-        if self._sparse is None:
-            indptr = _np.asarray(self.offsets, dtype=_np.int32)
-            indices = _np.asarray(self.neighbors, dtype=_np.int32)
-            data = _np.ones(len(indices), dtype=_np.int32)
-            self._sparse = _scipy_csr(
-                (data, indices, indptr), shape=(self.num_nodes, self.num_nodes)
-            )
-        return self._sparse
-
     # ------------------------------------------------------------------
     # kernels
     # ------------------------------------------------------------------
     def bfs_distances(self, src: int):
         """Hop distances from ``src`` to every node (-1 = unreachable).
 
-        Returns a flat int sequence indexed by node id — a numpy int64
-        array when numpy is available, else an ``array('q')``.
+        Returns a numpy int64 array indexed by node id.
         """
-        if HAVE_NUMPY:
-            return self._bfs_numpy(src)
-        return self._bfs_flat(src)
-
-    def _bfs_numpy(self, src: int):
         offsets, neighbors = self.offsets, self.neighbors
         dist = _np.full(self.num_nodes, -1, dtype=_np.int64)
         dist[src] = 0
@@ -294,24 +248,6 @@ class CompiledGraph:
             frontier = _np.unique(fresh)
         return dist
 
-    def _bfs_flat(self, src: int):
-        offsets, neighbors = self.offsets, self.neighbors
-        dist = [-1] * self.num_nodes
-        dist[src] = 0
-        frontier = [src]
-        level = 0
-        while frontier:
-            level += 1
-            nxt: List[int] = []
-            for u in frontier:
-                for j in range(offsets[u], offsets[u + 1]):
-                    v = neighbors[j]
-                    if dist[v] < 0:
-                        dist[v] = level
-                        nxt.append(v)
-            frontier = nxt
-        return array("q", dist)
-
     def bfs_distances_by_name(self, source: str) -> Dict[str, int]:
         """Compat helper: BFS distances as a name-keyed dict (reachable only)."""
         dist = self.bfs_distances(self.index[source])
@@ -321,7 +257,7 @@ class CompiledGraph:
     def component_labels(self):
         """Connected-component label per node (labels are 0..k-1).
 
-        Returns a flat int sequence aligned with node indices.
+        Returns a numpy int64 array aligned with node indices.
         """
         labels = [-1] * self.num_nodes
         offsets, neighbors = self.offsets, self.neighbors
@@ -341,7 +277,7 @@ class CompiledGraph:
                             nxt.append(v)
                 frontier = nxt
             current += 1
-        return _int_array(labels)
+        return _np.fromiter(labels, dtype=_np.int64)
 
     def entry_index(self, u: int, v: int) -> int:
         """Position of neighbor ``v`` inside ``u``'s CSR row.
@@ -373,7 +309,7 @@ class CompiledGraph:
         numbering, which differs between the Python BFS and the scipy
         fast path used for larger graphs.
         """
-        if HAVE_SCIPY and self.num_nodes >= _SCIPY_MASK_THRESHOLD:
+        if self.num_nodes >= _SCIPY_MASK_THRESHOLD:
             return self._component_labels_masked_scipy(node_alive, dead_entries)
         labels = [-1] * self.num_nodes
         offsets, neighbors = self.offsets, self.neighbors
@@ -395,7 +331,7 @@ class CompiledGraph:
                             nxt.append(v)
                 frontier = nxt
             current += 1
-        return _int_array(labels)
+        return _np.fromiter(labels, dtype=_np.int64)
 
     def _component_labels_masked_scipy(self, node_alive, dead_entries):
         """Masked labels via ``scipy.sparse.csgraph.connected_components``.
@@ -408,10 +344,12 @@ class CompiledGraph:
         throwaway unique labels, overwritten with ``-1`` afterwards —
         the alive partition is unaffected.
         """
-        mat = self.sparse_adjacency()  # ensures the entry-row cache below
         num_nodes = self.num_nodes
         alive = _np.asarray(node_alive, dtype=bool)
-        indices = mat.indices
+        # int32, not the CSR's uint32: scipy needs signed indices.
+        if self._indices32 is None:
+            self._indices32 = _np.asarray(self.neighbors, dtype=_np.int32)
+        indices = self._indices32
         rows = self._entry_rows()
         keep = alive[rows] & alive[indices]
         if dead_entries:
@@ -479,7 +417,7 @@ class CSRGraphView(CompiledGraph):
         self.edge_v = ()
         self.edge_capacity = ()
         self._edge_lookup = None
-        self._sparse = None
+        self._indices32 = None
         self._rows = None
         self._masked_template = None
 
@@ -571,7 +509,7 @@ def build_compiled(spec, memmap_dir: Optional[str] = None, prefer_fast: bool = T
 
     The compile seam for code that needs the arrays, not the object
     graph: when the spec's family has a vectorized direct-to-CSR
-    constructor (ABCCC / BCCC / BCube, numpy present — see
+    constructor (ABCCC / BCCC / BCube — see
     :mod:`repro.topology.fastbuild`), the returned graph is generated
     straight from digit arithmetic without ever materialising ``Node``
     objects, which is orders of magnitude faster and smaller at

@@ -43,6 +43,8 @@ import os
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as _np
+
 from repro.core.address import (
     AddressError,
     CrossbarSwitchAddress,
@@ -50,10 +52,7 @@ from repro.core.address import (
     ServerAddress,
 )
 from repro.obs import trace as _obs
-from repro.topology.compiled import HAVE_NUMPY, CompiledGraph
-
-if HAVE_NUMPY:
-    import numpy as _np
+from repro.topology.compiled import CompiledGraph
 
 #: node-kind codes in the fast tables (uint8).
 KIND_SERVER = 0
@@ -395,7 +394,7 @@ class FastCompiledGraph(CompiledGraph):
         self._index_view: Optional[LazyIndex] = None
         self._capacity = None
         self._edge_lookup = None
-        self._sparse = None
+        self._indices32 = None
         self._rows = None
         self._masked_template = None
 
@@ -509,8 +508,8 @@ def layout_for(spec) -> FastLayout:
 
 
 def supports(spec) -> bool:
-    """Can ``spec`` be fast-built?  (Supported family + numpy present.)"""
-    return HAVE_NUMPY and getattr(spec, "kind", None) in FAST_FAMILIES
+    """Can ``spec`` be fast-built?  (Its family has a vectorized constructor.)"""
+    return getattr(spec, "kind", None) in FAST_FAMILIES
 
 
 # ----------------------------------------------------------------------
@@ -611,8 +610,6 @@ def fast_compiled(spec, memmap_dir: Optional[str] = None) -> FastCompiledGraph:
     ``edge_u``, ``edge_v``) are written to ``<label>.<part>.u32`` files
     there and the graph holds memory-mapped views.
     """
-    if not HAVE_NUMPY:
-        raise FastBuildError("fastbuild requires numpy")
     layout = layout_for(spec)
     if layout.num_nodes >= 2**32 - 1 or 2 * layout.num_edges >= 2**32 - 1:
         raise FastBuildError(
@@ -641,7 +638,7 @@ def fast_compiled(spec, memmap_dir: Optional[str] = None) -> FastCompiledGraph:
 
 
 def csr_nbytes(graph: CompiledGraph) -> int:
-    """Total bytes of the CSR + edge + server-index arrays (numpy only)."""
+    """Total bytes of the CSR + edge + server-index arrays."""
     total = 0
     for arr in (
         graph.offsets,
@@ -650,7 +647,5 @@ def csr_nbytes(graph: CompiledGraph) -> int:
         graph.edge_u,
         graph.edge_v,
     ):
-        total += getattr(arr, "nbytes", 0) or (
-            len(arr) * getattr(arr, "itemsize", 8)
-        )
+        total += getattr(arr, "nbytes", 0)
     return total

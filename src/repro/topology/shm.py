@@ -21,9 +21,9 @@ the memmap files a fast-built graph already has on disk):
 Three graph shapes round-trip: :class:`CSRGraphView` (the sweep
 engine's kernel payload), :class:`FastCompiledGraph` (layout + arrays;
 names stay lazy) and plain :class:`CompiledGraph` (name tuple rides
-along pickled — it has no array form).  Without numpy every array is
-inlined into the handle, which degrades to the legacy pickle behavior
-instead of failing.
+along pickled — it has no array form).  Without POSIX shared memory
+every array is inlined into the handle, which degrades to the legacy
+pickle behavior instead of failing.
 """
 
 from __future__ import annotations
@@ -34,12 +34,11 @@ import signal
 import threading
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs import trace as _obs
-from repro.topology.compiled import HAVE_NUMPY, CompiledGraph, CSRGraphView
-from repro.topology.fastbuild import FastCompiledGraph
+import numpy as _np
 
-if HAVE_NUMPY:
-    import numpy as _np
+from repro.obs import trace as _obs
+from repro.topology.compiled import CompiledGraph, CSRGraphView
+from repro.topology.fastbuild import FastCompiledGraph
 
 try:
     from multiprocessing import shared_memory as _shared_memory
@@ -134,11 +133,11 @@ def _pack_arrays(arrays) -> Tuple[Optional[str], int, List[tuple]]:
     packed = []  # (offset, array) destined for the segment
     cursor = 0
     for arr in arrays:
-        if HAVE_NUMPY and isinstance(arr, _np.memmap) and getattr(arr, "filename", None):
+        if isinstance(arr, _np.memmap) and getattr(arr, "filename", None):
             refs.append(
                 ("memmap", str(arr.filename), arr.dtype.str, arr.shape, int(arr.offset))
             )
-        elif HAVE_NUMPY and isinstance(arr, _np.ndarray) and _shared_memory is not None:
+        elif isinstance(arr, _np.ndarray) and _shared_memory is not None:
             offset = (cursor + _ALIGN - 1) // _ALIGN * _ALIGN
             refs.append(("shm", offset, arr.dtype.str, arr.shape))
             packed.append((offset, arr))

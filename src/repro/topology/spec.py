@@ -133,9 +133,9 @@ class TopologySpec(abc.ABC):
         """The compiled CSR link graph of this topology.
 
         Dispatches to the vectorized direct-to-CSR constructor
-        (:mod:`repro.topology.fastbuild`) when this family has one and
-        numpy is available — no ``Node`` objects are created — and
-        otherwise to ``compile_graph(self.build())``.  The two paths
+        (:mod:`repro.topology.fastbuild`) when this family has one — no
+        ``Node`` objects are created — and otherwise to
+        ``compile_graph(self.build())``.  The two paths
         produce identical CSR arrays; ``prefer_fast=False`` forces the
         object path (the parity oracle).  ``memmap_dir`` lets the fast
         path back its large arrays with memory-mapped files.

@@ -27,10 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Tuple
 
-from repro.topology.compiled import HAVE_NUMPY
-
-if HAVE_NUMPY:
-    import numpy as _np
+import numpy as _np
 
 #: the legacy filler's saturation threshold — keep in lockstep with
 #: repro.sim.flow.max_min_allocation for bit parity.

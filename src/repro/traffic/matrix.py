@@ -42,23 +42,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.faults.plan import child_seed
-from repro.topology.compiled import HAVE_NUMPY
+import numpy as _np
 
-if HAVE_NUMPY:
-    import numpy as _np
+from repro.faults.plan import child_seed
 
 
 class TrafficError(ValueError):
     """Raised on unusable traffic-matrix parameters."""
-
-
-def _require_numpy() -> None:
-    if not HAVE_NUMPY:
-        raise TrafficError(
-            "repro.traffic requires numpy; use repro.sim.traffic generators "
-            "for the object-graph path"
-        )
 
 
 def _rng(seed: int, *labels: object):
@@ -156,7 +146,6 @@ def _unit_matrix(
 
 
 def _check_servers(num_servers: int, pattern: str) -> None:
-    _require_numpy()
     if num_servers < 2:
         raise TrafficError(f"{pattern}: need at least two servers, got {num_servers}")
 
@@ -450,7 +439,6 @@ def generate_matrix(
     pattern: str, num_servers: int, seed: int = 0, **params: Any
 ) -> TrafficMatrix:
     """Dispatch to a generator by name, filling scale-aware defaults."""
-    _require_numpy()
     try:
         generator = MATRICES[pattern]
     except KeyError:

@@ -23,10 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.topology.compiled import HAVE_NUMPY
-
-if HAVE_NUMPY:
-    import numpy as _np
+import numpy as _np
 
 
 class RouteSetError(ValueError):

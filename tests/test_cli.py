@@ -88,13 +88,6 @@ class TestSweep:
         assert "diameter >=" in out
         assert "sampled" in out
 
-    def test_kernel_flag_accepted(self, capsys):
-        for kernel in ("bitpack", "dense", "flat"):
-            assert main(
-                ["sweep", "abccc", *self.ABCCC_ARGS, "--kernel", kernel]
-            ) == 0
-            assert "diameter 8 link hops" in capsys.readouterr().out
-
     def test_sweep_trace_records_span(self, tmp_path, capsys):
         from repro.obs.report import load_trace
 

@@ -1,12 +1,15 @@
-"""Graph-native sweep engine: parity, kernels, sampling, masking.
+"""Graph-native sweep engine: parity, the BFS oracle, sampling, masking.
 
 The contracts under test:
 
 * ``sweep_graph_distance_stats(compile_graph(net))`` ==
   ``sweep_distance_stats(net)`` == the legacy dict-BFS reference —
   field for field, exact and sampled.
-* All three BFS kernels (bitpack / dense / flat) produce identical
-  ``DistanceStats``, including the sampled-mean confidence interval.
+* The bit-packed kernel agrees with an independent oracle — one
+  ``CompiledGraph.bfs_distances`` (frontier gather + ``np.unique``) per
+  source — on histograms, unreachable counts, per-source sums and the
+  sampled-mean confidence interval, across block boundaries, on masked
+  views, and for ``pairwise_distances``.
 * Index-based source sampling draws the same sources as the legacy
   name-based sampling for any seed (``random.Random(seed).sample``
   over positions vs over the name list).
@@ -19,31 +22,28 @@ The contracts under test:
 
 from __future__ import annotations
 
-import warnings
+import math
+import random
+import statistics
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.baselines import DcellSpec, FiconnSpec
 from repro.core import AbcccSpec
 from repro.faults import FailureScenario, MaskedGraph
+from repro.metrics import engine
 from repro.metrics.distance import legacy_link_hop_stats
 from repro.metrics.engine import (
     PARALLEL_THRESHOLD,
-    SWEEP_KERNELS,
     resolve_kernel,
     sweep_distance_stats,
     sweep_graph_distance_stats,
     pairwise_distances,
 )
 from repro.topology import shm
-from repro.topology.compiled import (
-    HAVE_NUMPY,
-    HAVE_SCIPY,
-    CSRGraphView,
-    compile_graph,
-)
-
-KERNELS = ("bitpack", "dense", "flat")
+from repro.topology.compiled import CSRGraphView, compile_graph
 
 
 def assert_identical(got, want, ci: bool = False):
@@ -84,25 +84,6 @@ class TestGraphNativeParity:
         assert_identical(via_net, want)
         assert_identical(via_graph, want)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_forced_kernels_agree(self, kernel):
-        net = FiconnSpec(4, 1).build()
-        graph = compile_graph(net)
-        want = sweep_graph_distance_stats(graph, kernel="flat")
-        got = sweep_graph_distance_stats(graph, kernel=kernel)
-        assert_identical(got, want, ci=True)
-
-    def test_kernel_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_KERNEL", "flat")
-        assert resolve_kernel(None) == "flat"
-        monkeypatch.setenv("REPRO_SWEEP_KERNEL", "vectorized-telepathy")
-        with pytest.raises(ValueError, match="vectorized-telepathy"):
-            resolve_kernel(None)
-        with pytest.raises(ValueError):
-            resolve_kernel("nope")
-        for name in SWEEP_KERNELS:
-            assert resolve_kernel(name) in KERNELS
-
     def test_unreachable_raises_with_graph_label(self):
         net = AbcccSpec(3, 1, 2).build()
         # Cutting one server's every link disconnects it.
@@ -137,28 +118,11 @@ class TestSampling:
         stats = sweep_distance_stats(net)
         assert stats.exact
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_ci_deterministic_across_kernels(self, kernel):
-        # FiConn is not vertex-transitive, so sampled per-source means
-        # spread and the CI is strictly positive — and identical across
-        # kernels because all three produce exact integer distance sums.
-        graph = compile_graph(FiconnSpec(4, 1).build())
-        base = sweep_graph_distance_stats(
-            graph, sample_sources=6, seed=3, kernel="flat"
-        )
-        got = sweep_graph_distance_stats(
-            graph, sample_sources=6, seed=3, kernel=kernel
-        )
-        assert base.mean_ci95 > 0.0
-        assert got.mean_ci95 == base.mean_ci95
-        assert_identical(got, base, ci=True)
-
     def test_ci_zero_for_exact(self):
         graph = compile_graph(AbcccSpec(3, 1, 2).build())
         assert sweep_graph_distance_stats(graph).mean_ci95 == 0.0
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="fastbuild requires numpy")
 class TestFastBuiltGraphs:
     def test_fastbuild_sweep_matches_object_path(self):
         spec = AbcccSpec(4, 2, 2)
@@ -267,25 +231,6 @@ class TestParallelHandoff:
         assert shm.owned_segments() == ()
 
 
-class TestPairwiseKernels:
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_pairwise_kernels_agree(self, kernel):
-        import random as _random
-
-        net = FiconnSpec(4, 1).build()
-        graph = compile_graph(net)
-        rng = _random.Random(9)
-        n = graph.num_servers
-        servers = list(graph.server_indices)
-        pairs = [tuple(rng.sample(range(n), 2)) for _ in range(20)]
-        pairs = [(servers[a], servers[b]) for a, b in pairs]
-        pairs.append((servers[0], servers[0]))  # self-pair -> 0
-        want = pairwise_distances(graph, pairs, kernel="flat")
-        got = pairwise_distances(graph, pairs, kernel=kernel)
-        assert got == want
-        assert got[-1] == 0
-
-
 class TestCSRGraphView:
     def test_view_of_is_idempotent_and_kernel_only(self):
         graph = compile_graph(AbcccSpec(3, 1, 2).build())
@@ -303,3 +248,162 @@ class TestCSRGraphView:
         want = sweep_graph_distance_stats(graph)
         got = sweep_graph_distance_stats(CSRGraphView.of(graph))
         assert_identical(got, want)
+
+
+def bfs_oracle(view, sources):
+    """Per-source ``bfs_distances`` sweep, the bit-packed kernel's oracle.
+
+    Returns what the kernel returns: the server-target histogram of
+    positive distances, the unreachable (src, dst) count, and per source
+    the distance sum and reached-target count.
+    """
+    targets = np.asarray(view.server_indices, dtype=np.int64)
+    histogram: Counter = Counter()
+    unreachable = 0
+    sums, reached = [], []
+    for src in sources:
+        dist = view.bfs_distances(int(src))[targets]
+        unreachable += int((dist < 0).sum())
+        hops = dist[dist > 0]
+        histogram.update(int(h) for h in hops)
+        sums.append(int(hops.sum()))
+        reached.append(int(hops.size))
+    return dict(histogram), unreachable, sums, reached
+
+
+def oracle_stats(view, sample_sources=None, seed=0, drop=False):
+    """``DistanceStats`` fields the sweep must report, from the oracle."""
+    servers = [int(i) for i in view.server_indices]
+    exact = sample_sources is None
+    if exact:
+        sources = servers
+    else:
+        positions = random.Random(seed).sample(range(len(servers)), sample_sources)
+        sources = [servers[p] for p in positions]
+    histogram, missed, sums, reached = bfs_oracle(view, sources)
+    pairs = len(sources) * (len(servers) - 1) - (missed if drop else 0)
+    means = [s / r for s, r in zip(sums, reached) if r]
+    ci = 0.0 if exact else 1.96 * statistics.stdev(means) / math.sqrt(len(means))
+    return sources, {
+        "diameter": max(histogram),
+        "mean": sum(h * c for h, c in histogram.items()) / pairs,
+        "histogram": histogram,
+        "pairs": pairs,
+        "exact": exact,
+        "mean_ci95": ci,
+    }
+
+
+def assert_matches_oracle(stats, want):
+    ci = want.pop("mean_ci95")
+    assert stats.mean_ci95 == pytest.approx(ci, rel=1e-12, abs=0.0)
+    for field, value in want.items():
+        assert getattr(stats, field) == value, field
+
+
+#: graphs that are not vertex-transitive, so sampled CIs are positive.
+ORACLE_GRAPHS = {"ficonn": FiconnSpec(4, 2), "dcell": DcellSpec(2, 2)}
+
+
+class TestBfsOracle:
+    def test_resolve_kernel_reports_bitpack(self):
+        graph = compile_graph(AbcccSpec(3, 1, 2).build())
+        assert resolve_kernel() == "bitpack"
+        assert resolve_kernel(None, graph) == "bitpack"
+
+    @pytest.mark.parametrize("sample", [None, 12], ids=["exact", "sampled"])
+    @pytest.mark.parametrize("family", sorted(ORACLE_GRAPHS))
+    def test_sweep_matches_bfs_oracle(self, family, sample):
+        graph = compile_graph(ORACLE_GRAPHS[family].build())
+        sources, want = oracle_stats(graph, sample, seed=3)
+        assert engine._sweep_bitpack(graph, sources, True) == bfs_oracle(graph, sources)
+        stats = sweep_graph_distance_stats(graph, sample_sources=sample, seed=3)
+        if sample:
+            assert want["mean_ci95"] > 0.0
+        assert_matches_oracle(stats, want)
+
+    @pytest.mark.parametrize("sample", [None, 100], ids=["exact", "sampled"])
+    def test_multi_block_sweep_matches_bfs_oracle(self, monkeypatch, sample):
+        # A zero budget floors the block at one uint64 word: 64 sources,
+        # so DCell(3, 2)'s 156 servers span three blocks.
+        monkeypatch.setattr(engine, "SWEEP_BUDGET_MB", 0.0)
+        graph = compile_graph(DcellSpec(3, 2).build())
+        assert engine._bitpack_block(graph.num_nodes, len(graph.neighbors)) == 64
+        sources, want = oracle_stats(graph, sample, seed=1)
+        assert len(sources) > 64
+        assert engine._sweep_bitpack(graph, sources, True) == bfs_oracle(graph, sources)
+        stats = sweep_graph_distance_stats(graph, sample_sources=sample, seed=1)
+        assert_matches_oracle(stats, want)
+        rng = random.Random(2)
+        pairs = [(u, rng.choice(sources)) for u in sources]
+        want_pairs = [int(graph.bfs_distances(u)[v]) for u, v in pairs]
+        assert pairwise_distances(graph, pairs) == want_pairs
+
+    @pytest.mark.parametrize("sample", [None, 10], ids=["exact", "sampled"])
+    def test_masked_view_matches_bfs_oracle(self, sample):
+        # Dead nodes leave degree-0 rows in the view, including the last
+        # row (the last-compiled switch), which the rows before it must
+        # not lose entries to.  A server cut off by links stays alive but
+        # unreachable, so "drop" removes its pairs instead of raising.
+        net = AbcccSpec(3, 2, 2).build()
+        graph = compile_graph(net)
+        first_switch = next(n.name for n in net.nodes() if n.is_switch)
+        last_switch = graph.names[-1]
+        victim = net.servers[7]
+        scenario = FailureScenario(
+            dead_servers=(net.servers[0],),
+            dead_switches=(first_switch, last_switch),
+            dead_links=tuple((victim, other) for other in net.neighbors(victim)),
+        )
+        masked = MaskedGraph(graph, scenario)
+        view = masked.sweep_view()
+        degree = np.diff(np.asarray(view.offsets, dtype=np.int64))
+        assert degree[-1] == 0 and int((degree == 0).sum()) >= 4
+        sources, want = oracle_stats(view, sample, seed=5, drop=True)
+        histogram, missed, sums, reached = bfs_oracle(view, sources)
+        assert missed > 0 and 0 in reached
+        assert engine._sweep_bitpack(view, sources, True) == (
+            histogram, missed, sums, reached
+        )
+        stats = sweep_graph_distance_stats(masked, sample_sources=sample, seed=5)
+        assert_matches_oracle(stats, want)
+        cut = graph.index[victim]
+        pairs = [(u, v) for u in sources[:4] for v in sources[-4:] + [cut]]
+        pairs.append((cut, sources[0]))
+        want_pairs = [int(view.bfs_distances(u)[v]) for u, v in pairs]
+        assert -1 in want_pairs
+        assert pairwise_distances(view, pairs) == want_pairs
+
+    def test_pairwise_matches_bfs_oracle(self):
+        graph = compile_graph(FiconnSpec(4, 2).build())
+        servers = [int(i) for i in graph.server_indices]
+        rng = random.Random(9)
+        pairs = [tuple(rng.sample(servers, 2)) for _ in range(40)]
+        pairs += [(servers[0], servers[0]), (servers[5], servers[5])]
+        want = [int(graph.bfs_distances(u)[v]) for u, v in pairs]
+        assert pairwise_distances(graph, pairs) == want
+        assert want[-2:] == [0, 0]
+
+    def test_pairwise_empty_and_single_source(self):
+        graph = compile_graph(FiconnSpec(4, 2).build())
+        servers = [int(i) for i in graph.server_indices]
+        assert pairwise_distances(graph, []) == []
+        src = servers[3]
+        pairs = [(src, v) for v in servers[:10]]
+        dist = graph.bfs_distances(src)
+        assert pairwise_distances(graph, pairs) == [int(dist[v]) for _, v in pairs]
+
+    def test_per_source_counts_reads_words_little_endian(self):
+        # Source j lives in bit j & 63 of word j >> 6, whatever the byte
+        # order the words are stored in.
+        rng = np.random.default_rng(0)
+        width = 150
+        bits = rng.integers(
+            0, np.iinfo(np.uint64).max, size=(37, 3), dtype=np.uint64, endpoint=True
+        )
+        want = [
+            int(((bits[:, j >> 6] >> np.uint64(j & 63)) & np.uint64(1)).sum())
+            for j in range(width)
+        ]
+        for stored in (bits, bits.astype(">u8")):
+            assert engine._per_source_counts(stored, width).tolist() == want

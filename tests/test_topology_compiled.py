@@ -2,7 +2,7 @@
 
 import pickle
 
-import pytest
+import numpy
 
 from repro.core import AbcccSpec
 from repro.metrics.distance import logical_server_adjacency
@@ -76,7 +76,6 @@ class TestDtypes:
         these arrays to every worker and each masked trial keeps them
         resident, so a silent int64 revert doubles memory at scale.
         """
-        numpy = pytest.importorskip("numpy")
         _, net = abccc_small
         graph = compile_graph(net)
         for attr in ("offsets", "neighbors", "server_indices", "edge_u", "edge_v"):
@@ -87,7 +86,6 @@ class TestDtypes:
 
     def test_value_arrays_keep_signed_sentinels(self, abccc_small):
         """Distances and labels stay int64: they need the -1 sentinel."""
-        numpy = pytest.importorskip("numpy")
         _, net = abccc_small
         graph = compile_graph(net)
         dist = graph.bfs_distances(0)
@@ -104,12 +102,6 @@ class TestKernels:
             expected = bfs_distances(net, source)
             got = graph.bfs_distances_by_name(source)
             assert got == expected
-
-    def test_bfs_flat_fallback_matches_numpy(self, abccc_small):
-        _, net = abccc_small
-        graph = compile_graph(net)
-        src = graph.index[net.servers[0]]
-        assert list(graph._bfs_flat(src)) == [int(d) for d in graph.bfs_distances(src)]
 
     def test_bfs_unreachable_is_minus_one(self):
         net = Network()

@@ -21,7 +21,7 @@ import pytest
 from repro.core import AbcccSpec
 from repro.metrics.engine import sweep_graph_distance_stats
 from repro.topology import shm
-from repro.topology.compiled import HAVE_NUMPY, CSRGraphView, compile_graph
+from repro.topology.compiled import CSRGraphView, compile_graph
 from repro.topology.fastbuild import FastCompiledGraph
 
 
@@ -60,7 +60,6 @@ class TestRoundTrips:
         finally:
             handle.release()
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="fastbuild requires numpy")
     def test_fast_roundtrip(self):
         graph = AbcccSpec(4, 2, 2).compiled()
         assert isinstance(graph, FastCompiledGraph)
@@ -80,7 +79,7 @@ class TestRoundTrips:
         handle = shm.export_graph(view)
         try:
             blob = pickle.dumps(handle)
-            if HAVE_NUMPY and handle.segment is not None:
+            if handle.segment is not None:
                 assert len(blob) < 2_000
                 assert len(blob) < view.neighbors.nbytes
             clone = pickle.loads(blob)
@@ -91,7 +90,6 @@ class TestRoundTrips:
         finally:
             handle.release()
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="memmap requires numpy")
     def test_memmap_arrays_referenced_by_file(self, tmp_path):
         import numpy as np
 
@@ -116,7 +114,6 @@ class TestRelease:
         assert handle.released
         handle.release()  # second call is a no-op
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="segment only used with numpy")
     def test_materialize_after_release_fails(self):
         handle = shm.export_graph(CSRGraphView.of(_graph()))
         if handle.segment is None:
@@ -136,7 +133,6 @@ class TestRelease:
         assert shm.release_owned() == 0  # idempotent
         handle.release()  # finding nothing left is fine
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="read-only views need numpy")
     def test_materialized_arrays_are_read_only(self):
         import numpy as np
 
@@ -171,7 +167,6 @@ elif MODE == "wait":  # parent delivers SIGTERM; the handler must clean up
 """
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="segments only created with numpy")
 class TestAbnormalExitCleanup:
     """A crashed or killed owner must not leak its shm segment."""
 
