@@ -3,9 +3,11 @@
 import pytest
 
 from repro.core import AbcccSpec
-from repro.sim.flow import max_min_allocation, route_all
+from repro.routing.base import route_all
 from repro.sim.packet import PacketSimulator
 from repro.sim.traffic import permutation_traffic
+from repro.topology.compiled import compile_graph
+from repro.traffic import RouteSet, max_min_rates
 
 
 @pytest.fixture(scope="module")
@@ -19,7 +21,8 @@ def workload():
 
 def test_bench_max_min_solver(benchmark, workload):
     net, flows, routes = workload
-    allocation = benchmark(lambda: max_min_allocation(net, flows, routes))
+    route_set = RouteSet.from_name_routes(compile_graph(net), flows, routes)
+    allocation = benchmark(max_min_rates, route_set)
     assert allocation.num_flows == len(flows)
 
 

@@ -1,4 +1,4 @@
-"""Micro-benchmarks: the vectorized traffic engine vs the legacy path.
+"""Micro-benchmarks: the vectorized traffic engine.
 
 Two uses:
 
@@ -6,16 +6,11 @@ Two uses:
   the individual timers guard matrix generation, batch route extraction
   and the max-min filler against regressions;
 * as a script (``python benchmarks/bench_micro_traffic.py [--quick]``)
-  it measures, per instance:
-
-  - **legacy vs engine**: the full permutation pipeline (workload ->
-    routes -> max-min rates) through the name-dict ``repro.sim.flow``
-    oracle and through ``repro.traffic`` on the same fast-built graph —
-    ``engine_speedup`` is the legacy/engine ratio at the largest scale
-    the legacy path can still finish (the acceptance bar is >= 10x);
-  - **engine at scale**: the 163k-server permutation and incast that
-    the ``traffic-smoke`` CI job budgets (legacy is not attempted
-    there — that is the point of the engine).
+  it measures, per instance, the full permutation pipeline (workload ->
+  routes -> max-min rates) phase by phase on a fast-built graph: at
+  81, 1,024 and 5,184 servers, and (without ``--quick``) at the
+  163k-server permutation and incast that the ``traffic-smoke`` CI job
+  budgets.
 
   Results land in ``results/BENCH_traffic.json`` and one row per case
   is upserted into ``results/runtimes.csv``.
@@ -42,16 +37,14 @@ from repro.traffic import generate_matrix, max_min_rates
 
 RESULTS_PATH = os.path.join("results", "BENCH_traffic.json")
 
-#: legacy-vs-engine comparison instances (quick keeps the first); the
-#: largest is about where the legacy dict path stops being reasonable
-#: to wait on in a benchmark run.
+#: small and mid instances (quick keeps those under 2,000 servers).
 PARITY = [
     AbcccSpec(3, 2, 2),  # 81 servers
     AbcccSpec(4, 3, 2),  # 1,024 servers
-    AbcccSpec(6, 3, 2),  # 5,184 servers — legacy's largest feasible scale
+    AbcccSpec(6, 3, 2),  # 5,184 servers
 ]
 
-#: engine-only scale instances (skipped under --quick).
+#: scale instances (skipped under --quick).
 SCALE = [
     AbcccSpec(8, 4, 2),  # 163,840 servers — CI traffic-smoke size
 ]
@@ -83,24 +76,6 @@ def _time(fn) -> tuple:
     return time.perf_counter() - started, result
 
 
-def _legacy_permutation(spec, seed: int) -> float:
-    """The full name-dict pipeline the engine replaces, timed."""
-    from repro.sim.flow import max_min_allocation, route_all
-
-    net = spec.build()
-    servers = net.servers
-    matrix = generate_matrix("permutation", len(servers), seed=seed)
-    flows = matrix.flows(servers)
-
-    def pipeline():
-        routes = route_all(net, flows, spec.route)
-        return max_min_allocation(net, flows, routes)
-
-    seconds, allocation = _time(pipeline)
-    assert allocation.min_rate > 0
-    return seconds
-
-
 def _engine_permutation(graph, seed: int) -> dict:
     """Matrix -> routes -> rates on the compiled graph, phase-timed."""
     matrix_s, matrix = _time(
@@ -118,7 +93,7 @@ def _engine_permutation(graph, seed: int) -> dict:
 
 
 def run_traffic_bench(quick: bool = False, out_dir: str = "results") -> dict:
-    """Measure legacy-vs-engine + engine-at-scale, write JSON + runtimes."""
+    """Measure the engine per instance, write JSON + runtimes."""
     from repro.experiments.harness import _append_runtime
 
     rows = []
@@ -133,10 +108,6 @@ def run_traffic_bench(quick: bool = False, out_dir: str = "results") -> dict:
             "pattern": "permutation",
         }
         row.update(_engine_permutation(graph, seed=7))
-        row["legacy_s"] = round(_legacy_permutation(spec, seed=7), 4)
-        row["engine_speedup"] = (
-            round(row["legacy_s"] / row["engine_s"], 1) if row["engine_s"] else None
-        )
         rows.append(row)
     if not quick:
         for spec in SCALE:
@@ -148,8 +119,6 @@ def run_traffic_bench(quick: bool = False, out_dir: str = "results") -> dict:
                 "pattern": "permutation",
             }
             row.update(_engine_permutation(graph, seed=7))
-            row["legacy_s"] = None  # hours — the engine is the only option
-            row["engine_speedup"] = None
             rows.append(row)
             # incast at the same scale: sparse matrix, sub-second solve
             incast_s, _ = _time(
@@ -194,15 +163,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     report = run_traffic_bench(quick=args.quick, out_dir=args.out)
     for row in report["rows"]:
-        legacy = f"{row['legacy_s']}s" if row["legacy_s"] is not None else "-"
-        speedup = (
-            f"({row['engine_speedup']}x)" if row["engine_speedup"] is not None else ""
-        )
         print(
             f"{row['spec']:<24} flows={row['flows']:<8} "
             f"engine={row['engine_s']}s "
             f"(matrix={row['matrix_s']} routes={row['routes_s']} "
-            f"alloc={row['allocate_s']})  legacy={legacy} {speedup}"
+            f"alloc={row['allocate_s']})"
         )
     return 0
 

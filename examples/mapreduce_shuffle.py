@@ -13,10 +13,11 @@ Run:  python examples/mapreduce_shuffle.py
 
 from repro import AbcccSpec, BcubeSpec, FatTreeSpec
 from repro.metrics.bottleneck import load_stats
-from repro.routing.ecmp import EcmpRouter
-from repro.sim.flow import max_min_allocation, route_all
+from repro.routing import EcmpRouter, route_all
 from repro.sim.packet import PacketSimConfig, PacketSimulator
 from repro.sim.traffic import shuffle_traffic
+from repro.topology.compiled import compile_graph
+from repro.traffic import RouteSet, max_min_rates
 
 MAPPERS, REDUCERS = 12, 8
 
@@ -27,7 +28,7 @@ def run_on(spec) -> dict:
     flows = shuffle_traffic(net.servers, MAPPERS, REDUCERS, seed=99)
     routes = route_all(net, flows, router)
 
-    allocation = max_min_allocation(net, flows, routes)
+    allocation = max_min_rates(RouteSet.from_name_routes(compile_graph(net), flows, routes))
     loads = load_stats(net, routes.values())
 
     sim = PacketSimulator(net, PacketSimConfig(queue_capacity=32))

@@ -7,8 +7,10 @@ Run:  python examples/quickstart.py
 from repro import AbcccSpec, validate_network
 from repro.metrics.cost import capex
 from repro.metrics.distance import link_hop_stats
-from repro.sim.flow import max_min_allocation, route_all
+from repro.routing import route_all
 from repro.sim.traffic import permutation_traffic
+from repro.topology.compiled import compile_graph
+from repro.traffic import RouteSet, max_min_rates
 
 
 def main() -> None:
@@ -38,7 +40,7 @@ def main() -> None:
     # 5. Throughput under permutation traffic (max-min fair rates).
     flows = permutation_traffic(net.servers, seed=7)
     routes = route_all(net, flows, spec.route)
-    allocation = max_min_allocation(net, flows, routes)
+    allocation = max_min_rates(RouteSet.from_name_routes(compile_graph(net), flows, routes))
     print(
         f"permutation traffic: {allocation.num_flows} flows, "
         f"min rate {allocation.min_rate:.3f}, "

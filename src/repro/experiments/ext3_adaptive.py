@@ -22,10 +22,11 @@ from repro.core import AbcccSpec
 from repro.core.source_routing import PLACEMENT_POLICIES
 from repro.experiments.harness import register
 from repro.metrics.bottleneck import aggregate_bottleneck_throughput, load_stats
-from repro.sim.fct import simulate_fct
-from repro.sim.flow import max_min_allocation
 from repro.sim.results import ResultTable
 from repro.sim.traffic import permutation_traffic, shuffle_traffic
+from repro.topology.compiled import compile_graph
+from repro.traffic.engine import fluid_fct, max_min_rates
+from repro.traffic.routes import RouteSet
 
 
 @register(
@@ -53,6 +54,7 @@ def run(quick: bool = False) -> List[ResultTable]:
     cases = [AbcccSpec(3, 2, 2)] if quick else [AbcccSpec(4, 2, 2), AbcccSpec(4, 3, 2)]
     for spec in cases:
         net = spec.build()
+        graph = compile_graph(net)
         params = spec.abccc
         workloads = [
             ("permutation", permutation_traffic(net.servers, seed=31)),
@@ -72,10 +74,15 @@ def run(quick: bool = False) -> List[ResultTable]:
                 for route in routes.values():
                     route.validate(net)
                 stats = load_stats(net, routes.values())
-                allocation = max_min_allocation(net, flows, routes)
+                route_set = RouteSet.from_name_routes(graph, flows, routes)
+                allocation = max_min_rates(route_set)
                 # The fluid FCT run re-solves rates at every completion —
                 # bound it to the workloads where it is affordable.
-                fct = simulate_fct(net, flows, routes) if len(flows) <= 512 else None
+                fct = (
+                    fluid_fct(route_set, [f.size for f in flows])
+                    if len(flows) <= 512
+                    else None
+                )
                 table.add_row(
                     instance=spec.label,
                     workload=workload_name,
@@ -87,7 +94,7 @@ def run(quick: bool = False) -> List[ResultTable]:
                     )
                     / net.num_servers,
                     min_rate=allocation.min_rate,
-                    shuffle_time=fct.makespan if fct is not None else None,
+                    shuffle_time=fct.max_fct if fct is not None else None,
                 )
     table.add_note(
         "shuffle_time = fluid makespan (all flows size 1.0, simultaneous "

@@ -17,9 +17,12 @@ from repro.core import AbcccSpec
 from repro.experiments.harness import register
 
 from repro.metrics.cost import capex
-from repro.sim.flow import max_min_allocation, route_all
+from repro.routing.base import route_all
 from repro.sim.results import ResultTable
 from repro.sim.traffic import permutation_traffic
+from repro.topology.compiled import compile_graph
+from repro.traffic.engine import max_min_rates
+from repro.traffic.routes import RouteSet
 
 
 def _specs(quick: bool):
@@ -74,7 +77,9 @@ def run(quick: bool = False) -> List[ResultTable]:
         net = spec.build()
         flows = permutation_traffic(net.servers, seed=61)
         routes = route_all(net, flows, spec.route)
-        allocation = max_min_allocation(net, flows, routes)
+        allocation = max_min_rates(
+            RouteSet.from_name_routes(compile_graph(net), flows, routes)
+        )
         throughput.add_row(
             topology=spec.label,
             servers=net.num_servers,

@@ -15,8 +15,8 @@ from typing import List
 from repro.baselines import BcccSpec, BcubeSpec, FatTreeSpec
 from repro.core import AbcccSpec
 from repro.experiments.harness import register
+from repro.routing.base import route_all
 from repro.routing.ecmp import EcmpRouter
-from repro.sim.flow import route_all
 from repro.sim.packet import PacketSimConfig, PacketSimulator
 from repro.sim.results import ResultTable
 from repro.traffic.matrix import generate_matrix

@@ -10,11 +10,11 @@ comparable.
 The workloads come from the :mod:`repro.traffic` matrix generators:
 because they are drawn over server *ordinals*, two topologies with the
 same server count receive bit-identical flow sets — a stronger
-"identical workloads" guarantee than the legacy name-based draws.  The
-allocation runs through the vectorized engine
-(:func:`repro.traffic.engine.max_min_rates`), which is bit-for-bit
-equal to the legacy :func:`repro.sim.flow.max_min_allocation` oracle
-(the test suite asserts this parity on F7's own quick topologies).
+"identical workloads" guarantee than the name-based draws of
+:mod:`repro.sim.traffic`.  The allocation runs through the vectorized
+engine (:func:`repro.traffic.engine.max_min_rates`); the test suite
+checks its rates bit for bit against a float progressive-filling
+oracle on F7's own quick topologies.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from repro.baselines import BcccSpec, BcubeSpec, FatTreeSpec, FiconnSpec
 from repro.core import AbcccSpec
 from repro.experiments.harness import register
 from repro.metrics.bottleneck import aggregate_bottleneck_throughput, load_stats
+from repro.routing.base import route_all
 from repro.routing.ecmp import EcmpRouter
-from repro.sim.flow import route_all
 from repro.sim.results import ResultTable
 from repro.topology.compiled import compile_graph
 from repro.topology.spec import TopologySpec

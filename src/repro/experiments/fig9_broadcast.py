@@ -20,7 +20,7 @@ from repro.core import (
 )
 from repro.experiments.harness import register
 from repro.metrics.bottleneck import load_stats
-from repro.sim.flow import route_all
+from repro.routing.base import route_all
 from repro.sim.results import ResultTable
 from repro.sim.traffic import one_to_all_traffic
 

@@ -32,7 +32,6 @@ from repro.metrics.bounds import (
 )
 from repro.metrics.cost import CapexBreakdown, PriceBook, capex, expansion_capex
 from repro.metrics.layout import CablePlan, LayoutConfig, assign_racks, cable_plan
-from repro.metrics.reroute import RerouteImpact, reroute_impact
 from repro.metrics.state import (
     StateStats,
     algorithmic_state,
@@ -61,9 +60,7 @@ __all__ = [
     "CapexBreakdown",
     "DistanceStats",
     "LayoutConfig",
-    "RerouteImpact",
     "StateStats",
-    "reroute_impact",
     "ThroughputBounds",
     "all_to_all_bounds",
     "per_server_ceiling",

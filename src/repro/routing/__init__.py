@@ -1,6 +1,6 @@
 """Generic routing substrate: routes, BFS, ECMP, forwarding tables."""
 
-from repro.routing.base import Route, Router, RoutingError, stretch
+from repro.routing.base import Route, Router, RoutingError, route_all, stretch
 from repro.routing.ecmp import EcmpRouter, fnv1a
 from repro.routing.shortest import (
     all_pairs_server_distances,
@@ -24,6 +24,7 @@ __all__ = [
     "eccentricity",
     "fnv1a",
     "k_shortest_paths",
+    "route_all",
     "shortest_distance",
     "stretch",
 ]

@@ -14,8 +14,9 @@ matching the two conventions in the data-center literature:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Protocol, Sequence, Tuple
+import inspect
+from dataclasses import dataclass
+from typing import Dict, Iterator, Protocol, Sequence, Tuple
 
 from repro.topology.graph import Network
 from repro.topology.node import NodeKind
@@ -106,6 +107,26 @@ class Router(Protocol):
     def route(self, net: Network, src: str, dst: str) -> Route:  # pragma: no cover
         """Return a route from ``src`` to ``dst`` in ``net``."""
         ...
+
+
+def route_all(net: Network, flows: Sequence, router) -> Dict[str, Route]:
+    """Produce a route per flow via ``router(net, src, dst)``.
+
+    ``flows`` are :class:`~repro.sim.traffic.Flow`-shaped (``flow_id``,
+    ``src``, ``dst``).  ``router`` may also accept a ``flow_id`` keyword
+    (ECMP hashing); it is passed when the signature supports it.
+    """
+    try:
+        wants_flow_id = "flow_id" in inspect.signature(router).parameters
+    except (TypeError, ValueError):  # builtins / C callables
+        wants_flow_id = False
+    routes: Dict[str, Route] = {}
+    for flow in flows:
+        if wants_flow_id:
+            routes[flow.flow_id] = router(net, flow.src, flow.dst, flow_id=flow.flow_id)
+        else:
+            routes[flow.flow_id] = router(net, flow.src, flow.dst)
+    return routes
 
 
 def stretch(route: Route, shortest_links: int) -> float:

@@ -1,10 +1,11 @@
-"""Simulators: discrete events, packet level, flow level, traffic patterns."""
+"""Simulators: discrete events, packet level, jobs, churn, traffic patterns.
+
+Flow-level max-min rates and fluid completion times live in
+:mod:`repro.traffic`; :mod:`repro.sim.jobs` runs job arrivals on it.
+"""
 
 from repro.sim.churn import ChurnConfig, ChurnResult, simulate_churn
 from repro.sim.events import EventHandle, SimulationError, Simulator
-from repro.sim.fairness import FairAllocation, alpha_fair_allocation
-from repro.sim.fct import FctResult, shuffle_completion_time, simulate_fct
-from repro.sim.flow import FlowAllocation, max_min_allocation, route_all
 from repro.sim.jobs import (
     Job,
     JobResult,
@@ -32,14 +33,10 @@ __all__ = [
     "ChurnResult",
     "EventHandle",
     "simulate_churn",
-    "FairAllocation",
-    "FctResult",
     "Flow",
-    "FlowAllocation",
     "Job",
     "JobResult",
     "JobSimResult",
-    "alpha_fair_allocation",
     "disseminate_job",
     "incast_job",
     "shuffle_job",
@@ -53,12 +50,8 @@ __all__ = [
     "Simulator",
     "all_to_all_traffic",
     "hotspot_traffic",
-    "max_min_allocation",
     "one_to_all_traffic",
     "permutation_traffic",
-    "route_all",
-    "shuffle_completion_time",
     "shuffle_traffic",
-    "simulate_fct",
     "uniform_random_traffic",
 ]

@@ -8,9 +8,10 @@ This module models that layer:
 * :class:`Job` — a named batch of flows with an arrival time;
 * :func:`job_flows` generators for common job shapes (shuffle,
   aggregate/incast, broadcast-style disseminate);
-* :func:`simulate_jobs` — run a job sequence through the fluid FCT
-  engine and report per-job completion times (a job completes when its
-  last flow does) and cluster-level statistics.
+* :func:`simulate_jobs` — run a job sequence through
+  :func:`repro.traffic.engine.fluid_fct`, with each flow starting at
+  its job's arrival, and report per-job completion times (a job
+  completes when its last flow does) and cluster-level statistics.
 
 Powers the ``examples/deployment_manifest.py`` walk-through and gives
 the library a realistic top layer users actually want.
@@ -20,13 +21,18 @@ from __future__ import annotations
 
 import random
 import statistics
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Sequence, Tuple
 
 from repro.routing.base import Route
-from repro.sim.fct import FctResult, simulate_fct
 from repro.sim.traffic import Flow
+from repro.topology.compiled import compile_graph
 from repro.topology.graph import Network
+
+# Submodules, not the package: repro.traffic imports repro.traffic.run,
+# which imports repro.sim, so the package may still be initialising here.
+from repro.traffic.engine import FctStats, fluid_fct
+from repro.traffic.routes import RouteSet
 
 
 @dataclass(frozen=True)
@@ -128,7 +134,8 @@ class JobSimResult:
     """Outcome of a multi-job fluid simulation."""
 
     jobs: Tuple[JobResult, ...]
-    flow_result: FctResult
+    #: per-flow fluid outcome, flows in job-then-flow order.
+    flow_result: FctStats
 
     @property
     def makespan(self) -> float:
@@ -164,24 +171,25 @@ def simulate_jobs(
     submission (static routing, the model the paper evaluates).
     """
     all_flows: List[Flow] = []
-    arrivals: Dict[str, float] = {}
-    owner: Dict[str, str] = {}
+    starts: List[float] = []
+    seen = set()
     for job in jobs:
         for flow in job.flows:
-            if flow.flow_id in owner:
+            if flow.flow_id in seen:
                 raise ValueError(f"duplicate flow id {flow.flow_id!r} across jobs")
+            seen.add(flow.flow_id)
             all_flows.append(flow)
-            arrivals[flow.flow_id] = job.arrival
-            owner[flow.flow_id] = job.job_id
+            starts.append(job.arrival)
 
     routes = {f.flow_id: router(net, f.src, f.dst) for f in all_flows}
-    flow_result = simulate_fct(net, all_flows, routes, arrivals=arrivals)
+    route_set = RouteSet.from_name_routes(compile_graph(net), all_flows, routes)
+    flow_result = fluid_fct(route_set, [f.size for f in all_flows], starts)
 
-    completion: Dict[str, float] = {}
-    for flow_id, finished in flow_result.completion_times.items():
-        job_id = owner[flow_id]
-        completion[job_id] = max(completion.get(job_id, 0.0), finished)
-    results = tuple(
-        JobResult(job.job_id, job.arrival, completion[job.job_id]) for job in jobs
-    )
-    return JobSimResult(jobs=results, flow_result=flow_result)
+    results = []
+    first = 0
+    for job in jobs:
+        last = first + len(job.flows)
+        completion = float(flow_result.completion_times[first:last].max())
+        results.append(JobResult(job.job_id, job.arrival, completion))
+        first = last
+    return JobSimResult(jobs=tuple(results), flow_result=flow_result)

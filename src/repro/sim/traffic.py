@@ -8,7 +8,7 @@ discipline the paper's "extensive simulations" comparisons need.
 Endpoints are opaque hashable ids: server *name strings* on the object
 graph, or *integer ordinals* (``range(num_servers)``, a numpy index
 array) on the compiled CSR path — every generator accepts either, so
-the same code drives :func:`repro.sim.flow.route_all` and the
+the same code drives :func:`repro.routing.base.route_all` and the
 batch-native :mod:`repro.traffic` engine.  For large-scale seeded
 matrices prefer :mod:`repro.traffic.matrix`, whose PCG64 streams are
 process-stable; these ``random.Random`` generators remain the

@@ -1,22 +1,24 @@
 """Vectorized flow-level traffic: matrices, batch routes, max-min, FCT.
 
-The scale-native successor of the :mod:`repro.sim` flow layer: where
-``sim.flow`` walks Python dicts per flow (and stays in the tree as the
-small-scale parity oracle), this package keeps every flow in numpy
-batch state over the compiled CSR graphs —
+The library's one flow-level engine — experiments, examples, the job
+simulator and ``repro traffic`` all allocate here.  Every flow lives in
+numpy batch state over the compiled CSR graphs —
 
 * :mod:`repro.traffic.matrix` — seeded :class:`TrafficMatrix`
   generators (permutation, all-to-all, uniform, incast, hot-rack,
   job-placement-driven) over integer server ordinals;
 * :mod:`repro.traffic.routes` — :class:`RouteSet`, routes as a
   flow x link sparse incidence of undirected edge ids;
-* :mod:`repro.traffic.engine` — bit-parity vectorized progressive
-  filling (:func:`max_min_rates`) and fluid FCT (:func:`fluid_fct`);
+* :mod:`repro.traffic.engine` — vectorized progressive filling
+  (:func:`max_min_rates`) and fluid FCT with per-flow start times
+  (:func:`fluid_fct`);
 * :mod:`repro.traffic.run` — journaled multi-trial orchestration
   behind ``repro traffic``.
 
 Batch route extraction lives in :mod:`repro.routing.batch` (arithmetic
-digit-correction on fast ABCCC layouts, grouped-BFS everywhere else).
+digit-correction on fast ABCCC layouts, grouped-BFS everywhere else);
+name-based routers reach the engine through
+:meth:`RouteSet.from_name_routes`.
 """
 
 from repro.traffic.engine import (

@@ -1,24 +1,25 @@
 """Vectorized max-min fair allocation and fluid FCT over a RouteSet.
 
-The allocator is the batch twin of
-:func:`repro.sim.flow.max_min_allocation` — progressive filling, but
-every saturation round is a handful of array operations over the
-flow x edge incidence instead of Python dict walks.  The float
-operations per round are *identical* to the legacy loop (same headroom
-division, same ``max(residual - increment * count, 0.0)`` drain, same
-``1e-12`` saturation threshold, same scalar ``level`` accumulation), so
-for equal inputs the computed rates are bit-for-bit equal — the test
-suite asserts exactly that against the legacy oracle, which stays in
-the tree for that purpose.
+The one max-min and fluid-FCT implementation in the tree: every
+experiment, ``repro traffic`` and the job simulator allocate here.
+Progressive filling runs one saturation round as a handful of array
+operations over the flow x edge incidence — increment = min headroom
+per crossing, drain every loaded edge by ``increment * count`` clamped
+at zero, freeze the flows of every edge at ``<= SATURATION_EPS``.  The
+test suite checks the rates against an exact ``Fraction`` water-filling
+oracle and bit for bit against a small float progressive filler.
 
 Flows marked unreachable in the :class:`~repro.traffic.routes.RouteSet`
 allocate at rate 0.0 and are excluded from the fairness statistics —
 under a degraded network, lost flows are reported, not crashed on.
 
-FCT comes from the fluid trajectory: re-solve max-min over the still
-active flows, advance to the next completion instant, retire, repeat.
-With structured matrices the number of distinct completion instants is
-small, so the loop runs a handful of solves even at 10^5 flows.
+FCT comes from the fluid trajectory: re-solve max-min over the active
+flows, advance to the next completion or arrival, retire, admit,
+repeat.  Every solve retires or admits at least one flow, so the loop
+runs at most two solves per flow.  In practice it is about one per
+five to ten flows, not a handful: on ABCCC(4,3,2), a 1,024-flow
+permutation takes 213–220 solves and a 4,096-flow all-to-all 433–449
+(matrix seeds 0, 1 and 7).
 """
 
 from __future__ import annotations
@@ -29,9 +30,12 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as _np
 
-#: the legacy filler's saturation threshold — keep in lockstep with
-#: repro.sim.flow.max_min_allocation for bit parity.
+#: saturation threshold of the filler, and the relative completion
+#: threshold of the fluid FCT loop.
 SATURATION_EPS = 1e-12
+
+#: arrivals this close after the current instant are admitted with it.
+ARRIVAL_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -115,9 +119,7 @@ def _ragged_gather(starts, lens):
     return np.cumsum(step)
 
 
-def max_min_rates(
-    routes, active: Optional[Any] = None, sizes_scale: Optional[Any] = None
-) -> TrafficAllocation:
+def max_min_rates(routes, active: Optional[Any] = None) -> TrafficAllocation:
     """Progressive-filling max-min rates for a RouteSet, vectorized.
 
     Args:
@@ -125,10 +127,9 @@ def max_min_rates(
         active: optional per-flow bool — flows outside the mask get
             rate 0.0 and consume no capacity (the FCT loop's retired
             flows).
-        sizes_scale: reserved for weighted filling; must be ``None``.
 
-    Round structure (legacy-identical): increment = min over loaded
-    edges of ``residual / crossings``; every loaded edge drains by
+    Round structure: increment = min over loaded edges of
+    ``residual / crossings``; every loaded edge drains by
     ``increment * crossings`` clamped at zero; edges at ``<= 1e-12``
     freeze every flow crossing them at the accumulated level.
 
@@ -138,12 +139,10 @@ def max_min_rates(
     O(loaded edges) rather than O(total incidence); with ~10^5 flows at
     ~10^4 saturation rounds that is the difference between seconds and
     minutes.  The per-edge float sequence is untouched by the
-    compaction — the loaded set is identical to the legacy
-    ``counts > 0`` test and min/subtract/clamp are elementwise — so bit
-    parity with the oracle survives.
+    compaction — the loaded set is identical to a ``counts > 0`` test
+    and min/subtract/clamp are elementwise — so the rates stay bit-equal
+    to a plain per-edge filler.
     """
-    if sizes_scale is not None:
-        raise NotImplementedError("weighted max-min filling is not implemented")
     np = _np
     num_flows = routes.num_flows
     num_edges = routes.num_edges
@@ -165,8 +164,8 @@ def max_min_rates(
     # edge id -> compacted slot (stale once an edge drains, but a drained
     # edge only carried now-frozen flows and is never decremented again).
     loaded_ids = np.flatnonzero(counts > 0).astype(np.int64)
-    # float64 counts: exact for any realistic crossing count, and the
-    # legacy divide/multiply converts int counts to float64 anyway — so
+    # float64 counts: exact for any realistic crossing count, and a
+    # divide/multiply by int counts converts them to float64 anyway — so
     # the arithmetic is value-identical while skipping the per-round
     # conversion pass.
     cnt_l = counts[loaded_ids].astype(np.float64)
@@ -194,7 +193,7 @@ def max_min_rates(
     while remaining > 0:
         if loaded_ids.size == 0:
             # No capacity constraint binds (cannot happen for positive-
-            # length routes) — mirror the legacy guard: rate = inf.
+            # length routes): rate = inf.
             rates[flow_active] = math.inf
             break
         rounds += 1
@@ -209,7 +208,7 @@ def max_min_rates(
         np.less_equal(res_l, SATURATION_EPS, out=sat)
         if not bool(sat.any()):
             # Large capacities can leave a sub-ulp residue above the
-            # threshold; the legacy loop re-rounds too.  Guard runaways.
+            # threshold; run another round.  Guard runaways.
             if rounds > 64 * max(num_flows, 1):  # pragma: no cover
                 raise RuntimeError("progressive filling failed to converge")
             continue
@@ -228,8 +227,8 @@ def max_min_rates(
         remaining -= int(newly.size)
         # One walk over the frozen flows' routes covers both bottleneck
         # attribution (first edge saturated this round, route order —
-        # newly is sorted, so the repeat below is flow-major like the
-        # legacy incidence scan) and crossing-count decrements.
+        # newly is sorted, so the repeat below is flow-major) and
+        # crossing-count decrements.
         lens = hop_counts[newly]
         redges = inc_edge[_ragged_gather(offsets[newly], lens)]
         rflows = np.repeat(newly, lens)
@@ -255,18 +254,28 @@ def max_min_rates(
 
 @dataclass(frozen=True)
 class FctStats:
-    """Flow-completion-time distribution from the fluid trajectory."""
+    """Flow-completion-time distribution from the fluid trajectory.
+
+    ``completion_times`` are absolute instants; the statistics are over
+    durations (completion - start) of the flows that completed.
+    """
 
     completion_times: Any  # float64 per flow; inf for unreachable flows
+    start_times: Any  # float64 per flow
     solves: int
 
     @property
     def num_completed(self) -> int:
         return int(_np.count_nonzero(_np.isfinite(self.completion_times)))
 
+    @property
+    def durations(self):
+        """Per-flow FCT (completion - start); inf for unreachable flows."""
+        return _np.asarray(self.completion_times) - _np.asarray(self.start_times)
+
     def _finite(self):
-        times = _np.asarray(self.completion_times)
-        return _np.sort(times[_np.isfinite(times)])
+        durations = self.durations
+        return _np.sort(durations[_np.isfinite(durations)])
 
     @property
     def mean_fct(self) -> float:
@@ -295,34 +304,93 @@ class FctStats:
         }
 
 
-def fluid_fct(routes, sizes, max_solves: Optional[int] = None) -> FctStats:
-    """Fluid-model completion times: re-solve, advance, retire.
+def fluid_fct(routes, sizes, starts: Optional[Any] = None) -> FctStats:
+    """Fluid-model completion times: solve, advance, retire, admit.
 
-    All flows start at time zero (the matrices are static snapshots);
-    arrivals belong to the event-driven :mod:`repro.sim.fct`, which
-    remains the small-scale oracle for that regime.
+    Args:
+        routes: the flow x edge incidence.
+        sizes: data volume per flow, in link-capacity x time units.
+        starts: optional start time per flow (default: all at 0.0).
+
+    Flows starting at the first start instant are admitted at once.
+    Each solve allocates max-min rates over the active flows, then
+    advances to the earlier of the next completion and the next start.
+    A flow completes once its remaining volume is at most
+    ``SATURATION_EPS`` of its size, so the result does not depend on
+    the unit of ``sizes``.  Starts within ``ARRIVAL_SLACK`` after the
+    new instant are admitted; with no active flow, time jumps to the
+    next start.  Unreachable flows never start and keep completion
+    ``inf``.
+
+    Raises:
+        ValueError: if ``sizes`` or ``starts`` has the wrong length, or
+            a start is not finite.
+        RuntimeError: if a solve neither retires nor admits a flow.
     """
     np = _np
+    num_flows = routes.num_flows
     sizes = np.asarray(sizes, dtype=np.float64)
-    if len(sizes) != routes.num_flows:
+    if len(sizes) != num_flows:
         raise ValueError("sizes must have one entry per flow")
+    if starts is None:
+        start_times = np.zeros(num_flows, dtype=np.float64)
+    else:
+        start_times = np.asarray(starts, dtype=np.float64)
+        if len(start_times) != num_flows:
+            raise ValueError("starts must have one entry per flow")
+        if not bool(np.isfinite(start_times).all()):
+            raise ValueError("starts must be finite")
     remaining = sizes.copy()
-    finish = np.full(routes.num_flows, math.inf, dtype=np.float64)
-    active = ~np.asarray(routes.unreachable, dtype=bool)
-    now = 0.0
+    done_below = SATURATION_EPS * sizes
+    finish = np.full(num_flows, math.inf, dtype=np.float64)
+    active = np.zeros(num_flows, dtype=bool)
+    pending = np.flatnonzero(~np.asarray(routes.unreachable, dtype=bool))
+    pending = pending[np.argsort(start_times[pending], kind="stable")]
+    pending_starts = start_times[pending]
+    admitted = 0
+
+    def admit(horizon: float) -> int:
+        nonlocal admitted
+        stop = int(np.searchsorted(pending_starts, horizon, side="right"))
+        active[pending[admitted:stop]] = True
+        count, admitted = stop - admitted, stop
+        return count
+
+    now = float(pending_starts[0]) if pending.size else 0.0
+    admit(now)
     solves = 0
-    limit = routes.num_flows if max_solves is None else max_solves
-    while bool(active.any()) and solves < limit + 1:
-        allocation = max_min_rates(routes, active=active)
+    while admitted < pending.size or bool(active.any()):
+        if not bool(active.any()):
+            now = float(pending_starts[admitted])
+            admit(now)
+            continue
+        rates = max_min_rates(routes, active=active).rates
         solves += 1
-        rates = allocation.rates
         positive = active & (rates > 0.0)
-        if not bool(positive.any()):  # pragma: no cover - invariant
-            break
-        dt = float((remaining[positive] / rates[positive]).min())
-        now += dt
-        remaining[positive] -= rates[positive] * dt
-        done = positive & (remaining <= SATURATION_EPS)
+        step = (
+            float((remaining[positive] / rates[positive]).min())
+            if bool(positive.any())
+            else math.inf
+        )
+        next_start = (
+            float(pending_starts[admitted]) if admitted < pending.size else math.inf
+        )
+        arrival_bound = next_start - now <= step
+        step = min(step, next_start - now)
+        if not math.isfinite(step):
+            raise RuntimeError("no progress possible: every active flow has rate 0")
+        now += step
+        remaining[positive] -= rates[positive] * step
+        done = positive & (remaining <= done_below)
         finish[done] = now
         active &= ~done
-    return FctStats(completion_times=finish, solves=solves)
+        # An arrival-bound step admits that arrival even when rounding
+        # left ``now`` an ulp short of it.
+        horizon = now + ARRIVAL_SLACK
+        if arrival_bound:
+            horizon = max(horizon, next_start)
+        if not admit(horizon) and not bool(done.any()):
+            raise RuntimeError(
+                f"fluid FCT solve {solves} neither retired nor admitted a flow"
+            )
+    return FctStats(completion_times=finish, start_times=start_times, solves=solves)

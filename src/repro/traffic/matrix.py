@@ -95,12 +95,12 @@ class TrafficMatrix:
         return float(_np.asarray(self.size).sum())
 
     def flows(self, servers: Optional[Sequence[Any]] = None):
-        """The legacy :class:`~repro.sim.traffic.Flow` view of the matrix.
+        """The :class:`~repro.sim.traffic.Flow` view of the matrix.
 
         ``servers`` maps ordinals to identities (names, or the server
         list of a built network); omitted, flows carry the raw ordinals
         — which the :mod:`repro.sim` layer accepts since generators went
-        id-agnostic.  This is the parity bridge to ``sim.flow``.
+        id-agnostic.  This is the bridge to name-based routers.
         """
         from repro.sim.traffic import Flow
 

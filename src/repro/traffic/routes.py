@@ -1,15 +1,14 @@
 """Flow x link incidence: routes as edge-id arrays over the CSR graph.
 
-The legacy :mod:`repro.sim.flow` path keeps one Python ``Route`` object
-and one ``(name, name)`` link-key list per flow; at a few hundred
-thousand flows that is gigabytes of dict churn.  A :class:`RouteSet`
-stores the same information as two flat numpy arrays — the concatenated
-undirected *edge ids* every flow crosses and a per-flow offset array —
-which is all progressive filling ever looks at.  Multiplicity is
-preserved (a detour crossing a link twice consumes capacity twice,
-exactly like the legacy key list), and a flow with no surviving path is
-an empty slice plus a bit in :attr:`RouteSet.unreachable`, never an
-exception: degraded networks are results, not errors.
+One Python ``Route`` object and one ``(name, name)`` link-key list per
+flow is gigabytes of dict churn at a few hundred thousand flows.  A
+:class:`RouteSet` stores the same information as two flat numpy arrays —
+the concatenated undirected *edge ids* every flow crosses and a
+per-flow offset array — which is all progressive filling ever looks
+at.  Multiplicity is preserved (a detour crossing a link twice consumes
+capacity twice), and a flow with no surviving path is an empty slice
+plus a bit in :attr:`RouteSet.unreachable`, never an exception:
+degraded networks are results, not errors.
 
 Edge ids are positions into ``graph.edge_u`` / ``graph.edge_v`` /
 ``graph.edge_capacity`` — the id space shared by object-built
@@ -196,18 +195,30 @@ class RouteSet:
 
     @classmethod
     def from_name_routes(cls, graph, flows, routes: Dict[str, Any]) -> "RouteSet":
-        """Build from legacy ``flow_id -> Route`` name paths.
+        """Build from ``flow_id -> Route`` name paths.
 
-        The bridge the F7 parity path uses: legacy routers produce name
-        routes, this converts them to the incidence form so both engines
-        allocate over byte-identical inputs.  Flow order defines flow
-        index order.
+        The bridge for name-based routers (experiments, examples, the
+        job simulator): each flow's route is looked up by ``flow_id``
+        and converted to edge ids.  Flow order defines flow index order.
+
+        Raises:
+            KeyError: if a flow has no route.
+            RouteSetError: on duplicate flow ids, or a route that does
+                not connect its flow's ``src`` to its ``dst``.
         """
         index = graph.index
         paths = []
         for flow in flows:
             route = routes[flow.flow_id]
+            if route.source != flow.src or route.destination != flow.dst:
+                raise RouteSetError(
+                    f"route for {flow.flow_id} connects "
+                    f"{route.source}->{route.destination}, "
+                    f"flow wants {flow.src}->{flow.dst}"
+                )
             paths.append([index[name] for name in route.nodes])
+        if len({flow.flow_id for flow in flows}) != len(paths):
+            raise RouteSetError("duplicate flow ids")
         return cls.from_node_paths(graph, paths)
 
     @classmethod

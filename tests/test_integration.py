@@ -8,11 +8,17 @@ import repro
 from repro import AbcccSpec, available_topologies, create_topology
 from repro.metrics.bottleneck import aggregate_bottleneck_throughput
 from repro.metrics.connectivity import apply_failures, draw_failures
+from repro.routing.base import route_all
 from repro.routing.table import ForwardingTable
-from repro.sim.flow import max_min_allocation, route_all
 from repro.sim.packet import PacketSimulator
 from repro.sim.traffic import permutation_traffic, shuffle_traffic
+from repro.topology.compiled import compile_graph
 from repro.topology.validate import validate_network
+from repro.traffic import RouteSet, max_min_rates
+
+
+def _allocate(net, flows, routes):
+    return max_min_rates(RouteSet.from_name_routes(compile_graph(net), flows, routes))
 
 
 class TestQuickstartWorkflow:
@@ -28,7 +34,7 @@ class TestQuickstartWorkflow:
 
         flows = permutation_traffic(net.servers, seed=1)
         routes = route_all(net, flows, spec.route)
-        allocation = max_min_allocation(net, flows, routes)
+        allocation = _allocate(net, flows, routes)
         assert allocation.min_rate > 0
         assert allocation.num_flows == net.num_servers
 
@@ -67,7 +73,7 @@ class TestEveryRegisteredTopologyEndToEnd:
 
         flows = permutation_traffic(net.servers, seed=2)
         routes = route_all(net, flows, spec.route)
-        allocation = max_min_allocation(net, flows, routes)
+        allocation = _allocate(net, flows, routes)
         assert allocation.min_rate > 0
         assert aggregate_bottleneck_throughput(net, routes.values()) > 0
 

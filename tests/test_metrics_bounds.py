@@ -5,8 +5,15 @@ import pytest
 from repro.baselines import BcubeSpec, FatTreeSpec, TreeSpec
 from repro.core import AbcccSpec
 from repro.metrics.bounds import all_to_all_bounds, per_server_ceiling
-from repro.sim.flow import max_min_allocation, route_all
+from repro.routing.base import route_all
 from repro.sim.traffic import all_to_all_traffic, permutation_traffic
+from repro.topology.compiled import compile_graph
+from repro.traffic import RouteSet, max_min_rates
+
+
+def _allocate(spec, net, flows):
+    routes = route_all(net, flows, spec.route)
+    return max_min_rates(RouteSet.from_name_routes(compile_graph(net), flows, routes))
 
 
 class TestBoundValues:
@@ -58,8 +65,7 @@ class TestMeasuredRespectsBounds:
     def test_all_to_all_under_ceiling(self, spec):
         net = spec.build()
         flows = all_to_all_traffic(net.servers, max_flows=400, seed=1)
-        routes = route_all(net, flows, spec.route)
-        allocation = max_min_allocation(net, flows, routes)
+        allocation = _allocate(spec, net, flows)
         bounds = all_to_all_bounds(spec, net)
         assert allocation.aggregate_throughput <= bounds.nic_bound + 1e-6
         # The bisection bound holds for *uniform* traffic in expectation;
@@ -70,6 +76,5 @@ class TestMeasuredRespectsBounds:
     def test_permutation_under_nic_ceiling(self, abccc_small):
         spec, net = abccc_small
         flows = permutation_traffic(net.servers, seed=2)
-        routes = route_all(net, flows, spec.route)
-        allocation = max_min_allocation(net, flows, routes)
+        allocation = _allocate(spec, net, flows)
         assert allocation.aggregate_throughput <= all_to_all_bounds(spec, net).nic_bound

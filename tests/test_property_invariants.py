@@ -114,38 +114,44 @@ class TestRoutingConsistency:
 
 
 class TestFlowFctConsistency:
+    @staticmethod
+    def _route_set(spec, net, flows):
+        from repro.routing.base import route_all
+        from repro.topology.compiled import compile_graph
+        from repro.traffic import RouteSet
+
+        routes = route_all(net, flows, spec.route)
+        return RouteSet.from_name_routes(compile_graph(net), flows, routes)
+
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=0, max_value=100))
     def test_fct_bounds_from_maxmin(self, seed):
         """For simultaneous unit flows: min-rate bound >= makespan >=
         max-rate bound (slowest/ fastest first-round rates bracket it)."""
-        from repro.sim.fct import simulate_fct
-        from repro.sim.flow import max_min_allocation, route_all
         from repro.sim.traffic import permutation_traffic
+        from repro.traffic import fluid_fct, max_min_rates
 
         spec = AbcccSpec(3, 1, 2)
         net = spec.build()
         flows = permutation_traffic(net.servers, seed=seed)
-        routes = route_all(net, flows, spec.route)
-        allocation = max_min_allocation(net, flows, routes)
-        result = simulate_fct(net, flows, routes)
-        assert result.makespan <= 1.0 / allocation.min_rate + 1e-9
-        assert result.makespan >= 1.0 / allocation.max_rate - 1e-9
+        route_set = self._route_set(spec, net, flows)
+        allocation = max_min_rates(route_set)
+        makespan = fluid_fct(route_set, [f.size for f in flows]).max_fct
+        assert makespan <= 1.0 / allocation.min_rate + 1e-9
+        assert makespan >= 1.0 / allocation.max_rate - 1e-9
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=0, max_value=100))
     def test_fct_monotone_in_volume(self, seed):
         """Doubling every flow's size exactly doubles the makespan
         (fluid model is scale-invariant)."""
-        from repro.sim.fct import simulate_fct
-        from repro.sim.flow import route_all
-        from repro.sim.traffic import Flow, permutation_traffic
+        from repro.sim.traffic import permutation_traffic
+        from repro.traffic import fluid_fct
 
         spec = AbcccSpec(2, 1, 2)
         net = spec.build()
         base = permutation_traffic(net.servers, seed=seed)
-        double = [Flow(f.flow_id, f.src, f.dst, size=2.0) for f in base]
-        routes = route_all(net, base, spec.route)
-        t1 = simulate_fct(net, base, routes).makespan
-        t2 = simulate_fct(net, double, routes).makespan
+        route_set = self._route_set(spec, net, base)
+        t1 = fluid_fct(route_set, [1.0] * len(base)).max_fct
+        t2 = fluid_fct(route_set, [2.0] * len(base)).max_fct
         assert t2 == pytest.approx(2 * t1)

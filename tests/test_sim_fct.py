@@ -1,11 +1,13 @@
-"""Fluid FCT simulation: hand-computable schedules and invariants."""
+"""Fluid FCT over name routes: hand-computable schedules and invariants."""
 
+import numpy as np
 import pytest
 
-from repro.routing.base import Route
-from repro.sim.fct import FctResult, shuffle_completion_time, simulate_fct
+from repro.routing.base import Route, route_all
 from repro.sim.traffic import Flow, permutation_traffic
+from repro.topology.compiled import compile_graph
 from repro.topology.graph import Network
+from repro.traffic import RouteSet, RouteSetError, fluid_fct, max_min_rates
 
 
 def _single_link(capacity=1.0) -> Network:
@@ -20,114 +22,133 @@ def _ab_routes(flows):
     return {f.flow_id: Route.of(["a", "b"]) for f in flows}
 
 
+def _simulate(net, flows, routes, arrivals=None):
+    """``fluid_fct`` plus ``flow_id -> completion`` for readable asserts."""
+    route_set = RouteSet.from_name_routes(compile_graph(net), flows, routes)
+    starts = [(arrivals or {}).get(f.flow_id, 0.0) for f in flows]
+    stats = fluid_fct(route_set, [f.size for f in flows], starts)
+    done = {f.flow_id: float(t) for f, t in zip(flows, stats.completion_times)}
+    return stats, done
+
+
 class TestHandSchedules:
     def test_single_flow(self):
         net = _single_link()
         flows = [Flow("f", "a", "b", size=3.0)]
-        result = simulate_fct(net, flows, _ab_routes(flows))
-        assert result.completion_times["f"] == pytest.approx(3.0)
-        assert result.makespan == pytest.approx(3.0)
+        stats, done = _simulate(net, flows, _ab_routes(flows))
+        assert done["f"] == pytest.approx(3.0)
+        assert stats.max_fct == pytest.approx(3.0)
 
     def test_two_equal_flows_share_then_nothing_frees(self):
         """Two size-1 flows on one unit link: both at rate 0.5, both done
         at t=2."""
         net = _single_link()
         flows = [Flow("f1", "a", "b"), Flow("f2", "a", "b")]
-        result = simulate_fct(net, flows, _ab_routes(flows))
-        assert result.completion_times["f1"] == pytest.approx(2.0)
-        assert result.completion_times["f2"] == pytest.approx(2.0)
+        _, done = _simulate(net, flows, _ab_routes(flows))
+        assert done["f1"] == pytest.approx(2.0)
+        assert done["f2"] == pytest.approx(2.0)
 
     def test_unequal_sizes_redistribute(self):
         """Sizes 1 and 3 sharing a unit link: both at 0.5 until t=2 (small
         one done), then the big one runs at 1.0 with 2 volume left -> t=4."""
         net = _single_link()
         flows = [Flow("small", "a", "b", size=1.0), Flow("big", "a", "b", size=3.0)]
-        result = simulate_fct(net, flows, _ab_routes(flows))
-        assert result.completion_times["small"] == pytest.approx(2.0)
-        assert result.completion_times["big"] == pytest.approx(4.0)
-        assert result.fct("big") == pytest.approx(4.0)
+        stats, done = _simulate(net, flows, _ab_routes(flows))
+        assert done["small"] == pytest.approx(2.0)
+        assert done["big"] == pytest.approx(4.0)
+        assert stats.durations[1] == pytest.approx(4.0)
 
     def test_late_arrival(self):
-        """Second flow arrives at t=1: first runs alone [0,1) at rate 1
-        (0.0 volume left at t=1? no: size 2, 1 left), then both share."""
+        """Second flow arrives at t=1: the first runs alone over [0, 1)
+        at rate 1 (size 2, so 1 left), then both share at 0.5 and finish
+        together at t=3."""
         net = _single_link()
         flows = [Flow("early", "a", "b", size=2.0), Flow("late", "a", "b", size=1.0)]
-        result = simulate_fct(
-            net, flows, _ab_routes(flows), arrivals={"late": 1.0}
-        )
-        # t in [0,1): early alone, 1 volume left. t >= 1: share at 0.5.
-        # early finishes at 1 + 1/0.5 = 3; late: 1 + ... late has 1 volume
-        # at 0.5 -> would finish at 3 too (both bottlenecked equally).
-        assert result.completion_times["early"] == pytest.approx(3.0)
-        assert result.completion_times["late"] == pytest.approx(3.0)
-        assert result.fct("late") == pytest.approx(2.0)
+        stats, done = _simulate(net, flows, _ab_routes(flows), arrivals={"late": 1.0})
+        assert done["early"] == pytest.approx(3.0)
+        assert done["late"] == pytest.approx(3.0)
+        assert stats.durations[1] == pytest.approx(2.0)
 
     def test_idle_gap_between_arrivals(self):
         net = _single_link()
         flows = [Flow("f1", "a", "b"), Flow("f2", "a", "b")]
-        result = simulate_fct(
+        _, done = _simulate(
             net, flows, _ab_routes(flows), arrivals={"f1": 0.0, "f2": 10.0}
         )
-        assert result.completion_times["f1"] == pytest.approx(1.0)
-        assert result.completion_times["f2"] == pytest.approx(11.0)
+        assert done["f1"] == pytest.approx(1.0)
+        assert done["f2"] == pytest.approx(11.0)
+
+    def test_arrival_admitted_after_rounded_step(self):
+        """A step bound by an arrival can land an ulp short of it: here
+        ``x + (s - x)`` rounds 3.6e-12 below ``s``, beyond the 1e-12
+        admission slack.  The arrival must still be admitted, not stall
+        the loop."""
+        x = float.fromhex("0x1.c54af5482eba8p+10")  # ~1813.17
+        s = float.fromhex("0x1.fc3d573581a81p+14")  # ~32527.34
+        assert x + (s - x) + 1e-12 < s
+        net = _single_link()
+        flows = [
+            Flow("short", "a", "b", size=x / 2),  # shares at 0.5, done at x
+            Flow("long", "a", "b", size=1e6),
+            Flow("late", "a", "b", size=1.0),
+        ]
+        stats, done = _simulate(net, flows, _ab_routes(flows), arrivals={"late": s})
+        assert done["short"] == x
+        assert done["late"] == pytest.approx(s + 2.0)
+        assert stats.solves == 4
 
 
 class TestInvariants:
     def test_all_flows_complete(self, abccc_small):
         spec, net = abccc_small
-        from repro.sim.flow import route_all
-
         flows = permutation_traffic(net.servers, seed=3)
         routes = route_all(net, flows, spec.route)
-        result = simulate_fct(net, flows, routes)
-        assert set(result.completion_times) == {f.flow_id for f in flows}
-        assert result.makespan == max(result.completion_times.values())
-        assert all(t > 0 for t in result.fcts)
+        stats, done = _simulate(net, flows, routes)
+        assert set(done) == {f.flow_id for f in flows}
+        assert stats.num_completed == len(flows)
+        assert stats.max_fct == max(done.values())
+        assert (stats.durations > 0).all()
 
     def test_makespan_lower_bound(self, abccc_small):
         """Makespan >= the size/min-max-min-rate bound of the first round."""
         spec, net = abccc_small
-        from repro.sim.flow import max_min_allocation, route_all
-
         flows = permutation_traffic(net.servers, seed=4)
         routes = route_all(net, flows, spec.route)
-        allocation = max_min_allocation(net, flows, routes)
-        result = simulate_fct(net, flows, routes)
-        assert result.makespan >= 1.0 / allocation.max_rate - 1e-9
+        route_set = RouteSet.from_name_routes(compile_graph(net), flows, routes)
+        allocation = max_min_rates(route_set)
+        stats = fluid_fct(route_set, np.ones(len(flows)))
+        assert stats.max_fct >= 1.0 / allocation.max_rate - 1e-9
 
     def test_helper_matches_simulation(self, abccc_small):
+        """With simultaneous starts, max_fct (E3's shuffle time) is the
+        last completion instant."""
         spec, net = abccc_small
-        from repro.sim.flow import route_all
-
         flows = permutation_traffic(net.servers, seed=5)
         routes = route_all(net, flows, spec.route)
-        assert shuffle_completion_time(net, flows, routes) == pytest.approx(
-            simulate_fct(net, flows, routes).makespan
-        )
+        stats, done = _simulate(net, flows, routes)
+        assert stats.max_fct == max(done.values())
+        assert stats.summary()["max_fct"] == stats.max_fct
 
 
 class TestValidation:
     def test_duplicate_flow_ids(self):
         net = _single_link()
         flows = [Flow("f", "a", "b"), Flow("f", "a", "b")]
-        with pytest.raises(ValueError, match="duplicate"):
-            simulate_fct(net, flows, _ab_routes(flows))
+        with pytest.raises(RouteSetError, match="duplicate"):
+            _simulate(net, flows, _ab_routes(flows))
 
     def test_unknown_arrival(self):
+        """A start time for a flow that does not exist is rejected."""
         net = _single_link()
         flows = [Flow("f", "a", "b")]
-        with pytest.raises(KeyError, match="unknown flow"):
-            simulate_fct(net, flows, _ab_routes(flows), arrivals={"ghost": 1.0})
-
-    def test_round_budget(self):
-        net = _single_link()
-        # Distinct sizes force one completion (and one solver round) each.
-        flows = [Flow(f"f{i}", "a", "b", size=float(i + 1)) for i in range(5)]
-        with pytest.raises(RuntimeError, match="rounds"):
-            simulate_fct(net, flows, _ab_routes(flows), max_rounds=2)
+        route_set = RouteSet.from_name_routes(compile_graph(net), flows, _ab_routes(flows))
+        with pytest.raises(ValueError, match="one entry per flow"):
+            fluid_fct(route_set, [1.0], starts=[0.0, 1.0])
 
     def test_empty_flow_set(self):
         net = _single_link()
-        result = simulate_fct(net, [], {})
-        assert result.makespan == 0.0
-        assert result.mean_fct == 0.0
+        stats, done = _simulate(net, [], {})
+        assert done == {}
+        assert stats.max_fct == 0.0
+        assert stats.mean_fct == 0.0
+        assert stats.solves == 0

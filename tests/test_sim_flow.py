@@ -1,13 +1,12 @@
-"""Max-min fair allocation: hand-checked cases and invariants."""
+"""Max-min fair allocation from name routes: hand-checked cases and invariants."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.routing.base import Route
-from repro.sim.flow import max_min_allocation, route_all
+from repro.routing.base import Route, route_all
 from repro.sim.traffic import Flow, permutation_traffic
+from repro.topology.compiled import compile_graph
 from repro.topology.graph import Network
+from repro.traffic import RouteSet, RouteSetError, max_min_rates
 
 
 def _line(capacities) -> Network:
@@ -20,21 +19,27 @@ def _line(capacities) -> Network:
     return net
 
 
+def _allocate(net, flows, routes):
+    """Engine allocation plus ``flow_id -> rate`` for readable asserts."""
+    graph = compile_graph(net)
+    allocation = max_min_rates(RouteSet.from_name_routes(graph, flows, routes))
+    rates = {f.flow_id: float(r) for f, r in zip(flows, allocation.rates)}
+    return graph, allocation, rates
+
+
 class TestHandCases:
     def test_two_flows_share_one_link(self):
         net = _line([1.0])
         flows = [Flow("f1", "s0", "s1"), Flow("f2", "s0", "s1")]
         routes = {f.flow_id: Route.of(["s0", "s1"]) for f in flows}
-        allocation = max_min_allocation(net, flows, routes)
-        assert allocation.rates["f1"] == pytest.approx(0.5)
-        assert allocation.rates["f2"] == pytest.approx(0.5)
+        _, allocation, rates = _allocate(net, flows, routes)
+        assert rates["f1"] == pytest.approx(0.5)
+        assert rates["f2"] == pytest.approx(0.5)
         assert allocation.jain_fairness == pytest.approx(1.0)
 
     def test_classic_two_bottleneck_example(self):
         """Flows: A over links 1+2, B over link 1, C over link 2; caps 1.
-        Max-min: A = B = C = 0.5?  No — the classic result is A = 0.5 on
-        whichever saturates first... with equal caps both links saturate
-        together: A = B = C = 0.5."""
+        With equal caps both links saturate together: A = B = C = 0.5."""
         net = _line([1.0, 1.0])
         flows = [Flow("A", "s0", "s2"), Flow("B", "s0", "s1"), Flow("C", "s1", "s2")]
         routes = {
@@ -42,8 +47,8 @@ class TestHandCases:
             "B": Route.of(["s0", "s1"]),
             "C": Route.of(["s1", "s2"]),
         }
-        allocation = max_min_allocation(net, flows, routes)
-        for rate in allocation.rates.values():
+        _, _, rates = _allocate(net, flows, routes)
+        for rate in rates.values():
             assert rate == pytest.approx(0.5)
 
     def test_asymmetric_bottlenecks(self):
@@ -56,18 +61,20 @@ class TestHandCases:
             "B": Route.of(["s0", "s1"]),
             "C": Route.of(["s1", "s2"]),
         }
-        allocation = max_min_allocation(net, flows, routes)
-        assert allocation.rates["A"] == pytest.approx(0.5)
-        assert allocation.rates["B"] == pytest.approx(0.5)
-        assert allocation.rates["C"] == pytest.approx(1.5)
-        assert allocation.bottlenecks["C"] == ("s1", "s2")
+        graph, allocation, rates = _allocate(net, flows, routes)
+        assert rates["A"] == pytest.approx(0.5)
+        assert rates["B"] == pytest.approx(0.5)
+        assert rates["C"] == pytest.approx(1.5)
+        assert allocation.bottleneck_edges[2] == graph.edge_id(
+            graph.index["s1"], graph.index["s2"]
+        )
 
     def test_lone_flow_gets_full_capacity(self):
         net = _line([3.0])
         flows = [Flow("f", "s0", "s1")]
         routes = {"f": Route.of(["s0", "s1"])}
-        allocation = max_min_allocation(net, flows, routes)
-        assert allocation.rates["f"] == pytest.approx(3.0)
+        _, _, rates = _allocate(net, flows, routes)
+        assert rates["f"] == pytest.approx(3.0)
 
 
 class TestInvariants:
@@ -78,20 +85,20 @@ class TestInvariants:
         net = spec.build()
         flows = permutation_traffic(net.servers, seed=seed)
         routes = route_all(net, flows, spec.route)
-        return net, flows, routes, max_min_allocation(net, flows, routes)
+        graph, allocation, rates = _allocate(net, flows, routes)
+        return net, graph, flows, routes, allocation, rates
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_feasibility(self, seed):
         """No link carries more than its capacity."""
-        net, flows, routes, allocation = self._abccc_allocation(seed)
+        net, _, flows, routes, _, rates = self._abccc_allocation(seed)
         from repro.topology.node import link_key
 
         loads = {}
         for flow in flows:
-            rate = allocation.rates[flow.flow_id]
             for u, v in routes[flow.flow_id].edges():
                 key = link_key(u, v)
-                loads[key] = loads.get(key, 0.0) + rate
+                loads[key] = loads.get(key, 0.0) + rates[flow.flow_id]
         for key, load in loads.items():
             assert load <= net.link(*key).capacity + 1e-9
 
@@ -100,24 +107,24 @@ class TestInvariants:
         """Every flow's recorded bottleneck link is saturated, and the flow
         has the maximal rate among that link's flows (the defining
         property of max-min fairness)."""
-        net, flows, routes, allocation = self._abccc_allocation(seed)
+        net, graph, flows, routes, allocation, rates = self._abccc_allocation(seed)
         from repro.topology.node import link_key
 
         link_rates = {}
         for flow in flows:
             for u, v in routes[flow.flow_id].edges():
-                link_rates.setdefault(link_key(u, v), []).append(
-                    allocation.rates[flow.flow_id]
-                )
-        for flow in flows:
-            bottleneck = allocation.bottlenecks[flow.flow_id]
-            rates = link_rates[bottleneck]
-            assert sum(rates) == pytest.approx(net.link(*bottleneck).capacity)
-            assert allocation.rates[flow.flow_id] == pytest.approx(max(rates))
+                link_rates.setdefault(link_key(u, v), []).append(rates[flow.flow_id])
+        names = graph.names
+        for i, flow in enumerate(flows):
+            edge = int(allocation.bottleneck_edges[i])
+            bottleneck = link_key(names[graph.edge_u[edge]], names[graph.edge_v[edge]])
+            on_link = link_rates[bottleneck]
+            assert sum(on_link) == pytest.approx(net.link(*bottleneck).capacity)
+            assert rates[flow.flow_id] == pytest.approx(max(on_link))
 
     def test_every_flow_rated(self):
-        _, flows, _, allocation = self._abccc_allocation(3)
-        assert set(allocation.rates) == {f.flow_id for f in flows}
+        _, _, flows, _, allocation, rates = self._abccc_allocation(3)
+        assert set(rates) == {f.flow_id for f in flows}
         assert allocation.min_rate > 0
 
 
@@ -126,14 +133,14 @@ class TestValidation:
         net = _line([1.0])
         flows = [Flow("f", "s0", "s1")]
         routes = {"f": Route.of(["s1", "s0"])}
-        with pytest.raises(ValueError, match="flow wants"):
-            max_min_allocation(net, flows, routes)
+        with pytest.raises(RouteSetError, match="flow wants"):
+            RouteSet.from_name_routes(compile_graph(net), flows, routes)
 
     def test_missing_route(self):
         net = _line([1.0])
         flows = [Flow("f", "s0", "s1")]
         with pytest.raises(KeyError):
-            max_min_allocation(net, flows, {})
+            RouteSet.from_name_routes(compile_graph(net), flows, {})
 
 
 class TestRouteAll:
@@ -163,7 +170,7 @@ class TestAllocationStats:
         net = _line([1.0])
         flows = [Flow("f1", "s0", "s1"), Flow("f2", "s0", "s1")]
         routes = {f.flow_id: Route.of(["s0", "s1"]) for f in flows}
-        allocation = max_min_allocation(net, flows, routes)
+        _, allocation, _ = _allocate(net, flows, routes)
         assert allocation.aggregate_throughput == pytest.approx(1.0)
         assert allocation.min_rate == allocation.max_rate == pytest.approx(0.5)
         assert allocation.mean_rate == pytest.approx(0.5)

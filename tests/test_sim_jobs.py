@@ -65,10 +65,9 @@ class TestSimulation:
         spec, net = fabric
         job = incast_job("in", 0.0, net.servers, 4, seed=5)
         result = simulate_jobs(net, [job], spec.route)
-        last_flow = max(
-            result.flow_result.completion_times[f.flow_id] for f in job.flows
-        )
-        assert result.job("in").completion == pytest.approx(last_flow)
+        times = result.flow_result.completion_times
+        assert len(times) == len(job.flows)
+        assert result.job("in").completion == times.max()
 
     def test_staggered_arrivals_ordered(self, fabric):
         spec, net = fabric
@@ -82,6 +81,18 @@ class TestSimulation:
         assert result.job("late").duration == pytest.approx(
             result.job("early").duration, rel=0.3
         )
+
+    def test_flow_result_in_job_then_flow_order(self, fabric):
+        spec, net = fabric
+        jobs = [
+            incast_job("a", 0.0, net.servers, 3, seed=1),
+            shuffle_job("b", 2.5, net.servers, 2, 2, seed=2),
+        ]
+        result = simulate_jobs(net, jobs, spec.route)
+        stats = result.flow_result
+        assert list(stats.start_times) == [0.0] * 3 + [2.5] * 4
+        assert (stats.durations > 0).all()
+        assert result.job("b").completion == stats.completion_times[3:].max()
 
     def test_contention_slows_jobs(self, fabric):
         """Two simultaneous incasts to the same coordinator take longer

@@ -110,7 +110,7 @@ class TestDeterminismAndAccounting:
     def test_seeded_runs_identical(self, abccc_small):
         spec, net = abccc_small
         from repro.sim.traffic import permutation_traffic
-        from repro.sim.flow import route_all
+        from repro.routing.base import route_all
 
         flows = permutation_traffic(net.servers, seed=4)
         routes = route_all(net, flows, spec.route)
@@ -126,7 +126,7 @@ class TestDeterminismAndAccounting:
     def test_conservation(self, abccc_small):
         spec, net = abccc_small
         from repro.sim.traffic import permutation_traffic
-        from repro.sim.flow import route_all
+        from repro.routing.base import route_all
 
         flows = permutation_traffic(net.servers, seed=5)
         routes = route_all(net, flows, spec.route)
@@ -222,7 +222,7 @@ class TestMultipathSpraying:
     def test_single_path_never_reorders(self, abccc_small):
         spec, net = abccc_small
         from repro.sim.traffic import permutation_traffic
-        from repro.sim.flow import route_all
+        from repro.routing.base import route_all
 
         flows = permutation_traffic(net.servers, seed=6)
         routes = route_all(net, flows, spec.route)
