@@ -13,8 +13,8 @@ same server count receive bit-identical flow sets — a stronger
 "identical workloads" guarantee than the name-based draws of
 :mod:`repro.sim.traffic`.  The allocation runs through the vectorized
 engine (:func:`repro.traffic.engine.max_min_rates`); the test suite
-checks its rates bit for bit against a float progressive-filling
-oracle on F7's own quick topologies.
+checks its rates against exact ``Fraction`` water-filling and the
+max-min certificate on F7's own quick topologies.
 """
 
 from __future__ import annotations

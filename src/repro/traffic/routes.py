@@ -4,8 +4,7 @@ One Python ``Route`` object and one ``(name, name)`` link-key list per
 flow is gigabytes of dict churn at a few hundred thousand flows.  A
 :class:`RouteSet` stores the same information as two flat numpy arrays —
 the concatenated undirected *edge ids* every flow crosses and a
-per-flow offset array — which is all progressive filling ever looks
-at.  Multiplicity is preserved (a detour crossing a link twice consumes
+per-flow offset array — which is all water-filling ever looks at.  Multiplicity is preserved (a detour crossing a link twice consumes
 capacity twice), and a flow with no surviving path is an empty slice
 plus a bit in :attr:`RouteSet.unreachable`, never an exception:
 degraded networks are results, not errors.
@@ -103,12 +102,6 @@ class RouteSet:
     @property
     def num_unreachable(self) -> int:
         return int(_np.count_nonzero(self.unreachable))
-
-    def incidence_flows(self):
-        """Flow index per incidence entry, aligned with ``edge_ids``."""
-        return _np.repeat(
-            _np.arange(self.num_flows, dtype=_np.int64), self.hop_counts
-        )
 
     def crossings(self):
         """Crossing count per edge (multiplicity included), length E."""

@@ -1,50 +1,56 @@
-"""Reference implementations the flow engine is checked against.
+"""Reference checks the flow engine is tested against.
 
-* :func:`float_max_min_rates` — a plain per-link progressive filler over
-  name routes.  It performs the same float operations per round as
-  :func:`repro.traffic.engine.max_min_rates`, so the two agree bit for
-  bit on equal inputs.
 * :func:`exact_max_min_rates` and :func:`exact_fluid_fct` — water-filling
   and the fluid completion trajectory in ``Fraction`` arithmetic.  No
   rounding, no thresholds: the ground truth on small instances.
+* :func:`max_min_problems` — the max-min certificate, which needs no
+  reference answer and so runs at any size.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.topology.node import link_key
+import numpy as np
+
+#: relative tolerance of the max-min certificate.
+CERT_TOL = 1e-9
 
 
-def float_max_min_rates(net, flows, routes) -> List[float]:
-    """Float progressive filling over ``flow_id -> Route``; flow order."""
-    flow_links = {
-        f.flow_id: [link_key(u, v) for u, v in routes[f.flow_id].edges()] for f in flows
-    }
-    residual: Dict = {}
-    crossings: Dict = {}
-    for keys in flow_links.values():
-        for key in keys:
-            residual.setdefault(key, net.link(*key).capacity)
-            crossings[key] = crossings.get(key, 0) + 1
-    rates: Dict[str, float] = {}
-    unfrozen = set(flow_links)
-    level = 0.0
-    while unfrozen:
-        increment = min(residual[k] / c for k, c in crossings.items() if c > 0)
-        level += increment
-        for key, count in crossings.items():
-            if count > 0:
-                residual[key] = max(residual[key] - increment * count, 0.0)
-        saturated = {k for k, r in residual.items() if r <= 1e-12 and crossings[k] > 0}
-        for flow_id in [f for f in unfrozen if saturated.intersection(flow_links[f])]:
-            rates[flow_id] = level
-            unfrozen.discard(flow_id)
-            for key in flow_links[flow_id]:
-                crossings[key] -= 1
-    return [rates[f.flow_id] for f in flows]
+def max_min_problems(routes, rates) -> Optional[str]:
+    """The max-min certificate; ``None`` when it holds.
+
+    Rates are max-min fair exactly when they are feasible (no edge
+    carries more than its capacity) and every served flow crosses a
+    saturated edge on which its rate is the largest.  Unreachable flows
+    must get rate 0.  Load is counted per crossing, so a route that
+    crosses a link twice loads it twice.
+    """
+    offsets = np.asarray(routes.offsets, dtype=np.int64)
+    edges = np.asarray(routes.edge_ids, dtype=np.int64)
+    flows = np.repeat(np.arange(len(offsets) - 1, dtype=np.int64), np.diff(offsets))
+    served = ~np.asarray(routes.unreachable, dtype=bool)
+    rates = np.asarray(rates, dtype=np.float64)
+    if not bool(np.isfinite(rates[served]).all()) or bool((rates[served] <= 0).any()):
+        return "a served flow has a non-positive or infinite rate"
+    if bool((rates[~served] != 0).any()):
+        return "an unreachable flow was given a rate"
+    cap = np.asarray(routes.graph.edge_capacity, dtype=np.float64)
+    entry_rate = rates[flows]
+    load = np.bincount(edges, weights=entry_rate, minlength=len(cap))
+    if bool((load > cap * (1 + CERT_TOL)).any()):
+        return f"{int((load > cap * (1 + CERT_TOL)).sum())} edges over capacity"
+    saturated = load >= cap * (1 - CERT_TOL)
+    top = np.zeros(len(cap))
+    np.maximum.at(top, edges, entry_rate)
+    witness = saturated[edges] & (entry_rate >= top[edges] * (1 - CERT_TOL))
+    has_witness = np.bincount(flows, weights=witness, minlength=len(rates)) > 0
+    lacking = int((served & ~has_witness).sum())
+    if lacking:
+        return f"{lacking} served flows have no saturated edge where they are maximal"
+    return None
 
 
 def incidence(routes):

@@ -1,4 +1,4 @@
-"""Vectorized max-min + FCT: exact and float oracles, fluid invariants."""
+"""Max-min + FCT: exact oracles, the max-min certificate, fluid invariants."""
 
 from fractions import Fraction
 
@@ -7,6 +7,8 @@ import pytest
 
 from repro.baselines import BcubeSpec, FatTreeSpec
 from repro.core import AbcccSpec
+from repro.faults.mask import MaskedGraph
+from repro.faults.plan import random_index_failures
 from repro.routing.base import route_all
 from repro.routing.batch import batch_routes
 from repro.topology.compiled import compile_graph
@@ -17,11 +19,13 @@ from repro.traffic import (
     generate_matrix,
     max_min_rates,
 )
+from repro.traffic import engine
+from repro.traffic.engine import SATURATION_EPS
 from tests.flow_oracle import (
     exact_fluid_fct,
     exact_max_min_rates,
-    float_max_min_rates,
     incidence,
+    max_min_problems,
     relative_error,
 )
 
@@ -31,55 +35,155 @@ PARITY_PATTERNS = (
 )
 
 
-def _float_oracle(spec, matrix):
-    """Oracle rates over native name routes, flow order."""
-    net = spec.build()
-    servers = net.servers
-    flows = matrix.flows(servers)
-    routes = route_all(net, flows, spec.route)
-    rates = np.array(float_max_min_rates(net, flows, routes))
-    return flows, routes, net, rates
+def _worst_error(rates, routes) -> float:
+    """Largest relative distance of ``rates`` from exact water-filling."""
+    exact = exact_max_min_rates(*incidence(routes))
+    return max(relative_error(r, x) for r, x in zip(rates, exact))
 
 
 class TestOracleParity:
-    """Bit-for-bit equal to the float progressive filler."""
+    """The allocator on the same instances as the native name routers:
+    the max-min certificate holds and the rates are within 1e-12
+    (relative) of exact ``Fraction`` water-filling."""
 
     @pytest.mark.parametrize("pattern,params", PARITY_PATTERNS)
     @pytest.mark.parametrize("spec", [AbcccSpec(3, 1, 2), AbcccSpec(2, 2, 2)])
     def test_full_stack_bit_parity_on_fast_abccc(self, spec, pattern, params):
-        """Arithmetic batch routes + vectorized filler == name routes +
-        float filler."""
+        """Arithmetic batch routes on the fast-built graph allocate the
+        exact rates of the name router's routes, up to flow order."""
         graph = fast_compiled(spec)
         matrix = generate_matrix(pattern, graph.num_servers, seed=11, **params)
-        allocation = max_min_rates(batch_routes(graph, matrix))
-        _, _, _, oracle = _float_oracle(spec, matrix)
-        assert np.array_equal(np.sort(allocation.rates), np.sort(oracle))
+        routes = batch_routes(graph, matrix)
+        allocation = max_min_rates(routes)
+        assert max_min_problems(routes, allocation.rates) is None
+        assert _worst_error(allocation.rates, routes) <= 1e-12
+        net = spec.build()
+        flows = matrix.flows(net.servers)
+        named = RouteSet.from_name_routes(
+            compile_graph(net), flows, route_all(net, flows, spec.route)
+        )
+        exact = sorted(exact_max_min_rates(*incidence(named)))
+        rates = np.sort(allocation.rates)
+        assert max(relative_error(r, x) for r, x in zip(rates, exact)) <= 1e-12
 
     @pytest.mark.parametrize("pattern,params", PARITY_PATTERNS)
     @pytest.mark.parametrize(
         "spec", [AbcccSpec(3, 1, 2), BcubeSpec(3, 1), FatTreeSpec(4)]
     )
     def test_allocator_bit_parity_on_legacy_routes(self, spec, pattern, params):
-        """Same routes in => same per-flow rates out, unsorted."""
+        """The native router's name routes, per flow."""
         net = spec.build()
-        graph = compile_graph(net)
         matrix = generate_matrix(pattern, net.num_servers, seed=11, **params)
-        flows, routes, _, oracle = _float_oracle(spec, matrix)
-        route_set = RouteSet.from_name_routes(graph, flows, routes)
-        allocation = max_min_rates(route_set)
-        assert np.array_equal(allocation.rates, oracle)
+        flows = matrix.flows(net.servers)
+        routes = RouteSet.from_name_routes(
+            compile_graph(net), flows, route_all(net, flows, spec.route)
+        )
+        allocation = max_min_rates(routes)
+        assert max_min_problems(routes, allocation.rates) is None
+        assert _worst_error(allocation.rates, routes) <= 1e-12
 
     def test_bottlenecks_are_saturated_edges(self):
+        """A flow's bottleneck is the first edge on its route that
+        saturated in its round: saturated, and the flow's rate is the
+        largest on it."""
         graph = fast_compiled(AbcccSpec(3, 2, 2))
         matrix = generate_matrix("permutation", graph.num_servers, seed=4)
         routes = batch_routes(graph, matrix)
         allocation = max_min_rates(routes)
-        assert (allocation.bottleneck_edges >= 0).all()
-        # each flow's bottleneck lies on its own route
+        rates = allocation.rates
+        flows = np.repeat(np.arange(routes.num_flows), routes.hop_counts)
+        load = np.bincount(routes.edge_ids, weights=rates[flows], minlength=routes.num_edges)
+        top = np.zeros(routes.num_edges)
+        np.maximum.at(top, routes.edge_ids, rates[flows])
+        saturated = load >= routes.capacities() * (1 - SATURATION_EPS)
         offsets = routes.offsets
         for i in range(matrix.num_flows):
             hops = routes.edge_ids[offsets[i] : offsets[i + 1]]
-            assert allocation.bottleneck_edges[i] in hops
+            in_round = [
+                e for e in hops if saturated[e] and rates[i] >= top[e] * (1 - SATURATION_EPS)
+            ]
+            assert allocation.bottleneck_edges[i] == in_round[0]
+
+
+class _ScaledCapacities:
+    """A graph view whose every edge capacity is multiplied by ``scale``."""
+
+    def __init__(self, graph, scale: float) -> None:
+        self._graph = graph
+        self.edge_capacity = np.asarray(graph.edge_capacity, dtype=np.float64) * scale
+
+    def __getattr__(self, name):
+        return getattr(self._graph, name)
+
+
+class TestWaterFilling:
+    @pytest.mark.parametrize("pattern", ["permutation", "all_to_all", "hot_rack", "incast"])
+    @pytest.mark.parametrize("spec", [AbcccSpec(4, 3, 2), AbcccSpec(6, 3, 2)])
+    def test_certificate_at_scale(self, spec, pattern):
+        graph = fast_compiled(spec)
+        matrix = generate_matrix(pattern, graph.num_servers, seed=3)
+        routes = batch_routes(graph, matrix)
+        allocation = max_min_rates(routes)
+        assert max_min_problems(routes, allocation.rates) is None
+
+    def test_certificate_under_faults(self):
+        graph = fast_compiled(AbcccSpec(4, 3, 2))
+        plan = random_index_failures(
+            graph, switch_fraction=0.02, link_fraction=0.05, seed=3
+        )
+        masked = MaskedGraph.from_indices(graph, plan.dead_nodes, plan.dead_edges)
+        matrix = generate_matrix("permutation", graph.num_servers, seed=3)
+        routes = batch_routes(graph, matrix, masked)
+        assert routes.num_unreachable > 0
+        allocation = max_min_rates(routes)
+        assert max_min_problems(routes, allocation.rates) is None
+        assert (allocation.bottleneck_edges[routes.unreachable] == -1).all()
+
+    def test_array_and_scalar_batches_agree_bit_for_bit(self, monkeypatch):
+        """Large tie batches freeze through array calls, small ones in a
+        scalar loop; either path leaves the same bits, with repeated
+        crossings and a partial active mask too."""
+        graph = fast_compiled(AbcccSpec(4, 3, 2))
+        cases = [
+            (batch_routes(graph, generate_matrix(p, graph.num_servers, seed=3)), None)
+            for p in ("permutation", "incast", "hot_rack")
+        ]
+        small = compile_graph(AbcccSpec(3, 1, 2).build())
+        matrix = generate_matrix("all_to_all", small.num_servers, seed=19, max_flows=64)
+        detoured = _with_detours(small, batch_routes(small, matrix))
+        cases.append((detoured, np.arange(detoured.num_flows) % 4 != 0))
+        for routes, active in cases:
+            runs = []
+            for threshold in (0, 10**9):
+                monkeypatch.setattr(engine, "BATCH_ARRAY_MIN", threshold)
+                runs.append(max_min_rates(routes, active))
+            array, scalar = runs
+            assert array.rounds == scalar.rounds
+            assert np.array_equal(array.rates, scalar.rates)
+            assert np.array_equal(array.bottleneck_edges, scalar.bottleneck_edges)
+
+    def test_rounds_and_rates_are_scale_free(self):
+        """Ties are relative: the same instance in any capacity unit runs
+        the same rounds and allocates the same scaled rates."""
+        graph = fast_compiled(AbcccSpec(3, 2, 2))
+        matrix = generate_matrix("all_to_all", graph.num_servers, seed=2, max_flows=400)
+        routes = batch_routes(graph, matrix)
+        base = max_min_rates(routes)
+        assert base.rounds == 48
+        for scale in (1e-13, 1e-9, 1e9, 1e13):
+            scaled = max_min_rates(
+                RouteSet.from_edge_arrays(
+                    _ScaledCapacities(graph, scale),
+                    routes.src_nodes,
+                    routes.dst_nodes,
+                    routes.edge_ids,
+                    routes.offsets,
+                )
+            )
+            assert scaled.rounds == base.rounds
+            np.testing.assert_allclose(
+                scaled.rates / scale, base.rates, rtol=SATURATION_EPS, atol=0
+            )
 
 
 class TestAllocationStats:
@@ -207,13 +311,38 @@ class TestFluidFct:
             fluid_fct(routes, sizes, np.full(matrix.num_flows, np.nan))
 
 
-#: (topology, pattern, params, seed) instances of at most 64 flows.
+#: (topology, pattern, params, seed, detours) instances of at most 64
+#: flows; ``detours`` reroutes them to cross links two and three times.
 EXACT_CASES = tuple(
-    (spec, pattern, params, seed)
+    (spec, pattern, params, seed, False)
     for spec in (AbcccSpec(2, 1, 2), AbcccSpec(3, 1, 2), FatTreeSpec(4))
     for pattern, params in (("all_to_all", {"max_flows": 64}), ("uniform", {"num_flows": 48}))
     for seed in (17, 18)
-)
+) + ((AbcccSpec(3, 1, 2), "all_to_all", {"max_flows": 64}, 19, True),)
+
+
+def _with_detours(graph, routes):
+    """The same flows over routes with repeated crossings.
+
+    Flow ``i`` with ``i % 3 == 1`` first goes out and back over its
+    first hop (three crossings of that link); with ``i % 3 == 2`` it
+    ends with a spur off its destination and back (two crossings).
+    """
+    edge_u = np.asarray(graph.edge_u, dtype=np.int64)
+    edge_v = np.asarray(graph.edge_v, dtype=np.int64)
+    paths = []
+    for i in range(routes.num_flows):
+        path = [int(routes.src_nodes[i])]
+        for edge in routes.edge_ids[routes.offsets[i] : routes.offsets[i + 1]]:
+            path.append(int(edge_v[edge] if edge_u[edge] == path[-1] else edge_u[edge]))
+        if i % 3 == 1:
+            path = path[:2] + path
+        elif i % 3 == 2:
+            dst = path[-1]
+            neighbors = graph.neighbors[graph.offsets[dst] : graph.offsets[dst + 1]]
+            path += [next(int(n) for n in neighbors if n != path[-2]), dst]
+        paths.append(path)
+    return RouteSet.from_node_paths(graph, paths)
 
 
 class TestExactOracle:
@@ -221,21 +350,28 @@ class TestExactOracle:
     ``Fraction`` water-filling and the exact fluid trajectory."""
 
     @pytest.fixture(
-        params=EXACT_CASES, ids=lambda case: f"{case[0].label}-{case[1]}-{case[3]}"
+        params=EXACT_CASES,
+        ids=lambda case: f"{case[0].label}-{case[1]}-{case[3]}"
+        + ("-detours" if case[4] else ""),
     )
     def instance(self, request):
-        spec, pattern, params, seed = request.param
+        spec, pattern, params, seed, detours = request.param
         graph = compile_graph(spec.build())
         matrix = generate_matrix(pattern, graph.num_servers, seed=seed, **params)
         assert matrix.num_flows <= 64
-        return batch_routes(graph, matrix), seed
+        routes = batch_routes(graph, matrix)
+        if detours:
+            routes = _with_detours(graph, routes)
+            multiplicity = {
+                np.bincount(routes.edge_ids[routes.offsets[i] : routes.offsets[i + 1]]).max()
+                for i in range(routes.num_flows)
+            }
+            assert {2, 3} <= multiplicity
+        return routes, seed
 
     def test_rates_match_exact_water_filling(self, instance):
         routes, _ = instance
-        flow_edges, capacities = incidence(routes)
-        exact = exact_max_min_rates(flow_edges, capacities)
-        rates = max_min_rates(routes).rates
-        assert max(relative_error(r, x) for r, x in zip(rates, exact)) <= 1e-12
+        assert _worst_error(max_min_rates(routes).rates, routes) <= 1e-12
 
     def test_fct_matches_exact_trajectory(self, instance):
         """Unequal sizes; starts in three waves, the last after an idle gap."""
