@@ -1,9 +1,8 @@
-"""Micro-benchmarks: all-pairs distance sweeps, compiled engine vs legacy.
+"""Micro-benchmarks: all-pairs distance sweeps on the compiled engine.
 
-The compiled CSR engine must hold a >=5x single-core advantage over the
-dict-BFS reference on the paper's 1024-server ABCCC(4, 3, 2) instance
-(see ISSUE / docs/REPRODUCING.md).  The legacy benchmarks sample sources
-so the suite stays runnable; the compiled ones do the full exact sweep.
+Times the cold CSR compile and the exact link-hop and server-hop sweeps
+of the paper's 1024-server ABCCC(4, 3, 2) instance, sequential and with
+two workers.
 
 Run with::
 
@@ -14,12 +13,7 @@ Run with::
 import pytest
 
 from repro.core import AbcccSpec
-from repro.metrics.distance import (
-    legacy_link_hop_stats,
-    legacy_server_hop_stats,
-    link_hop_stats,
-    server_hop_stats,
-)
+from repro.metrics.distance import link_hop_stats, server_hop_stats
 from repro.topology.compiled import compile_graph, compile_server_projection
 
 
@@ -57,19 +51,7 @@ def test_bench_link_hops_compiled_workers2(benchmark, abccc_1k):
     assert stats.diameter == 16
 
 
-def test_bench_link_hops_legacy_sampled(benchmark, abccc_1k):
-    # 64 of 1024 sources: multiply by 16 to compare against the exact
-    # compiled sweep above.
-    stats = benchmark(legacy_link_hop_stats, abccc_1k, 64)
-    assert stats.pairs == 64 * 1023
-
-
 def test_bench_server_hops_compiled(benchmark, abccc_1k):
     stats = benchmark(server_hop_stats, abccc_1k)
     assert stats.exact
     assert stats.pairs == 1024 * 1023
-
-
-def test_bench_server_hops_legacy_sampled(benchmark, abccc_1k):
-    stats = benchmark(legacy_server_hop_stats, abccc_1k, 64)
-    assert stats.pairs == 64 * 1023

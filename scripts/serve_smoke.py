@@ -7,7 +7,9 @@ mid-burst (the exposition must stay well-formed while workers churn)
 and again after the burst (latency-histogram counts must agree with
 ``/stats``), then SIGTERMs the daemon and asserts a clean drain: exit
 code 0, the drain message on stdout, no traceback on stderr, and zero
-leaked shared-memory segments.
+leaked shared-memory segments.  The shed count is checked from three
+sides — the clients' 429s, ``/stats`` and the trace's ``counters``
+event — since all of them read the one metrics registry.
 
 Run from the repo root:  python scripts/serve_smoke.py
 """
@@ -28,6 +30,7 @@ SRC = os.path.join(ROOT, "src")
 sys.path.insert(0, SRC)
 
 from repro.obs.metrics import exposition_problems  # noqa: E402
+from repro.obs.report import load_trace  # noqa: E402
 from repro.serve import ServeClient, ServeError  # noqa: E402
 
 SPAWN_TIMEOUT_S = 120
@@ -173,7 +176,8 @@ def main() -> int:
     assert "internal" not in outcomes, outcomes
 
     stats = client.stats()
-    assert stats["counters"]["shed_overload"] >= 1, stats["counters"]
+    # burst clients run with retries=0, so each 429 is one overload error
+    assert stats["counters"]["shed_overload"] == shed, (shed, stats["counters"])
 
     # -- /metrics agrees with /stats after the burst settles -----------
     status, _, body = scrape_metrics(port)
@@ -206,6 +210,10 @@ def main() -> int:
     assert not leaked, f"leaked shm segments: {leaked}"
     os.unlink(ready_file)
     assert os.path.exists(trace_file), "trace file missing"
+    (counters,) = [e for e in load_trace(trace_file) if e["ev"] == "counters"]
+    traced = counters["values"].get("serve.shed.overload")
+    assert traced == shed, f"trace counted {traced} overload sheds, clients saw {shed}"
+    print(f"shed {shed} times: clients, /stats and the trace agree")
     print("serve smoke: OK (clean drain, no leaked segments)")
     return 0
 

@@ -18,10 +18,12 @@ Robustness:
 * worker fan-out goes through
   :func:`repro.metrics.engine.map_with_pool_recovery` — a crashed pool
   is retried once, then degraded to sequential with a loud
-  :class:`~repro.metrics.engine.DegradedModeWarning`;
-* ``use_masking=False`` keeps the legacy copy-and-recompile path, which
-  produces *identical* trial results (asserted by the parity tests) and
-  exists for exactly that purpose.
+  :class:`~repro.metrics.engine.DegradedModeWarning` — and the
+  workers' counts (``faults.trials``) come home with their results.
+
+The copy-and-recompile reference path (``subgraph_without`` plus a cold
+compile per trial) lives in ``tests/fault_oracle.py``; the parity tests
+assert it produces *identical* trial results.
 
 ``REPRO_FAULTS_TRIAL_SLEEP`` (seconds, float) throttles each computed
 trial — a test hook so crash/resume tests can interrupt a quick-mode
@@ -130,8 +132,33 @@ def _trace_computed(key: str) -> None:
             handle.write(key + "\n")
 
 
+def _draw_panel(
+    graph: CompiledGraph, net_name: str, tag: str, sample_pairs: int, seed: int
+) -> Tuple[Tuple[str, str], ...]:
+    """The sweep's pair panel: ``sample_pairs`` distinct ordered pairs.
+
+    The panel is part of the sweep's identity: drawn once from the full
+    server list, reused by every trial (dead-endpoint pairs are excluded
+    per trial — the ratio stays "over alive pairs").  Two C-level
+    ``random()`` draws per pair — uniform over the same pair space as
+    ``sample(servers, 2)`` at a fraction of the cost (the 2^-53
+    truncation bias is immaterial for panel sampling).
+    """
+    servers = [graph.names[i] for i in graph.server_indices]
+    uniform = seed_stream(seed, "panel", net_name, tag).random
+    count = len(servers)
+    panel = []
+    for _ in range(sample_pairs):
+        u = int(uniform() * count)
+        v = int(uniform() * (count - 1))
+        if v >= u:
+            v += 1
+        panel.append((servers[u], servers[v]))
+    return tuple(panel)
+
+
 # ----------------------------------------------------------------------
-# trial evaluation (masked fast path and legacy reference path)
+# trial evaluation
 # ----------------------------------------------------------------------
 def _evaluate_masked(
     graph: CompiledGraph, panel: Sequence[Tuple[int, int]], scenario: FailureScenario
@@ -146,37 +173,6 @@ def _evaluate_masked(
             masked.largest_component_fraction(),
             masked.num_alive_servers(),
         )
-
-
-def _evaluate_legacy(
-    net: Network, panel_names: Sequence[Tuple[str, str]], scenario: FailureScenario
-) -> Tuple[float, float, int]:
-    """The reference path: subgraph copy + cold recompile per trial."""
-    alive = net.subgraph_without(
-        dead_nodes=list(scenario.dead_servers) + list(scenario.dead_switches),
-        dead_links=scenario.dead_links,
-    )
-    graph = compile_graph(alive)
-    labels = graph.component_labels()
-    index = graph.index
-    connected = 0
-    total = 0
-    for src, dst in panel_names:
-        u, v = index.get(src), index.get(dst)
-        if u is None or v is None:
-            continue
-        total += 1
-        if labels[u] == labels[v]:
-            connected += 1
-    ratio = connected / total if total else 0.0
-    alive_servers = graph.num_servers
-    if alive_servers == 0:
-        return ratio, 0.0, 0
-    members: Dict[int, int] = {}
-    for server in graph.server_indices:
-        label = int(labels[server])
-        members[label] = members.get(label, 0) + 1
-    return ratio, max(members.values()) / alive_servers, alive_servers
 
 
 # Worker-process state: compiled graph + panel arrive once per pool —
@@ -211,7 +207,6 @@ def degradation_sweep(
     seed: int = 0,
     workers: Optional[int] = None,
     journal: Optional[TrialJournal] = None,
-    use_masking: bool = True,
 ) -> DegradationCurve:
     """Connection-ratio / largest-component degradation curves for ``net``.
 
@@ -232,30 +227,13 @@ def degradation_sweep(
     journal = journal if journal is not None else get_active_journal()
     tag = _model_tag(model)
     graph = compile_graph(net)
-    servers = [graph.names[i] for i in graph.server_indices]
-    if len(servers) < 2:
+    if graph.num_servers < 2:
         raise ValueError(f"need at least two servers in {net.name!r}")
-
-    # The pair panel is part of the sweep's identity: drawn once from
-    # the full server list, reused by every trial (dead-endpoint pairs
-    # are excluded per trial — the ratio stays "over alive pairs").
-    # Distinct ordered pairs via two C-level ``random()`` draws per pair
-    # — uniform over the same pair space as ``sample(servers, 2)`` at a
-    # fraction of the cost (the 2^-53 truncation bias is immaterial for
-    # panel sampling).
-    panel_rng = seed_stream(seed, "panel", net.name, tag)
-    uniform = panel_rng.random
-    count = len(servers)
-    panel_names = []
-    for _ in range(sample_pairs):
-        u = int(uniform() * count)
-        v = int(uniform() * (count - 1))
-        if v >= u:
-            v += 1
-        panel_names.append((servers[u], servers[v]))
-    panel_names = tuple(panel_names)
     index = graph.index
-    panel = tuple((index[u], index[v]) for u, v in panel_names)
+    panel = tuple(
+        (index[u], index[v])
+        for u, v in _draw_panel(graph, net.name, tag, sample_pairs, seed)
+    )
 
     def key_of(level: float, trial: int) -> str:
         return f"{net.name}|{tag}|L{level!r}|p{sample_pairs}|s{seed}|t{trial}"
@@ -289,11 +267,7 @@ def degradation_sweep(
         "faults.trials", net=net.name, model=tag, pending=len(pending), workers=workers
     )
     with trials_span:
-        if (
-            use_masking
-            and workers > 1
-            and len(pending) >= max(SWEEP_PARALLEL_THRESHOLD, 2 * workers)
-        ):
+        if workers > 1 and len(pending) >= max(SWEEP_PARALLEL_THRESHOLD, 2 * workers):
             scenarios = [plans[key].scenario for key in pending]
             unique = list(dict.fromkeys(scenarios))
             _obs.counter("faults.scenario_dedup", len(scenarios) - len(unique))
@@ -326,10 +300,7 @@ def degradation_sweep(
                 scenario = plans[key].scenario
                 result = by_scenario.get(scenario)
                 if result is None:
-                    if use_masking:
-                        result = _evaluate_masked(graph, panel, scenario)
-                    else:
-                        result = _evaluate_legacy(net, panel_names, scenario)
+                    result = _evaluate_masked(graph, panel, scenario)
                     by_scenario[scenario] = result
                 else:
                     _obs.counter("faults.scenario_dedup")

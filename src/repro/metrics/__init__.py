@@ -40,8 +40,6 @@ from repro.metrics.state import (
 )
 from repro.metrics.distance import (
     DistanceStats,
-    legacy_link_hop_stats,
-    legacy_server_hop_stats,
     link_diameter,
     link_hop_stats,
     logical_server_adjacency,
@@ -84,8 +82,6 @@ __all__ = [
     "expansion_capex",
     "get_default_workers",
     "largest_component_fraction",
-    "legacy_link_hop_stats",
-    "legacy_server_hop_stats",
     "link_diameter",
     "link_hop_stats",
     "link_loads",

@@ -9,20 +9,16 @@ mixing switched and direct links (DCell, FiConn).
 
 :func:`link_hop_stats` and :func:`server_hop_stats` route through the
 compiled CSR kernel and (optionally parallel) sweep engine
-(:mod:`repro.metrics.engine`); the original dict-BFS implementations are
-kept as ``legacy_*`` references — the parity tests assert both paths
-produce identical :class:`DistanceStats`, and the micro-benchmarks
-measure the speedup.
+(:mod:`repro.metrics.engine`).  The original dict-BFS implementations
+live on as test oracles in ``tests/hop_oracle.py``; the parity tests
+assert both paths produce identical :class:`DistanceStats`.
 """
 
 from __future__ import annotations
 
-import random
-from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Set
 
-from repro.routing.shortest import bfs_distances
 from repro.topology.graph import Network
 from repro.topology.node import NodeKind
 
@@ -42,18 +38,6 @@ def logical_server_adjacency(net: Network) -> Dict[str, Set[str]]:
             adjacency[link.u].add(link.v)
             adjacency[link.v].add(link.u)
     return adjacency
-
-
-def _bfs_over(adjacency: Dict[str, Set[str]], source: str) -> Dict[str, int]:
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in adjacency[u]:
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
 
 
 @dataclass(frozen=True)
@@ -82,41 +66,6 @@ class DistanceStats:
             if seen >= threshold:
                 return hops
         return self.diameter
-
-
-def _collect(
-    sources: Sequence[str],
-    all_servers: Sequence[str],
-    dist_fn,
-    exact: bool,
-) -> DistanceStats:
-    histogram: Counter = Counter()
-    total = 0
-    diameter = 0
-    targets: FrozenSet[str] = frozenset(all_servers)
-    expected = len(targets) - 1
-    for src in sources:
-        reached = 0
-        for dst, hops in dist_fn(src).items():
-            if hops == 0 or dst not in targets:
-                continue
-            reached += 1
-            histogram[hops] += 1
-            total += hops
-            if hops > diameter:
-                diameter = hops
-        if reached != expected:
-            raise ValueError(
-                f"{expected - reached} servers unreachable from {src!r}"
-            )
-    pairs = len(sources) * expected
-    return DistanceStats(
-        diameter=diameter,
-        mean=total / pairs if pairs else 0.0,
-        histogram=dict(sorted(histogram.items())),
-        pairs=pairs,
-        exact=exact,
-    )
 
 
 def link_hop_stats(
@@ -151,47 +100,6 @@ def server_hop_stats(
     return sweep_distance_stats(
         net, hops="server", sample_sources=sample_sources, seed=seed, workers=workers
     )
-
-
-def legacy_link_hop_stats(
-    net: Network, sample_sources: Optional[int] = None, seed: int = 0
-) -> DistanceStats:
-    """Reference implementation: dict-BFS over the ``Network`` adjacency.
-
-    Kept as the parity/benchmark baseline for the compiled engine; prefer
-    :func:`link_hop_stats`.
-    """
-    servers = net.servers
-    sources = _pick_sources(servers, sample_sources, seed)
-    return _collect(
-        sources,
-        servers,
-        lambda src: bfs_distances(net, src),
-        exact=sample_sources is None or sample_sources >= len(servers),
-    )
-
-
-def legacy_server_hop_stats(
-    net: Network, sample_sources: Optional[int] = None, seed: int = 0
-) -> DistanceStats:
-    """Reference implementation of :func:`server_hop_stats` (dict-BFS)."""
-    adjacency = logical_server_adjacency(net)
-    servers = net.servers
-    sources = _pick_sources(servers, sample_sources, seed)
-    return _collect(
-        sources,
-        servers,
-        lambda src: _bfs_over(adjacency, src),
-        exact=sample_sources is None or sample_sources >= len(servers),
-    )
-
-
-def _pick_sources(
-    servers: Sequence[str], sample: Optional[int], seed: int
-) -> Sequence[str]:
-    if sample is None or sample >= len(servers):
-        return servers
-    return random.Random(seed).sample(list(servers), sample)
 
 
 def server_diameter(net: Network) -> int:

@@ -40,6 +40,7 @@ experiment runner's ``--workers`` flag sets that default for a run).
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import pickle
@@ -54,6 +55,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as _np
 
 from repro.metrics.distance import DistanceStats
+from repro.obs import metrics as _metrics
 from repro.obs import trace as _obs
 from repro.topology.compiled import (
     CompiledGraph,
@@ -120,6 +122,16 @@ class DegradedModeWarning(UserWarning):
         )
 
 
+def _counted(fn: Callable, task):
+    """Run one pool task under a fresh registry: ``(result, snapshot)``."""
+    registry = _metrics.MetricsRegistry()
+    previous = _metrics.set_registry(registry)
+    try:
+        return fn(task), registry.snapshot()
+    finally:
+        _metrics.set_registry(previous)
+
+
 def map_with_pool_recovery(
     fn: Callable,
     tasks: Sequence,
@@ -137,6 +149,11 @@ def map_with_pool_recovery(
     retried once after a short backoff, and if it fails again the whole
     task list is recomputed by ``sequential(tasks)`` — loudly, via a
     :class:`DegradedModeWarning` (never silently).
+
+    Each task runs under a fresh metrics registry in its worker and
+    ships that registry's snapshot home with its result.  The snapshots
+    fold into the caller's registry only once the whole map succeeded,
+    so the tasks of a failed attempt are never counted twice.
     """
     last_error: Optional[BaseException] = None
     with _obs.span("pool", context=context, workers=workers, tasks=len(tasks)) as pool_span:
@@ -145,9 +162,12 @@ def map_with_pool_recovery(
                 with ProcessPoolExecutor(
                     max_workers=workers, initializer=initializer, initargs=initargs
                 ) as pool:
-                    results = list(pool.map(fn, tasks))
-                    pool_span.tag(attempts=attempt)
-                    return results
+                    counted = list(pool.map(functools.partial(_counted, fn), tasks))
+                pool_span.tag(attempts=attempt)
+                registry = _metrics.get_registry()
+                for _, snapshot in counted:
+                    registry.merge(snapshot)
+                return [result for result, _ in counted]
             except POOL_FAILURES as error:
                 last_error = error
                 if attempt == 1:

@@ -1,10 +1,13 @@
 """Process-local live metrics: counters, gauges, latency histograms.
 
-The registry behind ``GET /metrics`` on the serve daemon.  Where
-:mod:`repro.obs.trace` is a flight recorder (post-hoc spans on disk),
-this module is the *live* half of observability: always-on in-memory
-aggregates cheap enough to update on every request, snapshotted on
-demand, and rendered in Prometheus text exposition format for scrapes.
+The one counter store of the package, and the registry behind
+``GET /metrics`` on the serve daemon.  Where :mod:`repro.obs.trace` is
+a flight recorder (post-hoc spans on disk), this module is the *live*
+half of observability: always-on in-memory aggregates cheap enough to
+update on every request, snapshotted on demand, and rendered in
+Prometheus text exposition format for scrapes.  ``repro.obs.counter``
+bumps the unlabeled counter of the active registry, and a tracer's
+``counters`` event reports what the registry counted while it was open.
 
 Three metric kinds, all label-aware:
 
@@ -22,10 +25,12 @@ Three metric kinds, all label-aware:
   the exact observed maximum.
 
 Snapshots (:meth:`MetricsRegistry.snapshot`) are plain JSON dicts and
-**mergeable**: :func:`merge_snapshots` is associative and commutative
-over counters and histograms (element-wise sums), which is what lets
-worker processes ship their snapshots over the existing reply pipes and
-the parent fold them into one service-wide view.
+**mergeable**: :meth:`MetricsRegistry.merge` folds one into a registry,
+and :func:`merge_snapshots` (a fold over it) is associative and
+commutative over counters and histograms (element-wise sums).  That is
+what lets worker processes ship their snapshots home — serve workers
+over their reply pipes, pool workers with each task's result — and the
+parent fold them into one view.
 
 Overhead: one ``observe()`` is a ``bisect`` over ~120 floats plus two
 dict updates under a per-metric lock (sub-microsecond); handle lookup
@@ -219,7 +224,7 @@ class MetricsRegistry:
         self._histograms: Dict[Tuple[str, LabelsKey], Histogram] = {}
 
     def _get(self, table: Dict, factory, name: str, labels: Mapping[str, Any]):
-        key = (name, _labels_key(labels))
+        key = (name, _labels_key(labels) if labels else ())
         metric = table.get(key)
         if metric is None:
             with self._lock:
@@ -271,6 +276,41 @@ class MetricsRegistry:
             snap["histograms"].append(entry)
         return snap
 
+    def merge(self, snapshot: Optional[Mapping[str, Any]]) -> None:
+        """Fold a snapshot in: counters and histograms add, gauges overwrite.
+
+        How worker processes' counts come home: each ships a snapshot
+        and the parent merges it.  ``None`` is a no-op.
+        """
+        if not snapshot:
+            return
+        for entry in snapshot.get("counters", ()):
+            labels = entry.get("labels") or {}
+            self.counter(entry["name"], **labels).inc(entry.get("value", 0.0))
+        for entry in snapshot.get("gauges", ()):
+            labels = entry.get("labels") or {}
+            self.gauge(entry["name"], **labels).set(entry.get("value", 0.0))
+        for entry in snapshot.get("histograms", ()):
+            hist = self.histogram(entry["name"], **(entry.get("labels") or {}))
+            with hist._lock:
+                hist.count += int(entry.get("count", 0))
+                hist.sum = round(hist.sum + float(entry.get("sum", 0.0)), 9)
+                hist.max = max(hist.max, float(entry.get("max", 0.0)))
+                for index, bucket_count in (entry.get("buckets") or {}).items():
+                    index = int(index)
+                    hist.buckets[index] = hist.buckets.get(index, 0) + int(bucket_count)
+
+    def counter_values(self) -> Dict[str, float]:
+        """Every counter's value, keyed ``name`` or ``name{k=v,...}``."""
+        with self._lock:
+            counters = list(self._counters.items())
+        values: Dict[str, float] = {}
+        for (name, labels), counter in counters:
+            if labels:
+                name += "{" + ",".join(f"{k}={v}" for k, v in labels) + "}"
+            values[name] = counter.value
+        return values
+
     def reset(self) -> None:
         with self._lock:
             self._counters.clear()
@@ -307,67 +347,20 @@ def _bucket_quantiles(entry: Mapping[str, Any]) -> Dict[str, Optional[float]]:
     return out
 
 
-def _entry_key(entry: Mapping[str, Any]) -> Tuple[str, LabelsKey]:
-    return (str(entry.get("name")), _labels_key(entry.get("labels") or {}))
-
-
 def merge_snapshots(*snapshots: Optional[Mapping[str, Any]]) -> Dict[str, Any]:
     """Fold snapshots into one: counters/histograms sum, gauges last-wins.
 
-    Associative and commutative for counters and histograms (sums);
-    gauges take the value of the *last* snapshot that carries the
-    series, which is associative (last-wins composes).  ``None``
-    arguments are skipped, so callers can pass optional worker
+    A fold of :meth:`MetricsRegistry.merge` over a fresh registry, so
+    there is one merge rule.  Associative and commutative for counters
+    and histograms (sums); gauges take the value of the *last* snapshot
+    that carries the series, which is associative (last-wins composes).
+    ``None`` arguments are skipped, so callers can pass optional worker
     snapshots unguarded.
     """
-    counters: Dict[Tuple[str, LabelsKey], Dict[str, Any]] = {}
-    gauges: Dict[Tuple[str, LabelsKey], Dict[str, Any]] = {}
-    histograms: Dict[Tuple[str, LabelsKey], Dict[str, Any]] = {}
+    registry = MetricsRegistry()
     for snap in snapshots:
-        if not snap:
-            continue
-        for entry in snap.get("counters", ()):
-            key = _entry_key(entry)
-            slot = counters.get(key)
-            if slot is None:
-                counters[key] = dict(entry)
-            else:
-                slot["value"] = slot["value"] + entry.get("value", 0.0)
-        for entry in snap.get("gauges", ()):
-            gauges[_entry_key(entry)] = dict(entry)
-        for entry in snap.get("histograms", ()):
-            key = _entry_key(entry)
-            slot = histograms.get(key)
-            if slot is None:
-                slot = histograms[key] = {
-                    "name": entry.get("name"),
-                    "labels": dict(entry.get("labels") or {}),
-                    "count": 0,
-                    "sum": 0.0,
-                    "max": 0.0,
-                    "buckets": {},
-                }
-            slot["count"] += int(entry.get("count", 0))
-            slot["sum"] = round(slot["sum"] + float(entry.get("sum", 0.0)), 9)
-            slot["max"] = max(slot["max"], float(entry.get("max", 0.0)))
-            merged = slot["buckets"]
-            for index, bucket_count in (entry.get("buckets") or {}).items():
-                merged[index] = merged.get(index, 0) + int(bucket_count)
-    out: Dict[str, Any] = {
-        "schema": SNAPSHOT_SCHEMA,
-        "counters": [counters[k] for k in sorted(counters)],
-        "gauges": [gauges[k] for k in sorted(gauges)],
-        "histograms": [],
-    }
-    for key in sorted(histograms):
-        entry = histograms[key]
-        entry["buckets"] = {
-            str(i): entry["buckets"][i]
-            for i in sorted(entry["buckets"], key=int)
-        }
-        entry["q"] = _bucket_quantiles(entry)
-        out["histograms"].append(entry)
-    return out
+        registry.merge(snap)
+    return registry.snapshot()
 
 
 # ----------------------------------------------------------------------

@@ -1,30 +1,36 @@
-"""Span-based tracing: JSONL events, counters, worker shards.
+"""Span-based tracing: JSONL events, worker shards, counter reports.
 
 One :class:`Tracer` is active per process (installed with
 :func:`set_tracer`); instrumented code talks to it through the
-module-level proxies :func:`span`, :func:`counter` and :func:`event`,
-which forward to the active tracer.  When nothing is installed the
-active tracer is :data:`NULL_TRACER` — its ``span()`` returns a shared
-no-op context manager and every other call is a single attribute lookup
-plus a ``pass``, so instrumentation sites cost effectively nothing in
-untraced runs.
+module-level proxies :func:`span` and :func:`event`, which forward to
+the active tracer.  When nothing is installed the active tracer is
+:data:`NULL_TRACER` — its ``span()`` returns a shared no-op context
+manager and every other call is a single attribute lookup plus a
+``pass``, so instrumentation sites cost effectively nothing in untraced
+runs.  The third proxy, :func:`counter`, does not go through the
+tracer: it bumps the unlabeled counter of the active
+:class:`~repro.obs.metrics.MetricsRegistry`, the one counter store.
 
-A real :class:`Tracer` always aggregates per-span-name totals and
-counters in memory (the experiment harness reads those aggregates into
-``runtimes.csv`` phase columns).  When constructed with a ``path`` it
+A real :class:`Tracer` always aggregates per-span-name totals in memory
+(the experiment harness reads those aggregates into ``runtimes.csv``
+phase columns), and :meth:`Tracer.counters` reports the registry counts
+recorded while it is open.  When constructed with a ``path`` it
 additionally streams one JSON object per line to that file:
 
 * ``meta`` — trace header: schema version, pid, free-form run tags;
 * ``span`` — emitted when a span closes: monotonic start ``t``,
   duration ``dur``, per-process span id ``sid``, ``parent`` sid (or
   ``None`` for top-level spans), ``name`` and ``tags``;
-* ``counters`` — cumulative counter values: emitted on close, and by
-  worker shards whenever their span stack drains (fork-started pool
-  workers exit via ``os._exit``, which skips ``atexit`` — a shard's
-  last stack-drain snapshot is the one that survives).  Per pid the
-  latest event supersedes earlier ones;
+* ``counters`` — one event, written by the main tracer on close: the
+  registry counts recorded while it was open, labeled series keyed
+  ``name{k=v,...}``.  Pool workers' counts are already in them: each
+  pool task ships its counts home with its result (see
+  :func:`repro.metrics.engine.map_with_pool_recovery`).  Shards write
+  none;
 * ``rss`` — periodic memory samples (see :mod:`repro.obs.memory`);
-* ``warning`` — structured degradation/retry events.
+* ``warning`` — structured degradation/retry events;
+* ``note`` — any other structured event (serve lifecycle, auto-sample
+  decisions, gauges).
 
 Every event carries ``t`` (``time.perf_counter()``), ``pid`` and a
 per-emitter ``seq``; the merged trace is sorted by ``(t, pid, seq)``,
@@ -56,6 +62,8 @@ import re
 import threading
 import time
 from typing import Any, Dict, Iterator, List, Optional, Tuple
+
+from repro.obs import metrics as _metrics
 
 #: bump when the event schema changes incompatibly (documented in
 #: docs/OBSERVABILITY.md).
@@ -143,9 +151,6 @@ class NullTracer:
     def span(self, name: str, **tags: Any) -> _NullSpan:
         return _NULL_SPAN
 
-    def counter(self, name: str, inc: float = 1) -> None:
-        return None
-
     def event(self, kind: str, message: str = "", **data: Any) -> None:
         return None
 
@@ -210,11 +215,12 @@ class Span:
 class Tracer:
     """Collecting tracer: in-memory aggregates, optional JSONL stream.
 
-    ``path=None`` gives a metrics-only tracer (phase totals + counters,
-    nothing on disk) — what the harness runs with when ``--trace`` is
-    off.  ``run_tags`` lands in the ``meta`` header event.  ``shard``
-    marks a worker-side tracer: it neither exports :data:`SHARD_ENV`
-    nor merges shards on close.
+    ``path=None`` gives a metrics-only tracer (phase totals + counter
+    report, nothing on disk) — what the harness runs with when
+    ``--trace`` is off.  ``run_tags`` lands in the ``meta`` header
+    event.  ``shard`` marks a worker-side tracer: it neither exports
+    :data:`SHARD_ENV` nor merges shards on close, and writes no
+    ``counters`` event.
     """
 
     def __init__(
@@ -230,8 +236,10 @@ class Tracer:
         self._sid = 0
         self._seq = 0
         self._agg: Dict[str, List[float]] = {}  # name -> [count, total_s]
-        self._counters: Dict[str, float] = {}
-        self._counters_emitted: Dict[str, float] = {}
+        # counters() reports this registry's growth since the tracer opened
+        self._registry = _metrics.get_registry()
+        self._counts_at_open = self._registry.counter_values()
+        self._counts_at_close: Optional[Dict[str, float]] = None
         self._lock = threading.Lock()
         self._local = threading.local()
         self._handle = None
@@ -304,8 +312,6 @@ class Tracer:
         self._seq = 0
         self._sid = int(pid) * 1_000_000  # keep sids unique across shards
         self._agg = {}  # inherited parent aggregates are not this pid's work
-        self._counters = {}
-        self._counters_emitted = {}
         self._local = threading.local()
         self._shard = True
         self._sampler = None
@@ -333,21 +339,12 @@ class Tracer:
                     "tags": span.tags,
                 }
             )
-            # Fork-started pool workers exit via os._exit, skipping
-            # atexit — snapshot counters whenever a shard's stack
-            # drains so the last snapshot survives the worker.
-            if self._shard and not self._stack():
-                self.flush_counters()
 
     # ------------------------------------------------------------------
     # public API (mirrors NullTracer)
     # ------------------------------------------------------------------
     def span(self, name: str, **tags: Any) -> Span:
         return Span(self, name, tags)
-
-    def counter(self, name: str, inc: float = 1) -> None:
-        with self._lock:
-            self._counters[name] = self._counters.get(name, 0) + inc
 
     def event(self, kind: str, message: str = "", **data: Any) -> None:
         # Anything that is not a failure-ish warning travels as a
@@ -399,16 +396,6 @@ class Tracer:
                 }
             )
 
-    def flush_counters(self) -> None:
-        """Emit a counters snapshot if values changed since the last one."""
-        if self._handle is None:
-            return
-        with self._lock:
-            values = dict(self._counters)
-        if values and values != self._counters_emitted:
-            self._counters_emitted = values
-            self._emit({"ev": "counters", "t": time.perf_counter(), "values": values})
-
     def sample_memory(self) -> None:
         """Emit one ``rss`` event (no-op for metrics-only tracers)."""
         if self._handle is None:
@@ -429,24 +416,40 @@ class Tracer:
             return {name: int(slot[0]) for name, slot in self._agg.items()}
 
     def counters(self) -> Dict[str, float]:
-        with self._lock:
-            return dict(self._counters)
+        """Registry counts recorded while this tracer is open.
+
+        Keyed like :meth:`~repro.obs.metrics.MetricsRegistry.counter_values`;
+        a series that existed at open reports only its growth since.
+        Frozen at :meth:`close`.
+        """
+        if self._counts_at_close is not None:
+            return dict(self._counts_at_close)
+        before = self._counts_at_open
+        return {
+            key: value - before.get(key, 0)
+            for key, value in self._registry.counter_values().items()
+            if key not in before or value != before[key]
+        }
 
     def close(self) -> None:
-        """Flush counters, stop sampling, merge worker shards.
+        """Stop sampling, write the counters event, merge worker shards.
 
-        Idempotent; shard tracers also run it from ``atexit`` so worker
-        counters survive pool shutdown.
+        Idempotent; shard tracers also run it from ``atexit`` so a
+        spawn-started worker's file gets its last memory sample.
         """
         if self._closed:
             return
         self._closed = True
+        self._counts_at_close = self.counters()
         if self._sampler is not None:
             self._sampler.stop()
             self._sampler = None
         if self._handle is not None:
             self.sample_memory()
-            self.flush_counters()
+            counts = self._counts_at_close
+            if counts and not self._shard:
+                event = {"ev": "counters", "t": time.perf_counter(), "values": counts}
+                self._emit(event)
             self._handle.close()
             self._handle = None
             if not self._shard:
@@ -575,8 +578,8 @@ def span(name: str, **tags: Any):
 
 
 def counter(name: str, inc: float = 1) -> None:
-    """Bump a cumulative counter on the active tracer."""
-    _ACTIVE.counter(name, inc)
+    """Bump the unlabeled counter ``name`` of the active metrics registry."""
+    _metrics.get_registry().counter(name).inc(inc)
 
 
 def event(kind: str, message: str = "", **data: Any) -> None:
@@ -593,10 +596,10 @@ def maybe_init_worker() -> None:
     """Adopt a shard tracer in a worker process, if the parent traces.
 
     Called from pool initializers.  Fork-started workers share the
-    parent's tracer: sharding it here, before the first task, keeps
-    counters bumped ahead of the first emit out of the parent's numbers
-    (lazy self-sharding on first emit remains the fallback).  Spawn
-    workers get a fresh shard tracer from :data:`SHARD_ENV`.
+    parent's tracer: sharding it here, before the first task, gives the
+    worker its own file and span ids up front (lazy self-sharding on
+    first emit remains the fallback).  Spawn workers get a fresh shard
+    tracer from :data:`SHARD_ENV`.
     """
     if _ACTIVE.enabled:
         if (

@@ -12,9 +12,9 @@ Two batch routers feed the :mod:`repro.traffic` engine:
   tests assert edge-sequence equality).
 * :func:`bfs_batch_routes` — shortest paths grouped by destination: one
   frontier BFS per *distinct* destination, then the deterministic
-  lowest-indexed-predecessor backtrack the serve engine uses
-  (:func:`repro.serve.engine._path_nodes` semantics) per flow.  Works on
-  any compiled graph or alive-only masked view; unreachable flows come
+  lowest-indexed-predecessor backtrack (:func:`_backtrack`, which the
+  serve engine's route answers also use) per flow.  Works on any
+  compiled graph or alive-only masked view; unreachable flows come
   back as ``None`` paths, never exceptions.
 
 :func:`batch_routes` dispatches: arithmetic routing when the graph is a

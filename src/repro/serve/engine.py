@@ -7,7 +7,8 @@ machinery:
 
 * ``route`` / ``distance`` — one frontier BFS over the CSR arrays
   (numpy-vectorised via :meth:`CompiledGraph.bfs_distances`) plus, for
-  routes, a deterministic backtrack that always steps to the
+  routes, the deterministic backtrack the batch BFS router uses
+  (:func:`repro.routing.batch._backtrack`), which always steps to the
   lowest-indexed predecessor — answers are stable across workers and
   restarts, which is what makes retried requests idempotent in the
   strong sense (same answer, not just same shape).
@@ -25,10 +26,11 @@ Results are plain JSON-serialisable dicts with ``status: ok|degraded``
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _obs
+from repro.routing.batch import _backtrack
 from repro.serve import protocol
 from repro.serve.protocol import bad_request, degraded, ok
 from repro.serve.scenario import ScenarioCache
@@ -69,33 +71,6 @@ def _masked_for(request: Dict[str, Any], scenarios: ScenarioCache):
     return scenarios.get(key)
 
 
-def _path_nodes(view, dist, src: int, dst: int) -> List[int]:
-    """Backtrack one shortest path from the BFS distance array.
-
-    From ``dst`` step to the lowest-indexed neighbor one level closer;
-    O(path_length x degree), deterministic.
-    """
-    offsets, neighbors = view.offsets, view.neighbors
-    path = [dst]
-    current = dst
-    for level in range(int(dist[dst]), 0, -1):
-        step = None
-        for j in range(int(offsets[current]), int(offsets[current + 1])):
-            candidate = int(neighbors[j])
-            if int(dist[candidate]) == level - 1 and (step is None or candidate < step):
-                step = candidate
-        if step is None:  # pragma: no cover - BFS invariant
-            raise ServeInvariantError("BFS backtrack found no predecessor")
-        path.append(step)
-        current = step
-    path.reverse()
-    return path
-
-
-class ServeInvariantError(RuntimeError):
-    """An internal inconsistency (converted to an ``internal`` error)."""
-
-
 def _alive_guard(masked, node: int, token: str) -> Optional[str]:
     if masked is not None and not bool(masked.node_alive[node]):
         return f"{token} is dead under this scenario"
@@ -132,8 +107,9 @@ def _route_or_distance(
         return degraded(payload, "no surviving path between src and dst")
     payload["link_hops"] = hops
     if want_path:
+        # walk dst -> src over the BFS levels from src, then reverse
         names = graph.names
-        payload["path"] = [names[i] for i in _path_nodes(view, dist, src, dst)]
+        payload["path"] = [names[i] for i in reversed(_backtrack(view, dist, dst))]
     return ok(payload)
 
 

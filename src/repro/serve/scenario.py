@@ -12,10 +12,11 @@ Keys are the canonical tuples of :func:`repro.serve.protocol
 regardless of the order the client listed the dead components in.
 
 Thread-safe: the inline (``workers=0``) service executes queries from
-HTTP handler threads concurrently.  Hits and misses feed both the
-instance counters (surfaced by ``/stats``) and the process tracer
-(``serve.scenario.cache_hit`` / ``.cache_miss`` — ``repro obs report``
-derives the hit rate automatically).
+HTTP handler threads concurrently.  Hits and misses are counted once,
+in the process metrics registry (``serve.scenario.cache_hit`` /
+``.cache_miss`` / ``.cache_evict`` — ``repro obs report`` derives the
+hit rate automatically).  The instance keeps its own ``hits`` /
+``misses`` / ``evictions`` as component state for ``/stats.workers``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
 
 from repro.faults.mask import MaskedGraph
-from repro.obs import metrics as _metrics
 from repro.obs import trace as _obs
 from repro.serve.protocol import ScenarioKey, bad_request, scenario_from_key
 
@@ -65,25 +65,21 @@ class ScenarioCache:
                 self._entries.move_to_end(key)
                 self.hits += 1
                 _obs.counter("serve.scenario.cache_hit")
-                _metrics.get_registry().counter("serve.scenario.cache_hit").inc()
                 return masked
         # Build outside the lock: construction touches the whole node
         # bitmap and may be slow on big graphs; concurrent misses on the
         # same key then race benignly (last insert wins, same content).
         self._validate_names(key)
         masked = MaskedGraph(self.graph, scenario_from_key(key))
-        registry = _metrics.get_registry()
         with self._lock:
             self.misses += 1
             _obs.counter("serve.scenario.cache_miss")
-            registry.counter("serve.scenario.cache_miss").inc()
             self._entries[key] = masked
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.evictions += 1
                 _obs.counter("serve.scenario.cache_evict")
-                registry.counter("serve.scenario.cache_evict").inc()
         return masked
 
     def _validate_names(self, key: ScenarioKey) -> None:

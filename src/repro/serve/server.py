@@ -8,8 +8,10 @@ Three layers, separable for testing:
   and the lifecycle bits (ready / draining / stopped).  ``submit()`` is
   the one entry point: it enforces the queue bound (shedding with
   ``overload`` + a ``Retry-After`` hint), per-request deadlines, and
-  drain semantics, and emits the ``repro.obs`` spans and counters every
-  request carries.
+  drain semantics, and emits the ``repro.obs`` spans every request
+  carries.  Every count lands once, in the process metrics registry;
+  ``/stats`` reads its ``counters`` off the same merged snapshot it
+  returns as ``metrics``.
 * :class:`HTTPFrontEnd` — a threaded stdlib HTTP server (TCP or unix
   socket) translating paths/JSON to ``submit()`` calls and
   :class:`~repro.serve.protocol.ServeError` to status codes.  Health
@@ -62,6 +64,16 @@ _OUTCOME_BY_CODE = {
     "internal": "error",
 }
 
+#: unlabeled registry counter -> its key in ``/stats`` "counters".
+_STATS_COUNTERS = {
+    "serve.idempotent_replays": "idempotent_replays",
+    "serve.shed.draining": "shed_draining",
+    "serve.shed.not_ready": "shed_not_ready",
+    "serve.shed.overload": "shed_overload",
+    "serve.timeouts": "timeouts",
+    "serve.worker.lost": "worker_lost",
+}
+
 
 @dataclass
 class ServeConfig:
@@ -82,39 +94,32 @@ class ServeConfig:
     mp_context: str = "spawn"  #: fork is faster but unsafe to respawn from threads
 
 
-class _Counters:
-    """Tiny thread-safe named counters for ``/stats``."""
+def _stats_counters(metrics: Mapping[str, Any]) -> Dict[str, int]:
+    """``/stats`` "counters", read off a merged metrics snapshot.
 
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._values: Dict[str, int] = {}
-
-    def bump(self, name: str, inc: int = 1) -> None:
-        with self._lock:
-            self._values[name] = self._values.get(name, 0) + inc
-
-    def snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            return dict(self._values)
+    ``requests`` and ``requests.<op>`` sum the ``serve.requests``
+    series, so they count every submission, shed and failed ones too.
+    """
+    counters: Dict[str, int] = {}
+    for entry in metrics["counters"]:
+        name, labels, value = entry["name"], entry["labels"], int(entry["value"])
+        if name == "serve.requests":
+            for key in ("requests", f"requests.{labels.get('endpoint')}"):
+                counters[key] = counters.get(key, 0) + value
+        elif not labels and name in _STATS_COUNTERS:
+            counters[_STATS_COUNTERS[name]] = value
+    return counters
 
 
 class TopologyService:
     """Loaded-once graph + query execution with robustness guarantees."""
 
     def __init__(
-        self,
-        graph,
-        config: Optional[ServeConfig] = None,
-        label: str = "graph",
-        registry: Optional[_metrics.MetricsRegistry] = None,
+        self, graph, config: Optional[ServeConfig] = None, label: str = "graph"
     ) -> None:
         self.graph = graph
         self.config = config or ServeConfig()
         self.label = label
-        self.counters = _Counters()
-        #: live metrics registry; defaults to the process-global one so
-        #: engine/cache instrumentation lands in the same place.
-        self.registry = registry if registry is not None else _metrics.get_registry()
         self.supervisor: Optional[Supervisor] = None
         self.handle = None
         self._scenarios: Optional[ScenarioCache] = None
@@ -134,7 +139,7 @@ class TopologyService:
             return
         if self.config.workers > 0:
             self.handle = shm.export_graph(self.graph)
-            self.supervisor = Supervisor(self.handle, self.config, self.registry)
+            self.supervisor = Supervisor(self.handle, self.config)
             self.supervisor.start()
         else:
             self._scenarios = ScenarioCache(
@@ -212,7 +217,6 @@ class TopologyService:
             cached = self._idem.get(key)
             if cached is not None:
                 self._idem.move_to_end(key)
-                self.counters.bump("idempotent_replays")
                 _obs.counter("serve.idempotent_replays")
                 return dict(cached)
         return None
@@ -256,7 +260,7 @@ class TopologyService:
             outcome = _OUTCOME_BY_CODE.get(error.code, "error")
             raise
         finally:
-            registry = self.registry
+            registry = _metrics.get_registry()
             registry.counter("serve.requests", endpoint=op, outcome=outcome).inc()
             registry.histogram(
                 "serve.request.latency_seconds", endpoint=op, outcome=outcome
@@ -276,7 +280,6 @@ class TopologyService:
                 "unavailable", "service stopped", retry_after_s=config.retry_after_s
             )
         if self._draining:
-            self.counters.bump("shed_draining")
             _obs.counter("serve.shed.draining")
             raise ServeError(
                 "unavailable",
@@ -298,9 +301,6 @@ class TopologyService:
         if deadline_s is None:
             deadline_s = config.default_deadline_s
         deadline_s = min(deadline_s, config.max_deadline_s)
-        self.counters.bump("requests")
-        self.counters.bump(f"requests.{op}")
-        _obs.counter("serve.requests")
         with _obs.span("serve.request", op=op):
             if self.supervisor is None:
                 payload = self._submit_inline(request, deadline_s)
@@ -316,7 +316,7 @@ class TopologyService:
             started = time.monotonic()
             started_pc = time.perf_counter()
             payload = engine.execute(self.graph, request, self._scenarios)
-            self.registry.histogram(
+            _metrics.get_registry().histogram(
                 "serve.execute.latency_seconds",
                 endpoint=request.get("op", "?"),
                 outcome="degraded" if payload.get("status") == "degraded" else "ok",
@@ -325,7 +325,6 @@ class TopologyService:
                 # Inline execution cannot be preempted; a blown budget
                 # still reports as a timeout so clients behave the same
                 # against both execution modes.
-                self.counters.bump("timeouts")
                 _obs.counter("serve.timeouts")
                 raise ServeError(
                     "timeout", f"computation exceeded the {deadline_s:.3f}s deadline"
@@ -345,7 +344,6 @@ class TopologyService:
     def _submit_pooled(self, request: Dict[str, Any], deadline_s: float) -> Dict[str, Any]:
         supervisor = self.supervisor
         if not supervisor.wait_ready(0):
-            self.counters.bump("shed_not_ready")
             _obs.counter("serve.shed.not_ready")
             raise ServeError(
                 "unavailable",
@@ -358,7 +356,6 @@ class TopologyService:
             supervisor.jobs.put_nowait(job)
         except queue.Full:
             supervisor.note_done()
-            self.counters.bump("shed_overload")
             _obs.counter("serve.shed.overload")
             _obs.event(
                 "gauge",
@@ -375,10 +372,9 @@ class TopologyService:
             job.fail(ServeError("timeout", f"no answer within {deadline_s:.3f}s"))
         if job.error is not None:
             if job.error.code == "timeout":
-                self.counters.bump("timeouts")
                 _obs.counter("serve.timeouts")
             elif job.error.code == "unavailable":
-                self.counters.bump("worker_lost")
+                _obs.counter("serve.worker.lost")
             raise job.error
         return job.result
 
@@ -422,13 +418,14 @@ class TopologyService:
         including snapshots retired by worker restarts, so counts are
         lifetime totals, not since-last-respawn.
         """
+        registry = _metrics.get_registry()
         worker_snaps = []
         if self.supervisor is not None:
             self.supervisor.refresh_gauges()
             worker_snaps = self.supervisor.worker_metric_snapshots()
         else:
-            self.registry.gauge("serve.inflight").set(self._inline_inflight)
-        return _metrics.merge_snapshots(self.registry.snapshot(), *worker_snaps)
+            registry.gauge("serve.inflight").set(self._inline_inflight)
+        return _metrics.merge_snapshots(registry.snapshot(), *worker_snaps)
 
     def memory_stats(self) -> Dict[str, Any]:
         """Peak RSS of the parent and each worker, plus the pool total."""
@@ -448,8 +445,9 @@ class TopologyService:
 
     def stats(self) -> Dict[str, Any]:
         payload = self.state()
-        payload["counters"] = self.counters.snapshot()
-        payload["metrics"] = self.metrics_snapshot()
+        metrics = self.metrics_snapshot()
+        payload["counters"] = _stats_counters(metrics)
+        payload["metrics"] = metrics
         payload["memory"] = self.memory_stats()
         return payload
 

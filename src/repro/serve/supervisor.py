@@ -25,7 +25,10 @@ resets on the first successful reply, so a crash loop cannot spin the
 CPU while a one-off kill recovers in tens of milliseconds.
 
 Agents never share pipes or locks with each other; the only shared
-structures are the thread-safe job queue and counters.
+structures are the thread-safe job queue and the process metrics
+registry.  When the pool stops, the workers' metrics snapshots fold
+into that registry, so their counts outlive the pool (a trace's
+``counters`` event reads them there).
 """
 
 from __future__ import annotations
@@ -159,13 +162,11 @@ class WorkerAgent(threading.Thread):
         process.start()
         child_conn.close()
         self.process, self.conn = process, parent_conn
-        registry = self.sup.registry
+        registry = _metrics.get_registry()
         if self._spawned_once:
             self.restarts += 1
-            _obs.counter("serve.worker.restarts")
             registry.counter("serve.worker.restarts", slot=self.slot).inc()
         self._spawned_once = True
-        _obs.counter("serve.worker.spawns")
         registry.counter("serve.worker.spawns", slot=self.slot).inc()
         self.spawned_at = time.monotonic()
         self._seq += 1
@@ -208,7 +209,7 @@ class WorkerAgent(threading.Thread):
         job.picked_pc = time.perf_counter()
         waited = job.picked_pc - job.enqueued_pc
         op = job.request.get("op", "?")
-        self.sup.registry.histogram(
+        _metrics.get_registry().histogram(
             "serve.queue.wait_seconds", endpoint=op
         ).observe(waited)
         trace_tags = {"op": op, "slot": self.slot}
@@ -232,8 +233,9 @@ class WorkerAgent(threading.Thread):
             if now >= hang_at:
                 self.hung_kills += 1
                 self.consecutive_failures += 1
-                _obs.counter("serve.worker.hung")
-                self.sup.registry.counter("serve.worker.hung", slot=self.slot).inc()
+                _metrics.get_registry().counter(
+                    "serve.worker.hung", slot=self.slot
+                ).inc()
                 if not job.settled:
                     self._fail_lost(job, "hung worker killed")
                 self._teardown_process()
@@ -332,12 +334,9 @@ class WorkerAgent(threading.Thread):
 class Supervisor:
     """The pool of worker agents plus the shared bounded job queue."""
 
-    def __init__(self, handle, config, registry=None) -> None:
+    def __init__(self, handle, config) -> None:
         self.handle = handle
         self.config = config
-        self.registry = (
-            registry if registry is not None else _metrics.get_registry()
-        )
         self.jobs: "queue.Queue[Optional[Job]]" = queue.Queue(
             maxsize=config.queue_bound
         )
@@ -396,6 +395,11 @@ class Supervisor:
             pass
         for agent in self.agents:
             agent.join(timeout=join_timeout)
+        registry = _metrics.get_registry()
+        for snapshot in self.worker_metric_snapshots():
+            registry.merge(snapshot)
+        for agent in self.agents:
+            agent.retired_metrics = agent.last_metrics = None
 
     # -- introspection --------------------------------------------------
     @property
@@ -430,7 +434,7 @@ class Supervisor:
 
     def refresh_gauges(self) -> None:
         """Push liveness/age/RSS gauges into the registry (scrape-time)."""
-        registry = self.registry
+        registry = _metrics.get_registry()
         now = time.monotonic()
         total_rss = 0.0
         for agent in self.agents:

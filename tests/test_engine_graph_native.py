@@ -34,7 +34,6 @@ from repro.baselines import DcellSpec, FiconnSpec
 from repro.core import AbcccSpec
 from repro.faults import FailureScenario, MaskedGraph
 from repro.metrics import engine
-from repro.metrics.distance import legacy_link_hop_stats
 from repro.metrics.engine import (
     PARALLEL_THRESHOLD,
     resolve_kernel,
@@ -44,6 +43,7 @@ from repro.metrics.engine import (
 )
 from repro.topology import shm
 from repro.topology.compiled import CSRGraphView, compile_graph
+from tests.hop_oracle import legacy_link_hop_stats
 
 
 def assert_identical(got, want, ci: bool = False):

@@ -22,6 +22,7 @@ from repro.metrics.connectivity import (
     largest_component_fraction,
 )
 from repro.topology.compiled import compile_graph
+from tests.fault_oracle import legacy_trial, sweep_panel
 
 FAMILIES = ["abccc_medium", "abccc_s3", "bcube_small", "fattree_small"]
 
@@ -190,19 +191,26 @@ class TestSweepPathParity:
     @pytest.mark.parametrize("family", ["abccc_medium", "bcube_small"])
     def test_masked_and_legacy_sweeps_identical(self, family, request):
         _, net = request.getfixturevalue(family)
-        kwargs = dict(
+        model = FaultModel("server+switch")
+        curve = degradation_sweep(
+            net,
+            model,
             levels=[0.0, 0.1, 0.25],
             trials=3,
             sample_pairs=50,
             seed=11,
             workers=1,
         )
-        masked = degradation_sweep(net, FaultModel("server+switch"), **kwargs)
-        legacy = degradation_sweep(
-            net, FaultModel("server+switch"), use_masking=False, **kwargs
-        )
-        assert masked.outcomes == legacy.outcomes
-        assert masked.points == legacy.points
+        panel = sweep_panel(net, model, sample_pairs=50, seed=11)
+        assert len(curve.outcomes) == 9
+        for outcome in curve.outcomes:
+            # redraw the trial's plan from its seed, evaluate it the slow way
+            plan = model.draw(net, outcome.level, outcome.seed)
+            assert (
+                outcome.connection_ratio,
+                outcome.largest_component,
+                outcome.alive_servers,
+            ) == legacy_trial(net, panel, plan.scenario)
 
     def test_unfailed_level_is_perfect(self, abccc_medium):
         _, net = abccc_medium

@@ -7,6 +7,7 @@ import pytest
 from repro.faults.journal import TrialJournal, set_active_journal
 from repro.faults.plan import FaultModel
 from repro.faults.sweep import degradation_sweep
+from repro.obs.trace import Tracer, set_tracer
 
 
 @pytest.fixture(autouse=True)
@@ -138,10 +139,23 @@ class TestParallelPath:
     def test_pool_results_match_sequential(self, abccc_medium):
         _, net = abccc_medium
         sequential = _sweep(net, workers=1)
-        pooled = _sweep(net, workers=2, trials=4, levels=[0.0, 0.1, 0.3])
-        resequential = _sweep(net, workers=1, trials=4, levels=[0.0, 0.1, 0.3])
+
+        def traced_sweep(workers):
+            tracer = Tracer()
+            previous = set_tracer(tracer)
+            try:
+                curve = _sweep(net, workers=workers, trials=4, levels=[0.0, 0.1, 0.3])
+            finally:
+                set_tracer(previous)
+                tracer.close()
+            return curve, tracer.counters().get("faults.trials", 0)
+
+        pooled, pooled_trials = traced_sweep(2)
+        resequential, sequential_trials = traced_sweep(1)
         assert pooled == resequential
         assert sequential.points != ()  # smoke: both paths produced curves
+        # the pool workers' trial counts reach the parent's tracer
+        assert pooled_trials == sequential_trials > 0
 
     def test_broken_pool_degrades_loudly_with_same_results(
         self, abccc_medium, monkeypatch

@@ -20,18 +20,14 @@ except ImportError:  # pragma: no cover
 
 from repro.baselines import BcubeSpec, DcellSpec, FiconnSpec, JellyfishSpec
 from repro.core import AbcccSpec
-from repro.metrics.distance import (
-    legacy_link_hop_stats,
-    legacy_server_hop_stats,
-    link_hop_stats,
-    server_hop_stats,
-)
+from repro.metrics.distance import link_hop_stats, server_hop_stats
 from repro.metrics.engine import (
     PARALLEL_THRESHOLD,
     resolve_workers,
     set_default_workers,
     sweep_distance_stats,
 )
+from tests.hop_oracle import legacy_link_hop_stats, legacy_server_hop_stats
 
 # Jellyfish is switch-centric: its server "projection" is edgeless, so
 # server-hop parity is only meaningful on the server-centric families.

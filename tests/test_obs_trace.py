@@ -8,6 +8,7 @@ import pytest
 
 from repro.obs import trace as obs_trace
 from repro.obs.log import Heartbeat
+from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.obs.report import load_trace, validate_trace
 from repro.obs.trace import (
     NULL_TRACER,
@@ -22,12 +23,15 @@ from repro.obs.trace import (
 
 @pytest.fixture(autouse=True)
 def _restore_tracer(monkeypatch):
-    """Every test leaves the module-global tracer as it found it."""
+    """Every test leaves the module-global tracer as it found it, and
+    counts into a registry of its own."""
     monkeypatch.delenv(SHARD_ENV, raising=False)
     monkeypatch.setenv("REPRO_TRACE_MEM_INTERVAL", "0")  # no sampler thread
     previous = get_tracer()
+    previous_registry = set_registry(MetricsRegistry())
     yield
     set_tracer(previous)
+    set_registry(previous_registry)
 
 
 class TestNullTracer:
@@ -43,7 +47,7 @@ class TestNullTracer:
             entered.tag(bar=2)  # tag() is accepted and ignored
 
     def test_counters_and_events_are_noops(self):
-        NULL_TRACER.counter("c", 3)
+        obs_trace.counter("c", 3)
         NULL_TRACER.event("degraded-mode", "nope")
         assert NULL_TRACER.phase_seconds() == {}
         assert NULL_TRACER.counters() == {}
@@ -118,9 +122,9 @@ class TestSpans:
 
     def test_counters_accumulate(self):
         tracer = Tracer()
-        tracer.counter("hits")
-        tracer.counter("hits", 2)
-        tracer.counter("seconds", 0.5)
+        obs_trace.counter("hits")
+        obs_trace.counter("hits", 2)
+        obs_trace.counter("seconds", 0.5)
         assert tracer.counters() == {"hits": 3, "seconds": 0.5}
         tracer.close()
 
@@ -131,7 +135,7 @@ class TestSchema:
         tracer = Tracer(path=path, run_tags={"experiment": "T1", "quick": 1})
         with tracer.span("outer"):
             with tracer.span("inner", depth=1):
-                tracer.counter("things", 2)
+                obs_trace.counter("things", 2)
         tracer.event("degraded-mode", "pool died", context="unit", workers=2)
         tracer.sample_memory()
         tracer.close()

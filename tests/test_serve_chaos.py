@@ -148,7 +148,6 @@ class TestWorkerTelemetry:
                     default_deadline_s=30.0,
                 ),
                 label="chaos-telemetry",
-                registry=registry,
             )
             service.start()
             assert service.wait_ready(SPAWN_TIMEOUT_S)
@@ -238,6 +237,14 @@ class TestWorkerTelemetry:
             obs_trace.set_tracer(previous_tracer)
             tracer.close()  # merges the worker shards into the main file
         assert shm.owned_segments() == ()
+        # stopping the pool folded the workers' snapshots into the
+        # process registry: worker-side counts outlive the workers
+        executed_count = sum(
+            h["count"]
+            for h in registry.snapshot()["histograms"]
+            if h["name"] == "serve.execute.latency_seconds"
+        )
+        assert executed_count >= 4
 
         # -- the whole story of the retried request under one trace id
         spans = trace_spans(load_trace(trace_path), trace_id)

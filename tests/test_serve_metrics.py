@@ -47,9 +47,7 @@ def registry():
 
 @pytest.fixture()
 def service(graph, registry):
-    svc = TopologyService(
-        graph, ServeConfig(workers=0), label="metrics-test", registry=registry
-    )
+    svc = TopologyService(graph, ServeConfig(workers=0), label="metrics-test")
     svc.start()
     yield svc
     svc.stop()

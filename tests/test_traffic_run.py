@@ -5,6 +5,9 @@ import pytest
 
 from repro.core import AbcccSpec
 from repro.faults.journal import TrialJournal
+from repro.obs import trace as obs_trace
+from repro.obs.metrics import MetricsRegistry, set_registry
+from repro.obs.report import load_trace, summarize
 from repro.topology.fastbuild import fast_compiled
 from repro.traffic import COLUMNS, TrafficTrialSpec, run_traffic, run_trial
 from repro.traffic.run import trial_key
@@ -120,14 +123,44 @@ class TestRunTraffic:
         journal.close()
         assert len(TrialJournal(path)) == 2  # healthy and degraded are distinct
 
-    def test_pool_matches_sequential(self, graph):
-        seq = run_traffic(graph, "t", "uniform", trials=4, seed=9, workers=1)
-        par = run_traffic(graph, "t", "uniform", trials=4, seed=9, workers=2)
+    def test_pool_matches_sequential(self, graph, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_TRACE_MEM_INTERVAL", "0")
+
+        def counted_run(workers):
+            # a file tracer and a fresh registry around each side: pool
+            # workers' counts must come home to both
+            registry = MetricsRegistry()
+            previous_registry = set_registry(registry)
+            path = str(tmp_path / f"workers{workers}.trace.jsonl")
+            tracer = obs_trace.Tracer(path=path)
+            previous_tracer = obs_trace.set_tracer(tracer)
+            try:
+                table = run_traffic(
+                    graph, "t", "uniform", trials=4, seed=9, workers=workers
+                )
+            finally:
+                obs_trace.set_tracer(previous_tracer)
+                tracer.close()
+                set_registry(previous_registry)
+            counters = summarize(load_trace(path)).counters
+            rates = sum(
+                h["count"]
+                for h in registry.snapshot()["histograms"]
+                if h["name"] == "traffic.rate.units"
+            )
+            return table, counters, rates
+
+        seq, seq_counters, seq_rates = counted_run(1)
+        par, par_counters, par_rates = counted_run(2)
         for ra, rb in zip(_rows(seq), _rows(par)):
             for col in COLUMNS:
                 if col == "elapsed_s":
                     continue
                 assert ra[col] == rb[col], col
+        flows = sum(row["flows"] for row in _rows(seq))
+        assert seq_counters["traffic.trials"] == par_counters["traffic.trials"] == 4
+        assert seq_counters["traffic.flows"] == par_counters["traffic.flows"] == flows
+        assert seq_rates == par_rates == flows
 
     def test_degraded_note_rendered(self, graph):
         table = run_traffic(
