@@ -14,11 +14,7 @@ import random
 import statistics
 
 from repro import AbcccSpec, fault_tolerant_route
-from repro.metrics.connectivity import (
-    connection_ratio,
-    draw_failures,
-    largest_component_fraction,
-)
+from repro.faults import MaskedGraph, random_failures
 from repro.routing.base import RoutingError
 from repro.routing.shortest import bfs_distances
 
@@ -34,6 +30,7 @@ STAGES = [
 def main() -> None:
     spec = AbcccSpec(4, 2, 2)
     net = spec.build()
+    graph = spec.compiled()
     print(f"fabric: {spec.label} — {net.num_servers} servers, {net.num_switches} switches\n")
     header = (
         f"{'stage':<26} {'alive pairs':>11} {'largest comp':>13} "
@@ -43,14 +40,15 @@ def main() -> None:
     print("-" * len(header))
 
     for label, server_frac, switch_frac in STAGES:
-        scenario = draw_failures(
+        scenario = random_failures(
             net, server_fraction=server_frac, switch_fraction=switch_frac, seed=42
-        )
+        ).scenario
         alive = net.subgraph_without(
             dead_nodes=list(scenario.dead_servers) + list(scenario.dead_switches)
         )
-        ratio = connection_ratio(net, scenario, sample_pairs=300, seed=1)
-        component = largest_component_fraction(net, scenario)
+        masked = MaskedGraph(graph, scenario)
+        ratio = masked.connection_ratio(sample_pairs=300, seed=1)
+        component = masked.largest_component_fraction()
 
         rng = random.Random(7)
         local = fallback = attempts = 0

@@ -8,24 +8,17 @@ This package is the single home for everything failure-related:
   ``seed_stream`` seed-streaming helpers;
 * :mod:`repro.faults.mask` — :class:`MaskedGraph`, applying a scenario
   as masks over one compiled CSR graph instead of copying and
-  recompiling per trial;
+  recompiling per trial; it answers every failure query (survivors,
+  pair connectivity, largest component, the degraded sweep view);
 * :mod:`repro.faults.sweep` — :func:`degradation_sweep`, the journaled,
   parallel, crash-recoverable degradation-curve engine that the F8 /
   E7 / E8 experiments and the churn simulator are built on;
 * :mod:`repro.faults.journal` — the append-only :class:`TrialJournal`
   behind ``--resume``.
-
-The legacy entry points in :mod:`repro.metrics.connectivity`
-(``draw_failures``, ``draw_rack_failures``, ``connection_ratio``, …)
-remain and now delegate to this package.
 """
 
 from repro.faults.journal import TrialJournal, get_active_journal, set_active_journal
-from repro.faults.mask import (
-    MaskedGraph,
-    masked_connection_ratio,
-    masked_largest_component_fraction,
-)
+from repro.faults.mask import MaskedGraph
 from repro.faults.plan import (
     ChurnEvent,
     FailureScenario,
@@ -66,8 +59,6 @@ __all__ = [
     "degradation_sweep",
     "explicit_failures",
     "get_active_journal",
-    "masked_connection_ratio",
-    "masked_largest_component_fraction",
     "rack_assignment",
     "rack_failures",
     "random_failures",

@@ -1,13 +1,10 @@
 """Unified fault models: scenarios, plans, and seed-streamed generators.
 
-Every failure experiment in the repo used to hand-roll its own draws
-(``draw_failures`` here, ``draw_rack_failures`` there, churn's inline
-exponential lifetimes in :mod:`repro.sim.churn`).  This module is the
-single home for that logic:
+This module is the single home for failure draws:
 
 * :class:`FailureScenario` — the *what*: which servers, switches and
-  links are dead.  (Re-exported by :mod:`repro.metrics.connectivity`
-  for backward compatibility.)
+  links are dead.  :class:`~repro.faults.mask.MaskedGraph` applies one
+  to a compiled graph.
 * :class:`FaultPlan` — a scenario plus full provenance: the model that
   produced it, the requested parameters, the seed, and the *effective*
   dead counts (what a fraction actually rounded to on this instance).
@@ -155,10 +152,11 @@ def random_failures(
 ) -> FaultPlan:
     """Fail a uniform random fraction of each component class.
 
-    The sampling protocol (one ``random.Random(seed)``, servers then
-    switches then links, populations in sorted name order) matches the
-    historic ``draw_failures`` exactly, except that nonzero fractions
-    floor at one dead component (see :class:`FaultRoundingWarning`).
+    The sampling protocol is one ``random.Random(seed)``, servers then
+    switches then links, populations in sorted name order; the F8 and
+    E6 tables depend on it, and ``tests/test_faults_plan.py`` pins the
+    names it draws.  Nonzero fractions floor at one dead component (see
+    :class:`FaultRoundingWarning`).
     """
     for name, fraction in (
         ("server", server_fraction),

@@ -17,11 +17,6 @@ from repro.metrics.bottleneck import (
     per_server_abt,
 )
 from repro.metrics.connectivity import (
-    FailureScenario,
-    apply_failures,
-    connection_ratio,
-    draw_failures,
-    largest_component_fraction,
     sample_server_pairs,
     server_pair_connectivity,
 )
@@ -67,21 +62,16 @@ __all__ = [
     "cable_plan",
     "state_ratio",
     "table_state",
-    "FailureScenario",
     "LinkLoadStats",
     "PriceBook",
     "aggregate_bottleneck_throughput",
-    "apply_failures",
     "bisection_upper_bound",
     "capex",
-    "connection_ratio",
     "digit_split_abccc",
     "digit_split_bcube",
-    "draw_failures",
     "exact_bisection_small",
     "expansion_capex",
     "get_default_workers",
-    "largest_component_fraction",
     "link_diameter",
     "link_hop_stats",
     "link_loads",

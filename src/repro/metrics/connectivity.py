@@ -1,20 +1,17 @@
-"""Connectivity and fault-resilience metrics.
+"""Structural path diversity between server pairs.
 
-Covers the two resilience quantities the evaluation reports: structural
-path diversity between server pairs (node/edge connectivity) and graceful
-degradation under random component failures (connection ratio — the
-fraction of server pairs that remain mutually reachable).
+Node and edge connectivity of sampled server pairs, via networkx.
+Degradation under component failures (connection ratio, largest
+component) is answered by :class:`repro.faults.mask.MaskedGraph`.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
 import networkx as nx
 
-from repro.faults.plan import FailureScenario, rack_failures, random_failures
-from repro.topology.compiled import compile_graph
 from repro.topology.graph import Network
 
 
@@ -45,101 +42,3 @@ def sample_server_pairs(
         src, dst = rng.sample(servers, 2)
         pairs.add((src, dst))
     return sorted(pairs)
-
-
-# FailureScenario now lives in :mod:`repro.faults.plan` (re-exported
-# here for backward compatibility); the draw_* helpers below delegate to
-# the unified generators and return bare scenarios as they always did.
-# Use :func:`repro.faults.random_failures` / :func:`repro.faults.
-# rack_failures` directly when the provenance-carrying FaultPlan is
-# wanted.
-
-
-def draw_failures(
-    net: Network,
-    server_fraction: float = 0.0,
-    switch_fraction: float = 0.0,
-    link_fraction: float = 0.0,
-    seed: int = 0,
-) -> FailureScenario:
-    """Fail a uniform random fraction of each component class.
-
-    Nonzero fractions that would round to zero dead components on a
-    small instance floor at one and emit a
-    :class:`~repro.faults.plan.FaultRoundingWarning`.
-    """
-    return random_failures(
-        net,
-        server_fraction=server_fraction,
-        switch_fraction=switch_fraction,
-        link_fraction=link_fraction,
-        seed=seed,
-    ).scenario
-
-
-def draw_rack_failures(
-    net: Network,
-    num_racks: int,
-    rack_capacity: int = 40,
-    seed: int = 0,
-) -> FailureScenario:
-    """Correlated failure: whole racks go dark (PDU/cooling events).
-
-    Uses the same address-order rack assignment as the layout model
-    (:mod:`repro.metrics.layout`), kills every server *and switch* placed
-    in ``num_racks`` randomly chosen racks.  This is the failure mode that
-    separates topologies with rack-local structure (an ABCCC crossbar
-    dies with its rack, leaving the rest intact) from fabrics whose
-    aggregation layers concentrate in a few racks.
-    """
-    return rack_failures(
-        net, num_racks, rack_capacity=rack_capacity, seed=seed
-    ).scenario
-
-
-def apply_failures(net: Network, scenario: FailureScenario) -> Network:
-    """The alive subgraph after the scenario's failures."""
-    return net.subgraph_without(
-        dead_nodes=list(scenario.dead_servers) + list(scenario.dead_switches),
-        dead_links=scenario.dead_links,
-    )
-
-
-def connection_ratio(
-    net: Network,
-    scenario: FailureScenario,
-    sample_pairs: int = 200,
-    seed: int = 0,
-) -> float:
-    """Fraction of sampled alive server pairs still mutually reachable."""
-    alive = apply_failures(net, scenario)
-    servers = alive.servers
-    if len(servers) < 2:
-        return 0.0
-    rng = random.Random(seed)
-    # Mutual reachability in an undirected graph is component membership,
-    # so one compiled component sweep answers every sampled pair.
-    graph = compile_graph(alive)
-    labels = graph.component_labels()
-    connected = 0
-    total = 0
-    for _ in range(sample_pairs):
-        src, dst = rng.sample(servers, 2)
-        total += 1
-        if labels[graph.index[src]] == labels[graph.index[dst]]:
-            connected += 1
-    return connected / total if total else 0.0
-
-
-def largest_component_fraction(net: Network, scenario: FailureScenario) -> float:
-    """Alive servers in the largest connected component / alive servers."""
-    alive = apply_failures(net, scenario)
-    if alive.num_servers == 0:
-        return 0.0
-    graph = compile_graph(alive)
-    labels = graph.component_labels()
-    members: Dict[int, int] = {}
-    for server in graph.server_indices:
-        label = int(labels[server])
-        members[label] = members.get(label, 0) + 1
-    return max(members.values()) / graph.num_servers

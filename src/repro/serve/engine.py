@@ -136,7 +136,7 @@ def _whatif(graph, request: Dict[str, Any], scenarios: ScenarioCache) -> Dict[st
             )
             return degraded(payload, "no surviving servers")
         payload["largest_component_fraction"] = masked.largest_component_fraction()
-        payload["connection_ratio"] = masked.connection_ratio_indexed(
+        payload["connection_ratio"] = masked.connection_ratio(
             sample_pairs=request.get("sample_pairs", 200),
             seed=request.get("seed", 0),
         )

@@ -54,10 +54,10 @@ class ScenarioCache:
     def get(self, key: ScenarioKey) -> MaskedGraph:
         """The masked graph for ``key``, built on miss, LRU-refreshed on hit.
 
-        Unknown node names in the scenario raise ``bad-request`` — a
-        typo'd rack name must surface to the client, not silently mask
-        nothing (the legacy sweep path is lenient; a query service must
-        not be).
+        A dead node the graph does not have, or a dead link that is not
+        one of its edges, raises ``bad-request`` — a typo'd rack name
+        must surface to the client, not silently mask nothing.  A
+        failed build never occupies a cache slot.
         """
         with self._lock:
             masked = self._entries.get(key)
@@ -69,8 +69,10 @@ class ScenarioCache:
         # Build outside the lock: construction touches the whole node
         # bitmap and may be slow on big graphs; concurrent misses on the
         # same key then race benignly (last insert wins, same content).
-        self._validate_names(key)
-        masked = MaskedGraph(self.graph, scenario_from_key(key))
+        try:
+            masked = MaskedGraph(self.graph, scenario_from_key(key))
+        except KeyError as exc:
+            raise bad_request(exc.args[0]) from None
         with self._lock:
             self.misses += 1
             _obs.counter("serve.scenario.cache_miss")
@@ -81,20 +83,6 @@ class ScenarioCache:
                 self.evictions += 1
                 _obs.counter("serve.scenario.cache_evict")
         return masked
-
-    def _validate_names(self, key: ScenarioKey) -> None:
-        index = self.graph.index
-        unknown = [
-            name
-            for group in (key[0], key[1])
-            for name in group
-            if index.get(name) is None
-        ]
-        for u, v in key[2]:
-            unknown.extend(n for n in (u, v) if index.get(n) is None)
-        if unknown:
-            shown = ", ".join(sorted(set(unknown))[:5])
-            raise bad_request(f"unknown node name(s) in scenario: {shown}")
 
     def stats(self) -> Dict[str, Any]:
         with self._lock:

@@ -248,37 +248,6 @@ class CompiledGraph:
             frontier = _np.unique(fresh)
         return dist
 
-    def bfs_distances_by_name(self, source: str) -> Dict[str, int]:
-        """Compat helper: BFS distances as a name-keyed dict (reachable only)."""
-        dist = self.bfs_distances(self.index[source])
-        names = self.names
-        return {names[i]: int(d) for i, d in enumerate(dist) if d >= 0}
-
-    def component_labels(self):
-        """Connected-component label per node (labels are 0..k-1).
-
-        Returns a numpy int64 array aligned with node indices.
-        """
-        labels = [-1] * self.num_nodes
-        offsets, neighbors = self.offsets, self.neighbors
-        current = 0
-        for start in range(self.num_nodes):
-            if labels[start] >= 0:
-                continue
-            labels[start] = current
-            frontier = [start]
-            while frontier:
-                nxt: List[int] = []
-                for u in frontier:
-                    for j in range(offsets[u], offsets[u + 1]):
-                        v = neighbors[j]
-                        if labels[v] < 0:
-                            labels[v] = current
-                            nxt.append(v)
-                frontier = nxt
-            current += 1
-        return _np.fromiter(labels, dtype=_np.int64)
-
     def entry_index(self, u: int, v: int) -> int:
         """Position of neighbor ``v`` inside ``u``'s CSR row.
 
@@ -504,7 +473,7 @@ def compile_graph(net: Network) -> CompiledGraph:
     return compiled
 
 
-def build_compiled(spec, memmap_dir: Optional[str] = None, prefer_fast: bool = True):
+def build_compiled(spec, memmap_dir: Optional[str] = None):
     """Compiled CSR link graph of a :class:`~repro.topology.spec.TopologySpec`.
 
     The compile seam for code that needs the arrays, not the object
@@ -513,17 +482,16 @@ def build_compiled(spec, memmap_dir: Optional[str] = None, prefer_fast: bool = T
     :mod:`repro.topology.fastbuild`), the returned graph is generated
     straight from digit arithmetic without ever materialising ``Node``
     objects, which is orders of magnitude faster and smaller at
-    datacenter scale.  Otherwise (or with ``prefer_fast=False``, the
-    parity-oracle path) it falls back to ``compile_graph(spec.build())``.
+    datacenter scale.  Otherwise it falls back to
+    ``compile_graph(spec.build())``.
 
     ``memmap_dir`` asks the fast path to back the large CSR arrays with
     memory-mapped files in that directory; the object path ignores it.
     """
-    if prefer_fast:
-        from repro.topology import fastbuild
+    from repro.topology import fastbuild
 
-        if fastbuild.supports(spec):
-            return fastbuild.fast_compiled(spec, memmap_dir=memmap_dir)
+    if fastbuild.supports(spec):
+        return fastbuild.fast_compiled(spec, memmap_dir=memmap_dir)
     return compile_graph(spec.build())
 
 

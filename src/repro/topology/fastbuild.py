@@ -27,10 +27,9 @@ vectorized numpy digit arithmetic over the address space:
 * ``memmap_dir=`` optionally backs the large arrays with
   memory-mapped files for instances that should not live in RAM.
 
-The object path stays the **parity oracle**: ``build_compiled(spec,
-prefer_fast=False)`` compiles via ``spec.build()``, and
-:func:`repro.topology.validate.assert_csr_parity` checks the two agree
-exactly (the test suite does this for small instances of every family).
+The object path stays the **parity oracle**: ``compile_graph(spec.build())``
+compiles the built ``Network``, and the test suite checks the two agree
+exactly on small instances of every family (``tests/csr_oracle.py``).
 
 The result is a :class:`FastCompiledGraph`, a drop-in
 :class:`~repro.topology.compiled.CompiledGraph`: the sweep engine,

@@ -129,20 +129,20 @@ class TopologySpec(abc.ABC):
     def build(self) -> Network:
         """Construct the full network graph."""
 
-    def compiled(self, memmap_dir: Optional[str] = None, prefer_fast: bool = True):
+    def compiled(self, memmap_dir: Optional[str] = None):
         """The compiled CSR link graph of this topology.
 
         Dispatches to the vectorized direct-to-CSR constructor
         (:mod:`repro.topology.fastbuild`) when this family has one — no
         ``Node`` objects are created — and otherwise to
-        ``compile_graph(self.build())``.  The two paths
-        produce identical CSR arrays; ``prefer_fast=False`` forces the
-        object path (the parity oracle).  ``memmap_dir`` lets the fast
-        path back its large arrays with memory-mapped files.
+        ``compile_graph(self.build())``.  The two paths produce
+        identical CSR arrays (``compile_graph(self.build())`` is the
+        parity oracle).  ``memmap_dir`` lets the fast path back its
+        large arrays with memory-mapped files.
         """
         from repro.topology.compiled import build_compiled
 
-        return build_compiled(self, memmap_dir=memmap_dir, prefer_fast=prefer_fast)
+        return build_compiled(self, memmap_dir=memmap_dir)
 
     def route(self, net: Network, src: str, dst: str) -> "Route":
         """Topology-native one-to-one route (default: BFS shortest path).

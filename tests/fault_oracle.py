@@ -1,14 +1,20 @@
-"""The degradation sweep's reference path: subgraph copy + cold recompile.
+"""The copy-and-recompile reference for every failure query.
 
-:func:`repro.faults.sweep.degradation_sweep` evaluates every trial as a
-mask over one compiled graph.  :func:`legacy_trial` evaluates the same
-scenario the slow way — ``subgraph_without`` plus a fresh compile — and
-the parity tests require identical results, trial for trial.
+:class:`repro.faults.mask.MaskedGraph` answers failure queries as masks
+over one compiled graph.  The functions here answer the same questions
+the slow way — ``subgraph_without`` copies the network, ``compile_graph``
+recompiles the survivors, and networkx labels the components — so they
+share no code with the masked path.  The parity tests require identical
+results.
 """
 
 from __future__ import annotations
 
+import random
+from collections import Counter
 from typing import Dict, Sequence, Tuple
+
+import networkx as nx
 
 from repro.faults.plan import FailureScenario, FaultModel
 from repro.faults.sweep import _draw_panel, _model_tag
@@ -24,32 +30,66 @@ def sweep_panel(
     return _draw_panel(graph, net.name, _model_tag(model), sample_pairs, seed)
 
 
-def legacy_trial(
-    net: Network, panel: Sequence[Tuple[str, str]], scenario: FailureScenario
-) -> Tuple[float, float, int]:
-    """``(connection_ratio, largest_component, alive_servers)`` of one trial."""
+def _alive_components(
+    net: Network, scenario: FailureScenario
+) -> Tuple[Network, Dict[str, int]]:
+    """The failure-injected copy of ``net`` and its component per node name."""
     alive = net.subgraph_without(
         dead_nodes=list(scenario.dead_servers) + list(scenario.dead_switches),
         dead_links=scenario.dead_links,
     )
-    graph = compile_graph(alive)
-    labels = graph.component_labels()
-    index = graph.index
+    component = {
+        name: label
+        for label, members in enumerate(nx.connected_components(alive.to_networkx()))
+        for name in members
+    }
+    return alive, component
+
+
+def connection_ratio(
+    net: Network, scenario: FailureScenario, sample_pairs: int = 200, seed: int = 0
+) -> float:
+    """Fraction of sampled alive server pairs still mutually reachable.
+
+    One ``random.Random(seed)`` and ``sample_pairs`` draws of
+    ``rng.sample(alive_servers, 2)`` over the insertion-ordered alive
+    server names.
+    """
+    alive, component = _alive_components(net, scenario)
+    servers = alive.servers
+    if len(servers) < 2 or sample_pairs < 1:
+        return 0.0
+    rng = random.Random(seed)
+    connected = 0
+    for _ in range(sample_pairs):
+        src, dst = rng.sample(servers, 2)
+        connected += component[src] == component[dst]
+    return connected / sample_pairs
+
+
+def _largest_fraction(alive: Network, component: Dict[str, int]) -> float:
+    if alive.num_servers == 0:
+        return 0.0
+    members = Counter(component[name] for name in alive.servers)
+    return max(members.values()) / alive.num_servers
+
+
+def largest_component_fraction(net: Network, scenario: FailureScenario) -> float:
+    """Alive servers in the largest connected component / alive servers."""
+    return _largest_fraction(*_alive_components(net, scenario))
+
+
+def legacy_trial(
+    net: Network, panel: Sequence[Tuple[str, str]], scenario: FailureScenario
+) -> Tuple[float, float, int]:
+    """``(connection_ratio, largest_component, alive_servers)`` of one trial."""
+    alive, component = _alive_components(net, scenario)
     connected = 0
     total = 0
     for src, dst in panel:
-        u, v = index.get(src), index.get(dst)
-        if u is None or v is None:
+        if src not in component or dst not in component:
             continue
         total += 1
-        if labels[u] == labels[v]:
-            connected += 1
+        connected += component[src] == component[dst]
     ratio = connected / total if total else 0.0
-    alive_servers = graph.num_servers
-    if alive_servers == 0:
-        return ratio, 0.0, 0
-    members: Dict[int, int] = {}
-    for server in graph.server_indices:
-        label = int(labels[server])
-        members[label] = members.get(label, 0) + 1
-    return ratio, max(members.values()) / alive_servers, alive_servers
+    return ratio, _largest_fraction(alive, component), alive.num_servers

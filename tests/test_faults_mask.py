@@ -1,28 +1,26 @@
-"""Masked-CSR trial parity: identical results to the legacy copy path.
+"""Masked-CSR trial parity: identical results to the copy-and-recompile oracle.
 
-The acceptance bar for the masking fast path is *identity*, not
-closeness: the same scenario must produce the same connection ratio and
+The acceptance bar for the masking path is *identity*, not closeness:
+the same scenario must produce the same connection ratio and
 largest-component fraction whether it is applied as a mask over the
-compiled graph or via ``subgraph_without`` + a cold recompile.  The
-scenarios here are randomised across ABCCC and two baseline families
-and include dead links, which exercise the entry-mask path.
+compiled graph or via ``subgraph_without`` + a cold recompile
+(``tests/fault_oracle.py``).  The scenarios here are randomised across
+ABCCC and two baseline families and include dead links, which exercise
+the entry-mask path.
 """
 
 import pytest
 
-from repro.faults.mask import (
-    MaskedGraph,
-    masked_connection_ratio,
-    masked_largest_component_fraction,
-)
-from repro.faults.plan import FaultModel, random_failures
+from repro.faults.mask import MaskedGraph
+from repro.faults.plan import FaultModel, explicit_failures, random_failures
 from repro.faults.sweep import degradation_sweep
-from repro.metrics.connectivity import (
+from repro.topology.compiled import compile_graph
+from tests.fault_oracle import (
     connection_ratio,
     largest_component_fraction,
+    legacy_trial,
+    sweep_panel,
 )
-from repro.topology.compiled import compile_graph
-from tests.fault_oracle import legacy_trial, sweep_panel
 
 FAMILIES = ["abccc_medium", "abccc_s3", "bcube_small", "fattree_small"]
 
@@ -42,51 +40,61 @@ class TestMetricParity:
     def test_connection_ratio_identical(self, family, seed, request):
         _, net = request.getfixturevalue(family)
         scenario = self._scenario(net, seed)
-        assert masked_connection_ratio(
-            net, scenario, sample_pairs=120, seed=seed
+        masked = MaskedGraph(compile_graph(net), scenario)
+        assert masked.connection_ratio(
+            sample_pairs=120, seed=seed
         ) == connection_ratio(net, scenario, sample_pairs=120, seed=seed)
 
     def test_largest_component_identical(self, family, seed, request):
         _, net = request.getfixturevalue(family)
         scenario = self._scenario(net, seed)
-        assert masked_largest_component_fraction(
+        masked = MaskedGraph(compile_graph(net), scenario)
+        assert masked.largest_component_fraction() == largest_component_fraction(
             net, scenario
-        ) == largest_component_fraction(net, scenario)
+        )
 
 
 class TestMaskedGraph:
     def test_alive_servers_match_subgraph_order(self, abccc_medium):
         _, net = abccc_medium
         scenario = random_failures(net, server_fraction=0.3, seed=2).scenario
-        masked = MaskedGraph(compile_graph(net), scenario)
+        graph = compile_graph(net)
+        masked = MaskedGraph(graph, scenario)
         sub = net.subgraph_without(dead_nodes=scenario.dead_servers)
-        assert masked.alive_servers() == sub.servers
+        alive = [graph.names[i] for i in masked.alive_server_indices()]
+        assert alive == sub.servers
         assert masked.num_alive_servers() == sub.num_servers
 
     def test_connected_respects_dead_links(self, tiny_net):
-        from repro.faults.plan import explicit_failures
-
-        plan = explicit_failures(dead_links=(("a", "sw"),))
-        masked = MaskedGraph(compile_graph(tiny_net), plan)
-        assert not masked.connected("a", "b")
-        assert masked.connected("b", "sw")
+        graph = compile_graph(tiny_net)
+        masked = MaskedGraph(graph, explicit_failures(dead_links=(("a", "sw"),)))
+        labels, index = masked.component_labels(), graph.index
+        assert labels[index["a"]] != labels[index["b"]]
+        assert labels[index["b"]] == labels[index["sw"]]
 
     def test_dead_endpoint_disconnects(self, tiny_net):
-        from repro.faults.plan import explicit_failures
+        graph = compile_graph(tiny_net)
+        masked = MaskedGraph(graph, explicit_failures(dead_servers=("a",)))
+        labels, index = masked.component_labels(), graph.index
+        assert labels[index["a"]] == -1
+        assert labels[index["b"]] == labels[index["sw"]]
 
-        plan = explicit_failures(dead_servers=("a",))
-        masked = MaskedGraph(compile_graph(tiny_net), plan)
-        assert not masked.connected("a", "b")
-        assert masked.component_labels()[compile_graph(tiny_net).index["a"]] == -1
-
-    def test_unknown_failures_ignored_like_legacy(self, tiny_net):
-        from repro.faults.plan import explicit_failures
-
-        plan = explicit_failures(
-            dead_servers=("ghost",), dead_links=(("ghost", "sw"),)
-        )
-        masked = MaskedGraph(compile_graph(tiny_net), plan)
-        assert masked.connection_ratio(sample_pairs=10, seed=0) == 1.0
+    def test_unknown_failures_raise_key_error(self, tiny_net):
+        graph = compile_graph(tiny_net)
+        for failures, shown in (
+            ({"dead_servers": ("ghost",)}, "ghost"),
+            ({"dead_links": (("ghost", "sw"),)}, "ghost--sw"),
+            # both endpoints exist, but no link joins the two servers
+            ({"dead_links": (("a", "b"),)}, "a--b"),
+        ):
+            with pytest.raises(KeyError, match=shown):
+                MaskedGraph(graph, explicit_failures(**failures))
+        ghosts = tuple(f"ghost{i}" for i in range(7))
+        with pytest.raises(KeyError) as exc:
+            MaskedGraph(graph, explicit_failures(dead_servers=ghosts))
+        # the message lists at most five of them
+        assert "ghost4" in exc.value.args[0]
+        assert "ghost5" not in exc.value.args[0]
 
 
 class TestDegenerateScenarios:
@@ -98,8 +106,6 @@ class TestDegenerateScenarios:
     """
 
     def _masked(self, net, **kwargs):
-        from repro.faults.plan import explicit_failures
-
         return MaskedGraph(compile_graph(net), explicit_failures(**kwargs))
 
     def test_entire_rack_dead(self, abccc_medium):
@@ -116,6 +122,9 @@ class TestDegenerateScenarios:
         # each other, nobody is cut off.
         assert masked.largest_component_fraction() == 1.0
         assert masked.cut_off_servers() == (0, [])
+        assert masked.connection_ratio(sample_pairs=10, seed=0) == 1.0
+        # No pairs to sample: the ratio degenerates to 0, never divides by 0.
+        assert masked.connection_ratio(sample_pairs=0) == 0.0
         view = masked.sweep_view()
         assert len(view.server_indices) == masked.num_alive_servers()
         from repro.metrics.engine import sweep_graph_distance_stats
@@ -130,7 +139,6 @@ class TestDegenerateScenarios:
         assert list(masked.alive_server_indices()) == []
         assert masked.largest_component_fraction() == 0.0
         assert masked.connection_ratio(sample_pairs=10, seed=0) == 0.0
-        assert masked.connection_ratio_indexed(sample_pairs=10, seed=0) == 0.0
         assert masked.cut_off_servers() == (0, [])
         view = masked.sweep_view()
         assert len(view.server_indices) == 0
@@ -160,7 +168,7 @@ class TestDegenerateScenarios:
         masked = self._masked(tiny_net, dead_servers=doomed)
         assert masked.num_alive_servers() == 1
         # One alive server: no pairs to sample, ratio degenerates to 0.
-        assert masked.connection_ratio_indexed(sample_pairs=10) == 0.0
+        assert masked.connection_ratio(sample_pairs=10) == 0.0
         assert masked.largest_component_fraction() == 1.0
         assert masked.cut_off_servers() == (0, [])
 
@@ -180,7 +188,7 @@ class TestDegenerateScenarios:
             net, server_fraction=0.4, switch_fraction=0.4, seed=5
         ).scenario
         masked = MaskedGraph(compile_graph(net), scenario)
-        ratio = masked.connection_ratio_indexed(sample_pairs=300, seed=1)
+        ratio = masked.connection_ratio(sample_pairs=300, seed=1)
         lcf = masked.largest_component_fraction()
         assert 0.0 <= ratio <= 1.0
         if lcf == 1.0:

@@ -6,8 +6,8 @@ import pytest
 
 import repro
 from repro import AbcccSpec, available_topologies, create_topology
+from repro.faults import random_failures
 from repro.metrics.bottleneck import aggregate_bottleneck_throughput
-from repro.metrics.connectivity import apply_failures, draw_failures
 from repro.routing.base import route_all
 from repro.routing.table import ForwardingTable
 from repro.sim.packet import PacketSimulator
@@ -82,8 +82,8 @@ class TestFailureWorkflow:
     def test_fault_injection_and_reroute(self):
         spec = AbcccSpec(3, 2, 2)
         net = spec.build()
-        scenario = draw_failures(net, switch_fraction=0.1, seed=5)
-        alive = apply_failures(net, scenario)
+        scenario = random_failures(net, switch_fraction=0.1, seed=5).scenario
+        alive = net.subgraph_without(dead_nodes=scenario.dead_switches)
 
         from repro.core import fault_tolerant_route
         from repro.routing.base import RoutingError

@@ -125,6 +125,20 @@ class TestExecute:
         assert result["dead_switches"] == 1
         assert result["alive_servers"] == result["num_servers"]
 
+    def test_whatif_non_edge_link_is_bad_request(self, graph, cache):
+        # Two real servers with no link between them: failing "that link"
+        # must be rejected, not answered as a healthy fabric.
+        servers = [int(i) for i in graph.server_indices]
+        u = servers[0]
+        row = {int(v) for v in graph.neighbors[graph.offsets[u]:graph.offsets[u + 1]]}
+        v = next(s for s in servers[1:] if s not in row)
+        link = [graph.names[u], graph.names[v]]
+        with pytest.raises(ServeError) as exc:
+            run(graph, cache, "whatif", {"dead_links": [link], "sample_pairs": 10})
+        assert exc.value.code == "bad-request"
+        assert f"{link[0]}--{link[1]}" in exc.value.message
+        assert len(cache) == 0
+
     def test_ping(self, graph, cache):
         result = run(graph, cache, "ping", {})
         assert result["pong"] is True
