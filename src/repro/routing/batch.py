@@ -9,13 +9,15 @@ Two batch routers feed the :mod:`repro.traffic` engine:
   from the closed forms :func:`repro.topology.fastbuild._generate_edges`
   lays the edge arrays out with, so a 163k-server permutation routes in
   milliseconds.  Route-for-route identical to the per-flow oracle (the
-  tests assert edge-sequence equality).
+  tests assert edge-sequence equality).  :func:`abccc_node_path` runs
+  the same arithmetic for one flow and returns its node path; the serve
+  engine answers healthy ABCCC route and distance queries with it.
 * :func:`bfs_batch_routes` — shortest paths grouped by destination: one
   frontier BFS per *distinct* destination, then the deterministic
   lowest-indexed-predecessor backtrack (:func:`_backtrack`, which the
-  serve engine's route answers also use) per flow.  Works on any
-  compiled graph or alive-only masked view; unreachable flows come
-  back as ``None`` paths, never exceptions.
+  serve engine's scenario and ``avoid`` route answers also use) per
+  flow.  Works on any compiled graph or alive-only masked view;
+  unreachable flows come back as ``None`` paths, never exceptions.
 
 :func:`batch_routes` dispatches: arithmetic routing when the graph is a
 fast-built ABCCC, BFS otherwise — and under a
@@ -189,6 +191,39 @@ def abccc_batch_routes(graph, src_ordinals, dst_ordinals) -> RouteSet:
         servers[_np.asarray(src_ordinals, dtype=_np.int64)],
         servers[_np.asarray(dst_ordinals, dtype=_np.int64)],
     )
+
+
+def abccc_node_path(graph, src: int, dst: int) -> List[int]:
+    """Node ids of the digit-correction route from server ``src`` to
+    server ``dst`` of a fast-built ABCCC, both ends included.
+
+    One flow through :func:`_abccc_edge_buffer`, the routine
+    :func:`batch_routes` runs for every traffic flow, walked from
+    ``src`` over ``edge_u`` / ``edge_v``.
+
+    The route is a shortest path.  A level hop corrects exactly one
+    digit and keeps the in-crossbar slot; a crossbar hop changes only
+    the slot.  So any path corrects each differing digit at least once,
+    and visits the owner slot of every owner group with a differing
+    digit, then the destination's slot.  The locality order visits each
+    group once, first the source's and last the destination's, so it
+    meets that lower bound.
+    """
+    if not _is_fast_abccc(graph):
+        raise BatchRoutingError("digit-correction routes need a fast-built ABCCC graph")
+    servers = graph.server_indices
+    # the array's own dtype: a mixed-dtype search casts all of ``servers``
+    ends = _np.array([src, dst], dtype=servers.dtype)
+    ordinals = _np.minimum(_np.searchsorted(servers, ends), len(servers) - 1)
+    if (servers[ordinals] != ends).any():
+        raise BatchRoutingError(f"route endpoints {src}, {dst} are not both servers")
+    buf, counts = _abccc_edge_buffer(graph.layout, ordinals[:1], ordinals[1:])
+    edge_u, edge_v = graph.edge_u, graph.edge_v
+    path = [int(src)]
+    for edge in buf[0, : counts[0]].tolist():
+        u = int(edge_u[edge])
+        path.append(int(edge_v[edge]) if u == path[-1] else u)
+    return path
 
 
 # ----------------------------------------------------------------------

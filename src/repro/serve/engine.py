@@ -5,13 +5,18 @@ threads, worker processes, tests — so the transport layers stay free of
 graph logic.  All three query families resolve through the same
 machinery:
 
-* ``route`` / ``distance`` — one frontier BFS over the CSR arrays
-  (numpy-vectorised via :meth:`CompiledGraph.bfs_distances`) plus, for
-  routes, the deterministic backtrack the batch BFS router uses
-  (:func:`repro.routing.batch._backtrack`), which always steps to the
-  lowest-indexed predecessor — answers are stable across workers and
-  restarts, which is what makes retried requests idempotent in the
-  strong sense (same answer, not just same shape).
+* ``route`` / ``distance`` between two servers of a healthy fast-built
+  ABCCC — the paper's digit-correction route
+  (:func:`repro.routing.batch.abccc_node_path`, the arithmetic
+  ``repro traffic`` routes every flow with), a shortest path found
+  without a graph search.
+* any other ``route`` / ``distance`` — one frontier BFS over the CSR
+  arrays (numpy-vectorised via :meth:`CompiledGraph.bfs_distances`)
+  plus, for routes, the deterministic backtrack the batch BFS router
+  uses (:func:`repro.routing.batch._backtrack`), which always steps to
+  the lowest-indexed predecessor.  Both kinds of answer are stable
+  across workers and restarts, which is what makes retried requests
+  idempotent in the strong sense (same answer, not just same shape).
 * ``whatif`` — a :class:`~repro.faults.mask.MaskedGraph` fetched from
   the scenario LRU; degraded topologies (dead racks, empty survivor
   sets) are *answers*, never errors.
@@ -26,11 +31,11 @@ Results are plain JSON-serialisable dicts with ``status: ok|degraded``
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _obs
-from repro.routing.batch import _backtrack
+from repro.routing.batch import _backtrack, _is_fast_abccc, abccc_node_path
 from repro.serve import protocol
 from repro.serve.protocol import bad_request, degraded, ok
 from repro.serve.scenario import ScenarioCache
@@ -91,13 +96,30 @@ def _route_or_distance(
                 {"src": request["src"], "dst": request["dst"], "reachable": False},
                 reason,
             )
-    t0 = time.perf_counter()
-    with _obs.span("serve.bfs", op="route" if want_path else "distance"):
-        dist = view.bfs_distances(src)
-    _metrics.get_registry().histogram(
-        "serve.bfs.seconds", op="route" if want_path else "distance"
-    ).observe(time.perf_counter() - t0)
-    hops = int(dist[dst])
+    op = "route" if want_path else "distance"
+    registry = _metrics.get_registry()
+    nodes: List[int] = []
+    if (
+        masked is None
+        and _is_fast_abccc(graph)
+        and graph.is_server(src)
+        and graph.is_server(dst)
+    ):
+        registry.counter("serve.paths", op=op, method="digit").inc()
+        nodes = abccc_node_path(graph, src, dst)
+        hops = len(nodes) - 1
+    else:
+        registry.counter("serve.paths", op=op, method="bfs").inc()
+        t0 = time.perf_counter()
+        with _obs.span("serve.bfs", op=op):
+            dist = view.bfs_distances(src)
+        registry.histogram("serve.bfs.seconds", op=op).observe(
+            time.perf_counter() - t0
+        )
+        hops = int(dist[dst])
+        if want_path and hops >= 0:
+            # walk dst -> src over the BFS levels from src, then reverse
+            nodes = _backtrack(view, dist, dst)[::-1]
     payload: Dict[str, Any] = {
         "src": request["src"],
         "dst": request["dst"],
@@ -107,9 +129,8 @@ def _route_or_distance(
         return degraded(payload, "no surviving path between src and dst")
     payload["link_hops"] = hops
     if want_path:
-        # walk dst -> src over the BFS levels from src, then reverse
         names = graph.names
-        payload["path"] = [names[i] for i in reversed(_backtrack(view, dist, dst))]
+        payload["path"] = [names[i] for i in nodes]
     return ok(payload)
 
 

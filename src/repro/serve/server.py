@@ -32,6 +32,7 @@ from __future__ import annotations
 import os
 import queue
 import socket
+import sys
 import threading
 import time
 from collections import OrderedDict
@@ -460,6 +461,23 @@ class _TCPServer(ThreadingHTTPServer):
     allow_reuse_address = True
     service: TopologyService  # attached by HTTPFrontEnd
 
+    def get_request(self):
+        # Nagle off: a reply that overflows the handler's write buffer
+        # leaves in more than one send, and Nagle would hold the last
+        # one behind the client's delayed ACK (~40 ms per reply).
+        request, address = super().get_request()
+        request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return request, address
+
+    def handle_error(self, request, client_address) -> None:
+        # A client that hung up leaves its reply unsendable in the
+        # handler's write buffer, and the handler's final flush and
+        # close raise on it; that is a closed connection, not a bug
+        # worth a traceback in the daemon log.
+        if isinstance(sys.exc_info()[1], (BrokenPipeError, ConnectionResetError)):
+            return
+        super().handle_error(request, client_address)
+
 
 class _UnixServer(_TCPServer):
     address_family = socket.AF_UNIX
@@ -475,6 +493,7 @@ class _UnixServer(_TCPServer):
         self.server_port = 0
 
     def get_request(self):
+        # no TCP_NODELAY: AF_UNIX has no Nagle and rejects IPPROTO_TCP
         request, _ = self.socket.accept()
         return request, ("unix-client", 0)
 
@@ -482,6 +501,8 @@ class _UnixServer(_TCPServer):
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    #: buffered writes: status line, headers and body leave in one flush
+    wbufsize = -1
 
     #: GET paths that bypass the queue entirely.
     _CONTROL = ("/healthz", "/readyz", "/stats", "/metrics")
@@ -509,6 +530,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         try:
             self.wfile.write(body)
+            self.wfile.flush()
         except (BrokenPipeError, ConnectionResetError):  # client went away
             pass
 
@@ -520,6 +542,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         try:
             self.wfile.write(body)
+            self.wfile.flush()
         except (BrokenPipeError, ConnectionResetError):  # client went away
             pass
 

@@ -176,7 +176,14 @@ class TestWorkerTelemetry:
             assert count_of(
                 "serve.execute.latency_seconds", endpoint="route", outcome="ok"
             ) == 3
-            assert count_of("serve.bfs.seconds", op="route") == 3
+            # healthy ABCCC routes are digit-corrected, counted in the worker
+            assert sum(
+                c["value"]
+                for c in snap["counters"]
+                if c["name"] == "serve.paths"
+                and c["labels"] == {"op": "route", "method": "digit"}
+            ) == 3
+            assert count_of("serve.bfs.seconds", op="route") == 0
             # observed in the parent around the queue hand-off
             assert count_of("serve.queue.wait_seconds", endpoint="route") == 3
             gauges = {
@@ -188,6 +195,13 @@ class TestWorkerTelemetry:
             rss = stats["workers"]["peak_rss_mb"]
             assert rss and rss["pool_total"] > 0
             assert stats["memory"]["pool_total_mb"] > 0
+
+            # a scenario route still runs the BFS, timed in the worker
+            dead = graph.names[graph.server_indices[1]]
+            scenario = {"dead_servers": [dead]}
+            assert client.route("0", "17", scenario=scenario)["status"] == "ok"
+            snap = service.metrics_snapshot()
+            assert count_of("serve.bfs.seconds", op="route") == 1
 
             # -- SIGKILL the worker mid-request; the retry must recover
             pid = worker_pids(service)[0]
@@ -213,7 +227,7 @@ class TestWorkerTelemetry:
             snap = service.metrics_snapshot()
             assert count_of(
                 "serve.execute.latency_seconds", endpoint="route", outcome="ok"
-            ) >= 4
+            ) >= 5
             restarts = sum(
                 c["value"]
                 for c in snap["counters"]
@@ -244,7 +258,7 @@ class TestWorkerTelemetry:
             for h in registry.snapshot()["histograms"]
             if h["name"] == "serve.execute.latency_seconds"
         )
-        assert executed_count >= 4
+        assert executed_count >= 5
 
         # -- the whole story of the retried request under one trace id
         spans = trace_spans(load_trace(trace_path), trace_id)

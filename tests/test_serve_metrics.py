@@ -81,7 +81,7 @@ def _counter(snapshot, name, **labels):
 
 
 class TestRequestHistograms:
-    def test_ok_requests_land_labeled_by_endpoint(self, service):
+    def test_ok_requests_land_labeled_by_endpoint(self, service, graph):
         for _ in range(3):
             service.submit("route", {"src": "0", "dst": "17"})
         service.submit("distance", {"src": "0", "dst": "5"})
@@ -96,11 +96,22 @@ class TestRequestHistograms:
         )
         assert distance["count"] == 1
         assert _counter(snap, "serve.requests", endpoint="route", outcome="ok") == 3
-        # the execute + BFS stage histograms record too
+        # the execute stage histogram records too
         assert _histogram(
             snap, "serve.execute.latency_seconds", endpoint="route", outcome="ok"
         )["count"] == 3
-        assert _histogram(snap, "serve.bfs.seconds", op="route")["count"] == 3
+        # healthy ABCCC routes are digit-corrected: no BFS runs for them
+        assert _counter(snap, "serve.paths", op="route", method="digit") == 3
+        assert _counter(snap, "serve.paths", op="distance", method="digit") == 1
+        assert _histogram(snap, "serve.bfs.seconds", op="route") is None
+        # a scenario route still searches, and the BFS stage records it
+        dead = graph.names[graph.server_indices[1]]
+        service.submit(
+            "route", {"src": "0", "dst": "17", "scenario": {"dead_servers": [dead]}}
+        )
+        snap = service.metrics_snapshot()
+        assert _counter(snap, "serve.paths", op="route", method="bfs") == 1
+        assert _histogram(snap, "serve.bfs.seconds", op="route")["count"] == 1
 
     def test_error_outcome_is_recorded(self, service):
         with pytest.raises(ServeError):

@@ -1,8 +1,11 @@
 """ScenarioCache and query-engine tests (no HTTP, no workers)."""
 
+import numpy as np
 import pytest
 
 from repro.core import AbcccSpec
+from repro.obs.metrics import MetricsRegistry, set_registry
+from repro.routing.batch import _backtrack, abccc_batch_routes, abccc_node_path
 from repro.serve.engine import execute, resolve_server
 from repro.serve.protocol import EMPTY_SCENARIO_KEY, ServeError, parse_query, scenario_key
 from repro.serve.scenario import ScenarioCache
@@ -142,3 +145,74 @@ class TestExecute:
     def test_ping(self, graph, cache):
         result = run(graph, cache, "ping", {})
         assert result["pong"] is True
+
+
+class TestDigitRoutes:
+    """Healthy ABCCC route/distance answers come from digit correction.
+
+    ABCCC(2,2,2) has pairs whose digit route differs from the BFS
+    backtrack (on ABCCC(3,1,2) every pair's two paths coincide), so a
+    route answer shows which algorithm produced it.
+    """
+
+    @pytest.fixture(scope="class")
+    def abccc(self):
+        return AbcccSpec(2, 2, 2).compiled()
+
+    def test_route_is_the_traffic_route(self, abccc):
+        cache = ScenarioCache(abccc)
+        S = abccc.num_servers
+        src, dst = np.divmod(np.arange(S * S, dtype=np.int64), S)
+        routes = abccc_batch_routes(abccc, src, dst)
+        servers = abccc.server_indices
+        for flow, (a, b) in enumerate(zip(src.tolist(), dst.tolist())):
+            result = run(abccc, cache, "route", {"src": str(a), "dst": str(b)})
+            nodes = [abccc.index[name] for name in result["path"]]
+            assert nodes[0] == servers[a] and nodes[-1] == servers[b]
+            # edge_id raises KeyError on a non-edge: the path is a walk
+            edges = [abccc.edge_id(u, v) for u, v in zip(nodes, nodes[1:])]
+            expect = routes.edge_ids[routes.offsets[flow] : routes.offsets[flow + 1]]
+            assert edges == expect.tolist(), (a, b)
+            assert result["link_hops"] == len(edges)
+
+    def test_distance_is_bfs_hop_count(self, abccc):
+        cache = ScenarioCache(abccc)
+        servers = abccc.server_indices
+        for a, src in enumerate(servers):
+            dist = abccc.bfs_distances(int(src))
+            for b, dst in enumerate(servers):
+                result = run(abccc, cache, "distance", {"src": str(a), "dst": str(b)})
+                assert result["link_hops"] == dist[dst], (a, b)
+
+    def test_switch_endpoint_takes_the_bfs_path(self, abccc):
+        # digit correction routes servers only; a switch name still resolves
+        switch = next(name for name in abccc.names if name.startswith("c"))
+        result = run(abccc, ScenarioCache(abccc), "route", {"src": switch, "dst": "5"})
+        dist = abccc.bfs_distances(abccc.index[switch])
+        assert result["link_hops"] == dist[abccc.server_indices[5]]
+        assert result["path"][0] == switch
+
+    def test_scenario_route_takes_the_bfs_path(self, abccc):
+        cache = ScenarioCache(abccc)
+        servers = [int(i) for i in abccc.server_indices]
+        src, dst = servers[0], servers[18]
+        digit = abccc_node_path(abccc, src, dst)
+        bfs = _backtrack(abccc, abccc.bfs_distances(src), dst)[::-1]
+        assert digit != bfs
+        # a dead server on neither path leaves both intact
+        dead = next(i for i in servers if i not in digit and i not in bfs)
+        scenario = {"dead_servers": [abccc.names[dead]]}
+        params = {"src": "0", "dst": "18", "scenario": scenario}
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        try:
+            result = run(abccc, cache, "route", params)
+        finally:
+            set_registry(previous)
+        assert [abccc.index[name] for name in result["path"]] == bfs
+        paths = [
+            (c["labels"], c["value"])
+            for c in registry.snapshot()["counters"]
+            if c["name"] == "serve.paths"
+        ]
+        assert paths == [({"op": "route", "method": "bfs"}, 1)]

@@ -5,7 +5,10 @@ drain) lives in ``test_serve_chaos.py``; these tests pin down the
 request/response contract itself, which both execution modes share.
 """
 
+import socket
+import statistics
 import threading
+import time
 
 import pytest
 
@@ -164,6 +167,40 @@ class TestHTTP:
         assert "requests.route" in stats["counters"]
 
 
+def _median_seconds(call, repeats: int) -> float:
+    call()  # warm the connection
+    times = []
+    for _ in range(repeats):
+        started = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - started)
+    return statistics.median(times)
+
+
+class TestWireLatency:
+    """Each reply leaves in one send, with Nagle off.
+
+    A reply split over two TCP sends waits about 40 ms for the client's
+    delayed ACK before its second part leaves; both bounds sit well
+    under that stall and well over a healthy answer.
+    """
+
+    def test_sequential_requests_do_not_stall(self, client):
+        assert _median_seconds(lambda: client.distance("0", "9"), 20) < 0.020
+
+    def test_reply_past_the_write_buffer_does_not_stall(
+        self, client, service, monkeypatch
+    ):
+        # a body larger than the handler's 8 KiB write buffer leaves in
+        # two sends even when buffered; only TCP_NODELAY keeps it fast
+        real_stats = service.stats
+        monkeypatch.setattr(
+            service, "stats", lambda: {**real_stats(), "pad": "x" * 20_000}
+        )
+        assert len(client.stats()["pad"]) == 20_000
+        assert _median_seconds(client.stats, 5) < 0.020
+
+
 class TestUnixSocket:
     def test_round_trip_over_unix_socket(self, service, tmp_path):
         sock = str(tmp_path / "serve.sock")
@@ -180,6 +217,42 @@ class TestUnixSocket:
             front.close()
             thread.join(timeout=5)
         assert not (tmp_path / "serve.sock").exists()
+
+    def test_client_hanging_up_leaves_no_traceback(
+        self, service, tmp_path, monkeypatch, capsys
+    ):
+        # AF_UNIX refuses the first write to a closed peer, so the reply
+        # stays in the handler's write buffer and every later flush of
+        # it raises too.
+        real_stats = service.stats
+
+        def slow_stats():
+            time.sleep(0.2)  # the client hangs up meanwhile
+            return real_stats()
+
+        monkeypatch.setattr(service, "stats", slow_stats)
+        sock = str(tmp_path / "serve.sock")
+        front = HTTPFrontEnd(service, unix=sock)
+        finished = threading.Event()
+        real_shutdown_request = front.httpd.shutdown_request
+
+        def shutdown_request(request):
+            real_shutdown_request(request)
+            finished.set()  # after the handler and any handle_error
+
+        monkeypatch.setattr(front.httpd, "shutdown_request", shutdown_request)
+        thread = threading.Thread(target=front.serve_forever, daemon=True)
+        thread.start()
+        try:
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
+                raw.connect(sock)
+                raw.sendall(b"GET /stats HTTP/1.1\r\nHost: x\r\n\r\n")
+            assert finished.wait(10)
+        finally:
+            front.shutdown()
+            front.close()
+            thread.join(timeout=5)
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestClientRetry:

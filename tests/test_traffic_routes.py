@@ -94,6 +94,22 @@ class TestArithmeticRoutes:
                 )
 
 
+class TestArithmeticRoutesAreShortest:
+    @pytest.mark.parametrize(
+        "n,k,s", [(3, 2, 2), (4, 2, 3), (3, 3, 3), (2, 4, 3), (4, 1, 3), (3, 2, 4)]
+    )
+    def test_every_pair_hop_count_is_bfs_distance(self, n, k, s):
+        # (4,1,3) and (3,2,4) have one server per crossbar and no
+        # crossbar switch; s = 3 and 4 put several levels in one group.
+        g = fast_compiled(AbcccSpec(n, k, s))
+        S = g.num_servers
+        servers = np.asarray(g.server_indices, dtype=np.int64)
+        src, dst = np.divmod(np.arange(S * S, dtype=np.int64), S)
+        routes = abccc_batch_routes(g, src, dst)
+        bfs = np.stack([np.asarray(g.bfs_distances(int(s)))[servers] for s in servers])
+        assert np.array_equal(routes.hop_counts, bfs[src, dst])
+
+
 class TestBfsRoutes:
     def test_paths_are_shortest(self, object_graph):
         g = object_graph
