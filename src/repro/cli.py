@@ -850,7 +850,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics",
         default=None,
         metavar="PATH",
-        help="write the metrics-registry snapshot (rate/FCT histograms) as JSON",
+        help="write the metrics-registry snapshot (rate/FCT histograms and "
+        "phase timings) as JSON",
     )
     traffic.set_defaults(fn=_cmd_traffic)
 

@@ -19,12 +19,14 @@ success; one on disk always means an interrupted run.  ``timeout``
 bounds an experiment's wall clock via ``SIGALRM`` (POSIX main thread
 only; a no-op elsewhere).
 
-Observability: every experiment runs under a :mod:`repro.obs` tracer —
-metrics-only by default (phase totals and peak RSS land in
-``runtimes.csv``), streaming a JSONL trace when ``trace=`` / ``--trace``
-/ ``REPRO_TRACE`` opt in (summarise with ``repro obs report``).
-Progress messages go to stderr through the ``repro`` logger, with a
-periodic heartbeat on long runs; result tables stay on stdout.
+Observability: every experiment runs under a fresh
+:class:`~repro.obs.metrics.MetricsRegistry`, folded into the caller's
+registry when it ends.  Its spans time into that registry, pool
+workers' included, and ``runtimes.csv`` reads its phase cells from
+there.  A JSONL trace is streamed only when ``trace=`` / ``--trace`` /
+``REPRO_TRACE`` opt in (summarise with ``repro obs report``).  Progress messages go to stderr through the ``repro``
+logger, with a periodic heartbeat on long runs; result tables stay on
+stdout.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from repro.sim.results import ResultTable
 RUNTIMES_FILENAME = "runtimes.csv"
 
 #: runtimes.csv schema: identity key, wall clock, per-phase attribution
-#: (tracer span totals, parent process) and the process peak RSS.
+#: (span totals from the run's registry) and the process peak RSS.
 RUNTIMES_COLUMNS = (
     "experiment",
     "quick",
@@ -274,19 +276,27 @@ def run_experiment(
             )
 
     effective_workers = engine.resolve_workers(workers)
-    tracer = obs.Tracer(
-        path=_resolve_trace(trace, out_dir, experiment.exp_id),
-        run_tags={
-            "experiment": experiment.exp_id,
-            "quick": int(quick),
-            "workers": effective_workers,
-        },
-    )
+    # the run's own registry, like each pool task's: its counts and span
+    # timings are this experiment's alone.  Installed before the tracer,
+    # whose counters event reports the registry active when it opened.
+    registry = obs.MetricsRegistry()
+    previous_registry = obs.set_registry(registry)
+    trace_file = _resolve_trace(trace, out_dir, experiment.exp_id)
+    tracer = None
+    if trace_file:
+        tracer = obs.Tracer(
+            trace_file,
+            run_tags={
+                "experiment": experiment.exp_id,
+                "quick": int(quick),
+                "workers": effective_workers,
+            },
+        )
     previous_tracer = obs.set_tracer(tracer)
     started = time.perf_counter()
 
     def _beat() -> None:
-        counters = tracer.counters()
+        counters = registry.counter_values()
         trials = int(
             counters.get("faults.trials", 0)
             + counters.get("faults.trials_replayed", 0)
@@ -300,7 +310,7 @@ def run_experiment(
 
     heartbeat = obs.Heartbeat(obs.heartbeat_interval() if verbose else 0.0, _beat)
     try:
-        with tracer.span(
+        with obs.span(
             "experiment",
             exp=experiment.exp_id,
             quick=int(quick),
@@ -317,11 +327,14 @@ def run_experiment(
         # (shards merged) so a killed run's trace is still reportable.
         if journal is not None:
             journal.close()
-        tracer.close()
+        if tracer is not None:
+            tracer.close()
         raise
     finally:
         heartbeat.stop()
         obs.set_tracer(previous_tracer)
+        obs.set_registry(previous_registry)
+        previous_registry.merge(registry.snapshot())
         if journal is not None:
             set_active_journal(previous_journal)
         if previous is not None:
@@ -344,15 +357,31 @@ def run_experiment(
             quick,
             effective_workers,
             elapsed,
-            phases=tracer.phase_seconds(),
+            phases=_span_seconds(registry.snapshot()),
             peak_rss_mb=obs.peak_rss_mb(),
         )
-    tracer.close()
-    if tracer.path and verbose:
-        logger.info("%s trace written to %s", experiment.exp_id, tracer.path)
+    if tracer is not None:
+        tracer.close()
+        if verbose:
+            logger.info("%s trace written to %s", experiment.exp_id, tracer.path)
     if journal is not None:
         journal.delete()
     return tables
+
+
+def _span_seconds(snapshot: Dict) -> Dict[str, float]:
+    """Total seconds per span name in a registry snapshot.
+
+    Sums each ``<span>_seconds`` histogram over its labels; a span that
+    never closed has no entry.
+    """
+    totals: Dict[str, float] = {}
+    for entry in snapshot["histograms"]:
+        name = entry["name"]
+        if name.endswith("_seconds"):
+            span = name[: -len("_seconds")]
+            totals[span] = totals.get(span, 0.0) + entry["sum"]
+    return totals
 
 
 def _append_runtime(
@@ -370,9 +399,8 @@ def _append_runtime(
     experiment replaces its row instead of appending a duplicate, so
     the file stays a current-timings table.  Pre-existing files with
     the old 4-column header are upgraded in place (missing phase cells
-    become empty).  Phase columns hold the parent-process span totals
-    from the run's tracer; in parallel runs the mask/trial work happens
-    in workers, so those cells attribute the parent's share only.
+    become empty).  ``phases`` maps span names to seconds; a phase
+    column whose span is absent (it did not run) is left empty.
     """
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, RUNTIMES_FILENAME)
@@ -385,7 +413,8 @@ def _append_runtime(
         "peak_rss_mb": "" if peak_rss_mb is None else f"{peak_rss_mb:.1f}",
     }
     for column, span_name in _PHASE_COLUMNS.items():
-        row[column] = f"{phases.get(span_name, 0.0):.3f}"
+        seconds = phases.get(span_name)
+        row[column] = "" if seconds is None else f"{seconds:.3f}"
 
     rows: List[Dict[str, str]] = []
     if os.path.exists(path):

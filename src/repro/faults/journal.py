@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from typing import Any, Dict, Iterator, Optional
+
+from repro.obs import trace as _obs
 
 
 class TrialJournal:
@@ -56,20 +57,19 @@ class TrialJournal:
         return iter(self._completed)
 
     def record(self, key: str, value: Any) -> None:
-        """Persist one completed trial (appended and flushed immediately)."""
-        from repro.obs import trace as _obs
+        """Persist one completed trial (appended and flushed immediately).
 
-        started = time.perf_counter()
-        if self._handle is None:
-            directory = os.path.dirname(self.path)
-            if directory:
-                os.makedirs(directory, exist_ok=True)
-            self._handle = open(self.path, "a", encoding="utf-8")
-        self._handle.write(json.dumps({"key": key, "value": value}) + "\n")
-        self._handle.flush()
-        self._completed[key] = value
-        _obs.counter("journal.flushes")
-        _obs.counter("journal.flush_s", time.perf_counter() - started)
+        Timed as a ``faults.journal`` span.
+        """
+        with _obs.span("faults.journal"):
+            if self._handle is None:
+                directory = os.path.dirname(self.path)
+                if directory:
+                    os.makedirs(directory, exist_ok=True)
+                self._handle = open(self.path, "a", encoding="utf-8")
+            self._handle.write(json.dumps({"key": key, "value": value}) + "\n")
+            self._handle.flush()
+            self._completed[key] = value
 
     def close(self) -> None:
         if self._handle is not None:

@@ -374,13 +374,12 @@ def _record(
     result: Tuple[float, float, int],
 ) -> None:
     ratio, largest, alive = result
-    with _obs.span("faults.journal"):
-        journal.record(
-            key,
-            {
-                "ratio": ratio,
-                "largest": largest,
-                "alive_servers": alive,
-                "dead": dict(plan.effective),
-            },
-        )
+    journal.record(
+        key,
+        {
+            "ratio": ratio,
+            "largest": largest,
+            "alive_servers": alive,
+            "dead": dict(plan.effective),
+        },
+    )

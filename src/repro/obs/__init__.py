@@ -3,11 +3,11 @@
 The package behind ``repro run --trace``, ``repro obs report`` and the
 serve daemon's ``GET /metrics``:
 
-* :mod:`repro.obs.trace` — span tracer emitting JSONL events, plus
-  trace-id context propagation and worker-shard handling;
-* :mod:`repro.obs.metrics` — the live metrics registry, the one
-  counter store: counters, gauges and log-linear latency histograms
-  with mergeable snapshots and Prometheus text exposition;
+* :mod:`repro.obs.trace` — spans, the one timer, plus the JSONL
+  tracer, trace-id context propagation and worker-shard handling;
+* :mod:`repro.obs.metrics` — the live metrics registry, the one store
+  of counts and timings: counters, gauges and log-linear latency
+  histograms with mergeable snapshots and Prometheus text exposition;
 * :mod:`repro.obs.memory` — RSS/peak-memory sampling;
 * :mod:`repro.obs.log` — the stderr progress logger and heartbeat;
 * :mod:`repro.obs.profile` — opt-in cProfile hook;
@@ -18,12 +18,14 @@ serve daemon's ``GET /metrics``:
   perf-regression gate).
 
 Instrumented code imports the module-level proxies (:func:`span`,
-:func:`event`, :func:`record_span`): they forward to the active tracer
-and are no-ops when tracing is disabled, so hot paths stay
-unconditional.  :func:`counter` always counts: it bumps the unlabeled
-counter of the active metrics registry, and a tracer reports the counts
-recorded while it is open.  See docs/OBSERVABILITY.md for the trace
-schema, metric names and environment variables.
+:func:`record_span`, :func:`event`, :func:`counter`), so call sites
+stay unconditional.  Every span times into the active metrics registry
+as ``<span name>_seconds``, whether or not a trace file is open; a
+file-backed tracer also writes the span and event records.
+:func:`counter` bumps the unlabeled counter of the active registry,
+and a tracer reports the counts recorded while it is open.  See
+docs/OBSERVABILITY.md for the trace schema, span and metric names and
+environment variables.
 """
 
 from repro.obs.diff import (

@@ -1,13 +1,15 @@
 """Process-local live metrics: counters, gauges, latency histograms.
 
-The one counter store of the package, and the registry behind
-``GET /metrics`` on the serve daemon.  Where :mod:`repro.obs.trace` is
-a flight recorder (post-hoc spans on disk), this module is the *live*
-half of observability: always-on in-memory aggregates cheap enough to
-update on every request, snapshotted on demand, and rendered in
-Prometheus text exposition format for scrapes.  ``repro.obs.counter``
-bumps the unlabeled counter of the active registry, and a tracer's
-``counters`` event reports what the registry counted while it was open.
+The one store of counts and timings in the package, and the registry
+behind ``GET /metrics`` on the serve daemon.  Where a file-backed
+:mod:`repro.obs.trace` tracer is a flight recorder (post-hoc spans on
+disk), this module is the *live* half of observability: always-on
+in-memory aggregates cheap enough to update on every request,
+snapshotted on demand, and rendered in Prometheus text exposition
+format for scrapes.  Every closed span observes its duration into the
+histogram ``<span name>_seconds``; ``repro.obs.counter`` bumps the
+unlabeled counter of the active registry, and a tracer's ``counters``
+event reports what the registry counted while it was open.
 
 Three metric kinds, all label-aware:
 

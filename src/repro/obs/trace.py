@@ -1,21 +1,25 @@
-"""Span-based tracing: JSONL events, worker shards, counter reports.
+"""Span-based tracing: the one timer, JSONL events, worker shards.
 
-One :class:`Tracer` is active per process (installed with
-:func:`set_tracer`); instrumented code talks to it through the
-module-level proxies :func:`span` and :func:`event`, which forward to
+One tracer is active per process (installed with :func:`set_tracer`);
+instrumented code talks to it through the module-level proxies
+:func:`span`, :func:`record_span` and :func:`event`, which forward to
 the active tracer.  When nothing is installed the active tracer is
-:data:`NULL_TRACER` — its ``span()`` returns a shared no-op context
-manager and every other call is a single attribute lookup plus a
-``pass``, so instrumentation sites cost effectively nothing in untraced
-runs.  The third proxy, :func:`counter`, does not go through the
-tracer: it bumps the unlabeled counter of the active
-:class:`~repro.obs.metrics.MetricsRegistry`, the one counter store.
+:data:`NULL_TRACER`, which keeps no trace file.
 
-A real :class:`Tracer` always aggregates per-span-name totals in memory
-(the experiment harness reads those aggregates into ``runtimes.csv``
-phase columns), and :meth:`Tracer.counters` reports the registry counts
-recorded while it is open.  When constructed with a ``path`` it
-additionally streams one JSON object per line to that file:
+Every span is timed, traced or not: when a span closes (or
+:func:`record_span` records one) its duration is observed into the
+active :class:`~repro.obs.metrics.MetricsRegistry` histogram
+``<span name>_seconds``, labeled by the span's tags that appear in
+:data:`LABEL_TAGS`.  The registry is the one store of counts and
+timings; ``/metrics``, ``repro traffic --metrics`` and the harness's
+``runtimes.csv`` phase cells all read it.  A span without a trace
+file costs a few microseconds (measured in docs/OBSERVABILITY.md), so
+spans wrap phases, trials and requests, never per-flow or per-source
+work.  The fourth proxy, :func:`counter`, does not go through the
+tracer: it bumps the unlabeled counter of the active registry.
+
+A :class:`Tracer` additionally streams one JSON object per line to its
+``path``:
 
 * ``meta`` — trace header: schema version, pid, free-form run tags;
 * ``span`` — emitted when a span closes: monotonic start ``t``,
@@ -39,7 +43,7 @@ which makes merging deterministic.  On Linux ``perf_counter`` is
 one boot; on platforms where it is per-process, cross-process ordering
 is approximate but per-process durations stay exact.
 
-Worker processes: a file-backed tracer exports its path via the
+Worker processes: a tracer exports its path via the
 ``REPRO_TRACE_SHARD_BASE`` environment variable.  Fork-started workers
 inherit the tracer object itself — the first emit in a child notices
 the pid change and reopens onto a private ``<path>.shard-<pid>`` file.
@@ -119,26 +123,21 @@ def trace_context(trace_id: Optional[str]):
         _TRACE_CTX.reset(token)
 
 
-class _NullSpan:
-    """The shared do-nothing span (returned by the disabled tracer)."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        return None
-
-    def tag(self, **tags: Any) -> "_NullSpan":
-        return self
+#: span tags that label a span's ``<name>_seconds`` histogram.  Each
+#: takes a handful of values; every other tag (seeds, trials, sizes,
+#: slots, trace ids) stays in the trace file, so a registry never grows
+#: a series per trial or per request.
+LABEL_TAGS = ("op", "endpoint", "outcome", "pattern")
 
 
-_NULL_SPAN = _NullSpan()
+def _observe(name: str, dur: float, tags: Dict[str, Any]) -> None:
+    """Time one finished span into the active registry."""
+    labels = {key: tags[key] for key in LABEL_TAGS if key in tags}
+    _metrics.get_registry().histogram(name + "_seconds", **labels).observe(dur)
 
 
 class NullTracer:
-    """Disabled tracer: every operation is a no-op.
+    """The tracer without a trace file: spans time, nothing is written.
 
     A singleton (:data:`NULL_TRACER`) is installed by default, so
     instrumented code never needs an ``if tracing:`` guard.
@@ -147,18 +146,16 @@ class NullTracer:
     __slots__ = ()
     enabled = False
     path: Optional[str] = None
+    _handle = None
 
-    def span(self, name: str, **tags: Any) -> _NullSpan:
-        return _NULL_SPAN
+    def span(self, name: str, **tags: Any) -> "Span":
+        return Span(self, name, tags)
 
     def event(self, kind: str, message: str = "", **data: Any) -> None:
         return None
 
     def record_span(self, name: str, t0: float, dur: float, **tags: Any) -> None:
-        return None
-
-    def phase_seconds(self) -> Dict[str, float]:
-        return {}
+        _observe(name, dur, tags)
 
     def counters(self) -> Dict[str, float]:
         return {}
@@ -171,11 +168,16 @@ NULL_TRACER = NullTracer()
 
 
 class Span:
-    """One timed region; use via ``with tracer.span(name, **tags):``."""
+    """One timed region; use via ``with tracer.span(name, **tags):``.
+
+    Closing it observes its duration into ``<name>_seconds`` of the
+    active registry, labeled by its :data:`LABEL_TAGS` tags at close; a
+    file-backed tracer also writes a ``span`` event.
+    """
 
     __slots__ = ("_tracer", "name", "tags", "sid", "parent", "t0")
 
-    def __init__(self, tracer: "Tracer", name: str, tags: Dict[str, Any]) -> None:
+    def __init__(self, tracer, name: str, tags: Dict[str, Any]) -> None:
         self._tracer = tracer
         self.name = name
         self.tags = tags
@@ -187,9 +189,8 @@ class Span:
 
     def __enter__(self) -> "Span":
         tracer = self._tracer
-        # sid/parent bookkeeping only matters for emitted events; the
-        # metrics-only tracer (no handle) skips it so per-trial spans in
-        # hot sweep loops stay cheap.
+        # sid/parent bookkeeping only matters for written events; spans
+        # without a trace file skip it so per-trial spans stay cheap.
         if tracer._handle is not None:
             stack = tracer._stack()
             self.parent = stack[-1].sid if stack else None
@@ -203,29 +204,38 @@ class Span:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        t1 = time.perf_counter()
+        dur = time.perf_counter() - self.t0
+        _observe(self.name, dur, self.tags)
         tracer = self._tracer
         if tracer._handle is not None:
             stack = tracer._stack()
             if stack and stack[-1] is self:
                 stack.pop()
-        tracer._finish_span(self, t1 - self.t0)
+            tracer._emit(
+                {
+                    "ev": "span",
+                    "t": self.t0,
+                    "dur": dur,
+                    "name": self.name,
+                    "sid": self.sid,
+                    "parent": self.parent,
+                    "tags": self.tags,
+                }
+            )
 
 
 class Tracer:
-    """Collecting tracer: in-memory aggregates, optional JSONL stream.
+    """File-backed tracer: spans time like :class:`NullTracer`'s, and
+    every span and event is also streamed as JSONL to ``path``.
 
-    ``path=None`` gives a metrics-only tracer (phase totals + counter
-    report, nothing on disk) — what the harness runs with when
-    ``--trace`` is off.  ``run_tags`` lands in the ``meta`` header
-    event.  ``shard`` marks a worker-side tracer: it neither exports
-    :data:`SHARD_ENV` nor merges shards on close, and writes no
-    ``counters`` event.
+    ``run_tags`` lands in the ``meta`` header event.  ``shard`` marks a
+    worker-side tracer: it neither exports :data:`SHARD_ENV` nor merges
+    shards on close, and writes no ``counters`` event.
     """
 
     def __init__(
         self,
-        path: Optional[str] = None,
+        path: str,
         run_tags: Optional[Dict[str, Any]] = None,
         shard: bool = False,
     ) -> None:
@@ -235,36 +245,33 @@ class Tracer:
         self._pid = os.getpid()
         self._sid = 0
         self._seq = 0
-        self._agg: Dict[str, List[float]] = {}  # name -> [count, total_s]
         # counters() reports this registry's growth since the tracer opened
         self._registry = _metrics.get_registry()
         self._counts_at_open = self._registry.counter_values()
         self._counts_at_close: Optional[Dict[str, float]] = None
         self._lock = threading.Lock()
         self._local = threading.local()
-        self._handle = None
         self._sampler = None
         self._closed = False
-        if path:
-            directory = os.path.dirname(path)
-            if directory:
-                os.makedirs(directory, exist_ok=True)
-            self._handle = open(path, "w", encoding="utf-8")
-            self._emit(
-                {
-                    "ev": "meta",
-                    "t": time.perf_counter(),
-                    "schema": SCHEMA_VERSION,
-                    "tags": dict(run_tags or {}),
-                }
-            )
-            if not shard:
-                os.environ[SHARD_ENV] = path
-                interval = os.environ.get("REPRO_TRACE_MEM_INTERVAL", "0.5").strip()
-                if interval and float(interval) > 0:
-                    from repro.obs.memory import MemorySampler
+        directory = os.path.dirname(path)
+        if directory:
+            os.makedirs(directory, exist_ok=True)
+        self._handle = open(path, "w", encoding="utf-8")
+        self._emit(
+            {
+                "ev": "meta",
+                "t": time.perf_counter(),
+                "schema": SCHEMA_VERSION,
+                "tags": dict(run_tags or {}),
+            }
+        )
+        if not shard:
+            os.environ[SHARD_ENV] = path
+            interval = os.environ.get("REPRO_TRACE_MEM_INTERVAL", "0.5").strip()
+            if interval and float(interval) > 0:
+                from repro.obs.memory import MemorySampler
 
-                    self._sampler = MemorySampler(self, float(interval))
+                self._sampler = MemorySampler(self, float(interval))
 
     # ------------------------------------------------------------------
     # internals
@@ -311,34 +318,12 @@ class Tracer:
         self._pid = pid
         self._seq = 0
         self._sid = int(pid) * 1_000_000  # keep sids unique across shards
-        self._agg = {}  # inherited parent aggregates are not this pid's work
         self._local = threading.local()
         self._shard = True
         self._sampler = None
         self.path = f"{self.path}.shard-{pid}"
         self._handle = open(self.path, "w", encoding="utf-8")
         atexit.register(self.close)
-
-    def _finish_span(self, span: Span, dur: float) -> None:
-        with self._lock:
-            slot = self._agg.get(span.name)
-            if slot is None:
-                self._agg[span.name] = [1, dur]
-            else:
-                slot[0] += 1
-                slot[1] += dur
-        if self._handle is not None:
-            self._emit(
-                {
-                    "ev": "span",
-                    "t": span.t0,
-                    "dur": dur,
-                    "name": span.name,
-                    "sid": span.sid,
-                    "parent": span.parent,
-                    "tags": span.tags,
-                }
-            )
 
     # ------------------------------------------------------------------
     # public API (mirrors NullTracer)
@@ -370,15 +355,9 @@ class Tracer:
         cannot wrap the region.  ``t0`` must come from
         ``time.perf_counter()``.  The span is top-level (no parent —
         the recording thread's open spans are unrelated to the measured
-        region) and aggregates into phase totals like any other span.
+        region) and is timed into the registry like any other span.
         """
-        with self._lock:
-            slot = self._agg.get(name)
-            if slot is None:
-                self._agg[name] = [1, dur]
-            else:
-                slot[0] += 1
-                slot[1] += dur
+        _observe(name, dur, tags)
         if self._handle is not None:
             if "trace" not in tags:
                 trace_id = _TRACE_CTX.get()
@@ -397,7 +376,7 @@ class Tracer:
             )
 
     def sample_memory(self) -> None:
-        """Emit one ``rss`` event (no-op for metrics-only tracers)."""
+        """Emit one ``rss`` event (no-op once closed)."""
         if self._handle is None:
             return
         from repro.obs.memory import memory_sample
@@ -405,15 +384,6 @@ class Tracer:
         sample = memory_sample()
         if sample:
             self._emit({"ev": "rss", "t": time.perf_counter(), **sample})
-
-    def phase_seconds(self) -> Dict[str, float]:
-        """Total seconds per span name, aggregated in this process."""
-        with self._lock:
-            return {name: slot[1] for name, slot in self._agg.items()}
-
-    def phase_counts(self) -> Dict[str, int]:
-        with self._lock:
-            return {name: int(slot[0]) for name, slot in self._agg.items()}
 
     def counters(self) -> Dict[str, float]:
         """Registry counts recorded while this tracer is open.
@@ -444,18 +414,17 @@ class Tracer:
         if self._sampler is not None:
             self._sampler.stop()
             self._sampler = None
-        if self._handle is not None:
-            self.sample_memory()
-            counts = self._counts_at_close
-            if counts and not self._shard:
-                event = {"ev": "counters", "t": time.perf_counter(), "values": counts}
-                self._emit(event)
-            self._handle.close()
-            self._handle = None
-            if not self._shard:
-                merge_shards(self.path)
-                if os.environ.get(SHARD_ENV) == self.path:
-                    del os.environ[SHARD_ENV]
+        self.sample_memory()
+        counts = self._counts_at_close
+        if counts and not self._shard:
+            event = {"ev": "counters", "t": time.perf_counter(), "values": counts}
+            self._emit(event)
+        self._handle.close()
+        self._handle = None
+        if not self._shard:
+            merge_shards(self.path)
+            if os.environ.get(SHARD_ENV) == self.path:
+                del os.environ[SHARD_ENV]
 
     def __enter__(self) -> "Tracer":
         return self
@@ -573,7 +542,7 @@ def set_tracer(tracer) -> Any:
 
 
 def span(name: str, **tags: Any):
-    """Open a span on the active tracer (no-op when tracing is off)."""
+    """Open a span on the active tracer; it times into the registry."""
     return _ACTIVE.span(name, **tags)
 
 

@@ -30,7 +30,6 @@ Results are plain JSON-serialisable dicts with ``status: ok|degraded``
 
 from __future__ import annotations
 
-import time
 from typing import Any, Dict, List, Optional
 
 from repro.obs import metrics as _metrics
@@ -110,12 +109,8 @@ def _route_or_distance(
         hops = len(nodes) - 1
     else:
         registry.counter("serve.paths", op=op, method="bfs").inc()
-        t0 = time.perf_counter()
         with _obs.span("serve.bfs", op=op):
             dist = view.bfs_distances(src)
-        registry.histogram("serve.bfs.seconds", op=op).observe(
-            time.perf_counter() - t0
-        )
         hops = int(dist[dst])
         if want_path and hops >= 0:
             # walk dst -> src over the BFS levels from src, then reverse
@@ -137,7 +132,6 @@ def _route_or_distance(
 def _whatif(graph, request: Dict[str, Any], scenarios: ScenarioCache) -> Dict[str, Any]:
     key = protocol.request_scenario_key(request)
     masked = scenarios.get(key)
-    t0 = time.perf_counter()
     with _obs.span("serve.whatif", components=sum(len(part) for part in key)):
         alive = masked.num_alive_servers()
         total = graph.num_servers
@@ -164,9 +158,6 @@ def _whatif(graph, request: Dict[str, Any], scenarios: ScenarioCache) -> Dict[st
         count, examples = masked.cut_off_servers()
         payload["cut_off_servers"] = count
         payload["cut_off_examples"] = examples
-    _metrics.get_registry().histogram("serve.whatif.seconds").observe(
-        time.perf_counter() - t0
-    )
     if payload["largest_component_fraction"] < 1.0:
         return degraded(payload, "surviving servers are partitioned")
     return ok(payload)

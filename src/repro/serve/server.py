@@ -244,28 +244,28 @@ class TopologyService:
 
         Every submission — including shed and failed ones — lands in
         the live metrics: a ``serve.requests`` counter bump and a
-        ``serve.request.latency_seconds`` observation, both labeled
+        ``serve.request.latency`` span (timed into
+        ``serve.request.latency_seconds``), both labeled
         ``endpoint=<op>, outcome=<ok|degraded|timeout|shed|error>``.
         ``trace_id`` (client-minted, via the ``X-Trace-Id`` header)
         binds the trace context for the request's spans and rides the
         request dict into the worker.
         """
-        outcome = "error"
-        t0 = time.perf_counter()
-        try:
-            with _obs.trace_context(trace_id):
+        with _obs.trace_context(trace_id), _obs.span(
+            "serve.request.latency", endpoint=op, outcome="error"
+        ) as span:
+            try:
                 payload = self._submit(op, params, deadline_s, idempotency_key, trace_id)
-            outcome = "degraded" if payload.get("status") == "degraded" else "ok"
-            return payload
-        except ServeError as error:
-            outcome = _OUTCOME_BY_CODE.get(error.code, "error")
-            raise
-        finally:
-            registry = _metrics.get_registry()
-            registry.counter("serve.requests", endpoint=op, outcome=outcome).inc()
-            registry.histogram(
-                "serve.request.latency_seconds", endpoint=op, outcome=outcome
-            ).observe(time.perf_counter() - t0)
+                degraded = payload.get("status") == "degraded"
+                span.tag(outcome="degraded" if degraded else "ok")
+                return payload
+            except ServeError as error:
+                span.tag(outcome=_OUTCOME_BY_CODE.get(error.code, "error"))
+                raise
+            finally:
+                _metrics.get_registry().counter(
+                    "serve.requests", endpoint=op, outcome=span.tags["outcome"]
+                ).inc()
 
     def _submit(
         self,
@@ -302,11 +302,10 @@ class TopologyService:
         if deadline_s is None:
             deadline_s = config.default_deadline_s
         deadline_s = min(deadline_s, config.max_deadline_s)
-        with _obs.span("serve.request", op=op):
-            if self.supervisor is None:
-                payload = self._submit_inline(request, deadline_s)
-            else:
-                payload = self._submit_pooled(request, deadline_s)
+        if self.supervisor is None:
+            payload = self._submit_inline(request, deadline_s)
+        else:
+            payload = self._submit_pooled(request, deadline_s)
         self._remember(idempotency_key, payload)
         return payload
 
@@ -315,13 +314,12 @@ class TopologyService:
             self._inline_inflight += 1
         try:
             started = time.monotonic()
-            started_pc = time.perf_counter()
-            payload = engine.execute(self.graph, request, self._scenarios)
-            _metrics.get_registry().histogram(
-                "serve.execute.latency_seconds",
-                endpoint=request.get("op", "?"),
-                outcome="degraded" if payload.get("status") == "degraded" else "ok",
-            ).observe(time.perf_counter() - started_pc)
+            with _obs.span(
+                "serve.execute.latency", endpoint=request.get("op", "?"), outcome="error"
+            ) as span:
+                payload = engine.execute(self.graph, request, self._scenarios)
+                degraded = payload.get("status") == "degraded"
+                span.tag(outcome="degraded" if degraded else "ok")
             if time.monotonic() - started > deadline_s:
                 # Inline execution cannot be preempted; a blown budget
                 # still reports as a timeout so clients behave the same

@@ -204,19 +204,16 @@ class WorkerAgent(threading.Thread):
             _obs.counter("serve.timeouts.queued")
             return
         # Queue wait = enqueue (service thread) -> here (about to hit
-        # the pipe).  Observed as a histogram and, when tracing, as a
-        # retroactive span so the wait shows up on the request's trace.
+        # the pipe), recorded as a retroactive span so the wait shows up
+        # on the request's trace.
         job.picked_pc = time.perf_counter()
-        waited = job.picked_pc - job.enqueued_pc
-        op = job.request.get("op", "?")
-        _metrics.get_registry().histogram(
-            "serve.queue.wait_seconds", endpoint=op
-        ).observe(waited)
-        trace_tags = {"op": op, "slot": self.slot}
+        tags = {"endpoint": job.request.get("op", "?"), "slot": self.slot}
         trace_id = job.request.get("trace")
         if trace_id is not None:
-            trace_tags["trace"] = trace_id
-        _obs.record_span("serve.queue", job.enqueued_pc, waited, **trace_tags)
+            tags["trace"] = trace_id
+        _obs.record_span(
+            "serve.queue.wait", job.enqueued_pc, job.picked_pc - job.enqueued_pc, **tags
+        )
         self._seq += 1
         seq = self._seq
         try:

@@ -36,7 +36,6 @@ touches the segment's lifetime: the parent owns it.
 from __future__ import annotations
 
 import os
-import time
 from typing import Any, Dict
 
 from repro.serve import engine
@@ -65,32 +64,27 @@ def worker_main(conn, handle, scenario_capacity: int = 64) -> None:
             reply: Dict[str, Any] = {"seq": message.get("seq")}
             request = message.get("request") or {}
             op = request.get("op", "?")
-            trace_id = request.get("trace")
-            outcome = "error"
-            t0 = time.perf_counter()
-            try:
-                with obs_trace.trace_context(trace_id):
-                    with obs_trace.span("serve.execute", op=op):
-                        result = engine.execute(graph, request, scenarios)
-                outcome = (
-                    "degraded" if result.get("status") == "degraded" else "ok"
-                )
-                result["worker"] = {
-                    "pid": os.getpid(),
-                    "cache": scenarios.stats(),
-                }
-                reply["result"] = result
-            except ServeError as error:
-                outcome = "timeout" if error.code == "timeout" else "error"
-                reply["error"] = error.to_payload()
-            except Exception as error:  # noqa: BLE001 - must not kill the loop
-                reply["error"] = ServeError(
-                    "internal", f"{type(error).__name__}: {error}"
-                ).to_payload()
-            if op != "ping":
-                registry.histogram(
-                    "serve.execute.latency_seconds", endpoint=op, outcome=outcome
-                ).observe(time.perf_counter() - t0)
+            # the span closes before the snapshot below is taken, so
+            # the snapshot riding on this reply counts this request.
+            with obs_trace.trace_context(request.get("trace")), obs_trace.span(
+                "serve.execute.latency", endpoint=op, outcome="error"
+            ) as span:
+                try:
+                    result = engine.execute(graph, request, scenarios)
+                    degraded = result.get("status") == "degraded"
+                    span.tag(outcome="degraded" if degraded else "ok")
+                    result["worker"] = {
+                        "pid": os.getpid(),
+                        "cache": scenarios.stats(),
+                    }
+                    reply["result"] = result
+                except ServeError as error:
+                    span.tag(outcome="timeout" if error.code == "timeout" else "error")
+                    reply["error"] = error.to_payload()
+                except Exception as error:  # noqa: BLE001 - must not kill the loop
+                    reply["error"] = ServeError(
+                        "internal", f"{type(error).__name__}: {error}"
+                    ).to_payload()
             if "result" in reply:
                 # telemetry piggybacks on every result reply: the
                 # parent pops it, so the wire payload stays unchanged.

@@ -13,9 +13,11 @@ FCT distribution.  Results land in the standard pipeline:
 * a :class:`~repro.sim.results.ResultTable` row per trial (rate and FCT
   percentiles, throughput, link-load, unreachable counts);
 * :mod:`repro.obs` spans per phase (``traffic.matrix`` /
-  ``traffic.routes`` / ``traffic.allocate`` / ``traffic.fct``) and
+  ``traffic.routes`` / ``traffic.allocate`` / ``traffic.fct``), timed
+  into ``<span>_seconds`` registry histograms labeled by pattern, and
   counters, so ``repro obs report`` works on traced runs;
-* metrics histograms (``traffic.rate.units`` / ``traffic.fct.seconds``,
+* histograms of the flow model's results (``traffic.rate.units`` /
+  ``traffic.fct.units``, in capacity and size-over-capacity units,
   labeled by pattern) recorded in bulk via ``observe_many``;
 * every completed trial journaled under a deterministic key — a killed
   multi-trial run resumes without recomputing finished trials.
@@ -132,7 +134,7 @@ def run_trial(graph, spec: TrafficTrialSpec) -> Dict[str, Any]:
         import numpy as np
 
         finite = np.asarray(times)
-        registry.histogram("traffic.fct.seconds", pattern=spec.pattern).observe_many(
+        registry.histogram("traffic.fct.units", pattern=spec.pattern).observe_many(
             finite[np.isfinite(finite)]
         )
     num_servers = matrix.num_servers

@@ -46,6 +46,21 @@ class TestRunner:
             name.startswith("f2") and name.endswith(".csv") for name in tables_csvs
         )
 
+    def test_run_registry_folds_into_the_callers(self, tmp_path):
+        from repro.obs.metrics import MetricsRegistry, set_registry
+
+        outer = MetricsRegistry()
+        previous = set_registry(outer)
+        try:
+            run_experiment("F8", quick=True, out_dir=str(tmp_path), verbose=False)
+        finally:
+            set_registry(previous)
+        histograms = outer.snapshot()["histograms"]
+        timed = sum(h["count"] for h in histograms if h["name"] == "faults.trial_seconds")
+        # every counted trial was also timed, and both reached the caller
+        assert outer.counter_values()["faults.trials"] == timed > 0
+        assert [h["count"] for h in histograms if h["name"] == "experiment_seconds"] == [1]
+
     def test_quiet_mode(self, capsys, tmp_path):
         run_experiment("F11", quick=True, out_dir=str(tmp_path), verbose=False)
         assert capsys.readouterr().out == ""

@@ -7,7 +7,7 @@ import pytest
 from repro.faults.journal import TrialJournal, set_active_journal
 from repro.faults.plan import FaultModel
 from repro.faults.sweep import degradation_sweep
-from repro.obs.trace import Tracer, set_tracer
+from repro.obs.metrics import MetricsRegistry, set_registry
 
 
 @pytest.fixture(autouse=True)
@@ -140,21 +140,20 @@ class TestParallelPath:
         _, net = abccc_medium
         sequential = _sweep(net, workers=1)
 
-        def traced_sweep(workers):
-            tracer = Tracer()
-            previous = set_tracer(tracer)
+        def counted_sweep(workers):
+            registry = MetricsRegistry()
+            previous = set_registry(registry)
             try:
                 curve = _sweep(net, workers=workers, trials=4, levels=[0.0, 0.1, 0.3])
             finally:
-                set_tracer(previous)
-                tracer.close()
-            return curve, tracer.counters().get("faults.trials", 0)
+                set_registry(previous)
+            return curve, registry.counter_values().get("faults.trials", 0)
 
-        pooled, pooled_trials = traced_sweep(2)
-        resequential, sequential_trials = traced_sweep(1)
+        pooled, pooled_trials = counted_sweep(2)
+        resequential, sequential_trials = counted_sweep(1)
         assert pooled == resequential
         assert sequential.points != ()  # smoke: both paths produced curves
-        # the pool workers' trial counts reach the parent's tracer
+        # the pool workers' trial counts reach the parent's registry
         assert pooled_trials == sequential_trials > 0
 
     def test_broken_pool_degrades_loudly_with_same_results(

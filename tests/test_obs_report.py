@@ -274,15 +274,19 @@ class TestHarnessIntegration:
         from repro.experiments import run_experiment
 
         run_experiment("F8", quick=True, out_dir=str(tmp_path), verbose=False)
+        run_experiment("T1", quick=True, out_dir=str(tmp_path), verbose=False)
         with open(tmp_path / "runtimes.csv", newline="") as handle:
-            (row,) = list(csv.DictReader(handle))
+            row, t1_row = list(csv.DictReader(handle))
         assert row["experiment"] == "F8"
-        # F8 runs fault sweeps: plan/trials/journal phases are non-zero
-        # in the parent, and the peak-RSS cell is filled on Linux/POSIX.
+        # F8 runs fault sweeps: plan/trials/journal phases are non-zero,
+        # and the peak-RSS cell is filled on Linux/POSIX.
         assert float(row["trials_s"]) > 0.0
         assert float(row["wall_time_s"]) >= float(row["trials_s"])
         if row["peak_rss_mb"]:
             assert float(row["peak_rss_mb"]) > 0.0
+        # T1 runs no fault sweep: its fault phases are blank, not 0.000
+        assert t1_row["experiment"] == "T1"
+        assert t1_row["mask_s"] == ""
 
     def test_profile_flag_writes_prof(self, tmp_path):
         from repro.experiments import run_experiment

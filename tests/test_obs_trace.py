@@ -8,7 +8,7 @@ import pytest
 
 from repro.obs import trace as obs_trace
 from repro.obs.log import Heartbeat
-from repro.obs.metrics import MetricsRegistry, set_registry
+from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 from repro.obs.report import load_trace, validate_trace
 from repro.obs.trace import (
     NULL_TRACER,
@@ -39,17 +39,31 @@ class TestNullTracer:
         assert get_tracer() is NULL_TRACER
         assert not NULL_TRACER.enabled
 
-    def test_span_is_shared_noop_singleton(self):
-        a = NULL_TRACER.span("x", foo=1)
-        b = NULL_TRACER.span("y")
-        assert a is b  # no per-call allocation on the disabled path
-        with a as entered:
-            entered.tag(bar=2)  # tag() is accepted and ignored
+    def test_spans_time_into_the_registry_without_a_tracer(self):
+        assert get_tracer() is NULL_TRACER
+        registry = get_registry()
+        with obs_trace.span("phase.x", pattern="uniform", trial=3, seed=7) as span:
+            span.tag(outcome="ok")  # tags at close count
+        with obs_trace.span("phase.x", pattern="uniform"):
+            pass
+        obs_trace.record_span("phase.y", 0.0, 0.25, endpoint="route", slot=1)
+        histograms = {
+            (h["name"], tuple(sorted(h["labels"].items()))): h
+            for h in registry.snapshot()["histograms"]
+        }
+        # seeds, trials and slots never become labels
+        assert set(histograms) == {
+            ("phase.x_seconds", (("outcome", "ok"), ("pattern", "uniform"))),
+            ("phase.x_seconds", (("pattern", "uniform"),)),
+            ("phase.y_seconds", (("endpoint", "route"),)),
+        }
+        assert all(h["count"] == 1 for h in histograms.values())
+        (recorded,) = [h for h in histograms.values() if h["name"] == "phase.y_seconds"]
+        assert recorded["sum"] == pytest.approx(0.25)
 
     def test_counters_and_events_are_noops(self):
         obs_trace.counter("c", 3)
         NULL_TRACER.event("degraded-mode", "nope")
-        assert NULL_TRACER.phase_seconds() == {}
         assert NULL_TRACER.counters() == {}
         NULL_TRACER.close()  # idempotent no-op
 
@@ -106,22 +120,8 @@ class TestSpans:
         (span_event,) = [e for e in load_trace(path) if e["ev"] == "span"]
         assert span_event["tags"] == {"fixed": 1, "result": 42}
 
-    def test_phase_seconds_aggregates_without_file(self):
-        tracer = Tracer()  # metrics-only: nothing on disk
-        with tracer.span("phase.x"):
-            pass
-        with tracer.span("phase.x"):
-            pass
-        with tracer.span("phase.y"):
-            pass
-        assert tracer.phase_counts() == {"phase.x": 2, "phase.y": 1}
-        assert set(tracer.phase_seconds()) == {"phase.x", "phase.y"}
-        assert all(v >= 0 for v in tracer.phase_seconds().values())
-        assert tracer.path is None
-        tracer.close()
-
-    def test_counters_accumulate(self):
-        tracer = Tracer()
+    def test_counters_accumulate(self, tmp_path):
+        tracer = Tracer(path=str(tmp_path / "t.jsonl"))
         obs_trace.counter("hits")
         obs_trace.counter("hits", 2)
         obs_trace.counter("seconds", 0.5)

@@ -183,7 +183,7 @@ class TestWorkerTelemetry:
                 if c["name"] == "serve.paths"
                 and c["labels"] == {"op": "route", "method": "digit"}
             ) == 3
-            assert count_of("serve.bfs.seconds", op="route") == 0
+            assert count_of("serve.bfs_seconds", op="route") == 0
             # observed in the parent around the queue hand-off
             assert count_of("serve.queue.wait_seconds", endpoint="route") == 3
             gauges = {
@@ -201,7 +201,7 @@ class TestWorkerTelemetry:
             scenario = {"dead_servers": [dead]}
             assert client.route("0", "17", scenario=scenario)["status"] == "ok"
             snap = service.metrics_snapshot()
-            assert count_of("serve.bfs.seconds", op="route") == 1
+            assert count_of("serve.bfs_seconds", op="route") == 1
 
             # -- SIGKILL the worker mid-request; the retry must recover
             pid = worker_pids(service)[0]
@@ -264,8 +264,8 @@ class TestWorkerTelemetry:
         spans = trace_spans(load_trace(trace_path), trace_id)
         names = [s["name"] for s in spans]
         assert "serve.client.request" in names
-        assert names.count("serve.queue") >= 2, names  # one per attempt
-        executed = [s for s in spans if s["name"] == "serve.execute"]
+        assert names.count("serve.queue.wait") >= 2, names  # one per attempt
+        executed = [s for s in spans if s["name"] == "serve.execute.latency"]
         assert executed, names
         # the execution that answered ran in the *respawned* worker
         assert any(s["pid"] == new_pid for s in executed)

@@ -103,7 +103,7 @@ class TestRequestHistograms:
         # healthy ABCCC routes are digit-corrected: no BFS runs for them
         assert _counter(snap, "serve.paths", op="route", method="digit") == 3
         assert _counter(snap, "serve.paths", op="distance", method="digit") == 1
-        assert _histogram(snap, "serve.bfs.seconds", op="route") is None
+        assert _histogram(snap, "serve.bfs_seconds", op="route") is None
         # a scenario route still searches, and the BFS stage records it
         dead = graph.names[graph.server_indices[1]]
         service.submit(
@@ -111,7 +111,7 @@ class TestRequestHistograms:
         )
         snap = service.metrics_snapshot()
         assert _counter(snap, "serve.paths", op="route", method="bfs") == 1
-        assert _histogram(snap, "serve.bfs.seconds", op="route")["count"] == 1
+        assert _histogram(snap, "serve.bfs_seconds", op="route")["count"] == 1
 
     def test_error_outcome_is_recorded(self, service):
         with pytest.raises(ServeError):
@@ -119,6 +119,11 @@ class TestRequestHistograms:
         snap = service.metrics_snapshot()
         entry = _histogram(
             snap, "serve.request.latency_seconds", endpoint="route", outcome="error"
+        )
+        assert entry["count"] == 1
+        # the failed inline execution is timed too, as pooled ones are
+        entry = _histogram(
+            snap, "serve.execute.latency_seconds", endpoint="route", outcome="error"
         )
         assert entry["count"] == 1
 
@@ -142,6 +147,8 @@ class TestRequestHistograms:
             outcome="degraded",
         )
         assert entry["count"] == 1
+        # a what-if with no surviving server is timed like any other
+        assert _histogram(snap, "serve.whatif_seconds")["count"] == 1
 
     def test_scenario_cache_counters(self, service):
         scenario = {"dead_servers": ["s0.0/0"]}
@@ -150,6 +157,43 @@ class TestRequestHistograms:
         snap = service.metrics_snapshot()
         assert _counter(snap, "serve.scenario.cache_miss") == 1
         assert _counter(snap, "serve.scenario.cache_hit") == 1
+
+
+class TestSpansAreTheTimers:
+    def test_every_serve_span_is_one_observation(self, service, graph, tmp_path):
+        """Each serve span in the trace is one ``<span>_seconds`` count."""
+        path = str(tmp_path / "serve.trace.jsonl")
+        tracer = obs_trace.Tracer(path=path)
+        previous = obs_trace.set_tracer(tracer)
+        everyone = [graph.names[i] for i in graph.server_indices]
+        dead = everyone[1]
+        try:
+            service.submit("route", {"src": "0", "dst": "17"})
+            service.submit(
+                "route", {"src": "0", "dst": "17", "scenario": {"dead_servers": [dead]}}
+            )
+            service.submit("whatif", {"dead_servers": [dead], "sample_pairs": 5})
+            service.submit("whatif", {"dead_servers": everyone, "sample_pairs": 5})
+            snap = service.metrics_snapshot()
+        finally:
+            obs_trace.set_tracer(previous)
+            tracer.close()
+        traced = {}
+        for event in load_trace(path):
+            if event["ev"] == "span" and event["name"].startswith("serve."):
+                traced[event["name"]] = traced.get(event["name"], 0) + 1
+        timed = {}
+        for entry in snap["histograms"]:
+            if entry["name"].startswith("serve.") and entry["name"].endswith("_seconds"):
+                name = entry["name"][: -len("_seconds")]
+                timed[name] = timed.get(name, 0) + entry["count"]
+        assert traced == timed
+        assert traced == {
+            "serve.request.latency": 4,
+            "serve.execute.latency": 4,
+            "serve.bfs": 1,
+            "serve.whatif": 2,
+        }
 
 
 class TestMetricsEndpoint:
@@ -213,9 +257,8 @@ class TestTracePropagation:
         spans = trace_spans(load_trace(path), trace_id)
         names = {s["name"] for s in spans}
         # client attempt and server-side execution in one stitched tree
-        # (inline mode executes under a "serve.request" span)
         assert "serve.client.request" in names
-        assert "serve.request" in names
+        assert {"serve.request.latency", "serve.execute.latency"} <= names
         text, count = report_trace_id([path], trace_id)
         assert count == len(spans) >= 2
         assert trace_id in text
@@ -243,4 +286,4 @@ class TestTracePropagation:
             obs_trace.set_tracer(previous)
             tracer.close()
         spans = trace_spans(load_trace(path), "ext-42")
-        assert {s["name"] for s in spans} >= {"serve.request"}
+        assert {s["name"] for s in spans} >= {"serve.request.latency"}

@@ -6,7 +6,12 @@ import pytest
 from repro.core import AbcccSpec
 from repro.faults.journal import TrialJournal
 from repro.obs import trace as obs_trace
-from repro.obs.metrics import MetricsRegistry, set_registry
+from repro.obs.metrics import (
+    MetricsRegistry,
+    exposition_problems,
+    render_prometheus,
+    set_registry,
+)
 from repro.obs.report import load_trace, summarize
 from repro.topology.fastbuild import fast_compiled
 from repro.traffic import COLUMNS, TrafficTrialSpec, run_traffic, run_trial
@@ -136,19 +141,22 @@ class TestRunTraffic:
             previous_tracer = obs_trace.set_tracer(tracer)
             try:
                 table = run_traffic(
-                    graph, "t", "uniform", trials=4, seed=9, workers=workers
+                    graph, "t", "uniform", trials=4, seed=9, workers=workers, fct=True
                 )
             finally:
                 obs_trace.set_tracer(previous_tracer)
                 tracer.close()
                 set_registry(previous_registry)
             counters = summarize(load_trace(path)).counters
-            rates = sum(
-                h["count"]
-                for h in registry.snapshot()["histograms"]
-                if h["name"] == "traffic.rate.units"
-            )
-            return table, counters, rates
+            snapshot = registry.snapshot()
+            # the flow model's histograms and the span timings share the
+            # exposition without colliding
+            assert exposition_problems(render_prometheus(snapshot)) == []
+            counts = {}
+            for h in snapshot["histograms"]:
+                counts[h["name"]] = counts.get(h["name"], 0) + h["count"]
+            assert counts["traffic.allocate_seconds"] == 4  # one per trial
+            return table, counters, counts["traffic.rate.units"]
 
         seq, seq_counters, seq_rates = counted_run(1)
         par, par_counters, par_rates = counted_run(2)
