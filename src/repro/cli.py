@@ -43,9 +43,6 @@ Commands:
   and exit 0.
 * ``obs tail TRACE [--poll S] [--timeout S]`` — follow a live trace
   file (shards included), one rendered line per span/event.
-* ``obs diff OLD NEW [--threshold-pct P] [--calibrate]`` — compare two
-  benchmark or metrics JSON snapshots; exits 1 when any timing
-  regressed beyond the threshold (the CI perf gate).
 
 Error handling contract: user-level mistakes — unknown topology kind,
 malformed ``--param``, a ``--memmap`` path that is not a usable
@@ -587,20 +584,6 @@ def _cmd_obs_tail(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_obs_diff(args: argparse.Namespace) -> int:
-    from repro.obs.diff import diff_files, render_diff
-
-    result = diff_files(
-        args.old,
-        args.new,
-        threshold=args.threshold_pct / 100.0,
-        min_abs_s=args.min_abs_ms / 1000.0,
-        calibrate=args.calibrate,
-    )
-    print(render_diff(args.old, args.new, result, threshold=args.threshold_pct / 100.0))
-    return 0 if result.ok else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -897,7 +880,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.set_defaults(fn=_cmd_run)
 
-    obs = sub.add_parser("obs", help="observability: trace reports, tail, perf diff")
+    obs = sub.add_parser("obs", help="observability: trace reports and live tail")
     obs_sub = obs.add_subparsers(dest="obs_command", required=True)
     obs_report = obs_sub.add_parser(
         "report", help="per-phase breakdown / utilization report of trace files"
@@ -937,41 +920,27 @@ def build_parser() -> argparse.ArgumentParser:
         help="stop after N events (for scripting)",
     )
     obs_tail.set_defaults(fn=_cmd_obs_tail)
-
-    obs_diff = obs_sub.add_parser(
-        "diff", help="compare two benchmark/metrics snapshots; exit 1 on regression"
-    )
-    obs_diff.add_argument("old", help="baseline JSON (BENCH_*.json or /stats dump)")
-    obs_diff.add_argument("new", help="candidate JSON to compare against the baseline")
-    obs_diff.add_argument(
-        "--threshold-pct",
-        type=float,
-        default=25.0,
-        metavar="PCT",
-        help="flag timings more than PCT%% slower than the baseline",
-    )
-    obs_diff.add_argument(
-        "--min-abs-ms",
-        type=float,
-        default=1.0,
-        metavar="MS",
-        help="ignore regressions smaller than MS milliseconds absolute",
-    )
-    obs_diff.add_argument(
-        "--calibrate",
-        action="store_true",
-        help="divide ratios by the median ratio (normalises machine speed)",
-    )
-    obs_diff.set_defaults(fn=_cmd_obs_diff)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        # Block-buffered stdout holds up to 8 KiB: flush here so a gone
+        # reader surfaces below, not in the interpreter's exit flush.
+        sys.stdout.flush()
+        return status
     except KeyboardInterrupt:  # pragma: no cover - interactive only
         return 130
+    except BrokenPipeError:
+        # The reader went away (``repro … | head``): stop quietly, and
+        # point stdout at devnull so the interpreter's exit flush
+        # cannot raise again.  141 is the shell's status for SIGPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (CliError, ValueError, KeyError, OSError, NotImplementedError) as error:
         # User-level mistakes exit 2 with a one-line message, matching
         # argparse's own usage errors; REPRO_DEBUG=1 re-raises so

@@ -6,8 +6,8 @@ title, the qualitative *expectation* the paper's abstract/claims imply,
 and a ``run(quick)`` callable returning :class:`ResultTable` objects.
 
 ``quick=True`` shrinks instance sizes/samples so the same code path runs
-inside pytest-benchmark targets; full runs regenerate the numbers recorded
-in EXPERIMENTS.md.
+in seconds inside the test suite; full runs regenerate the numbers
+recorded in EXPERIMENTS.md.
 
 Robustness: when an output directory is set, each run opens a trial
 journal at ``<out_dir>/<exp_id>.journal.jsonl`` and installs it as the
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import csv
 import os
+import re
 import signal
 import threading
 import time
@@ -234,6 +235,9 @@ def run_experiment(
 ) -> List[ResultTable]:
     """Run one experiment; print its tables and write CSVs under out_dir.
 
+    The CSVs replace every ``<id>.csv`` and ``<id>_<n>.csv`` an earlier
+    run of the experiment left in ``out_dir``, quick or full.
+
     ``workers`` sets the sweep engine's default worker count for the
     duration of the run (see :mod:`repro.metrics.engine`); every run
     upserts its wall time, per-phase breakdown and peak RSS into
@@ -347,10 +351,16 @@ def run_experiment(
             table.print()
         logger.info("%s finished in %.1fs", experiment.exp_id, elapsed)
     if out_dir:
+        stem = experiment.exp_id.lower()
+        # A quick run writes one table where the full run writes several
+        # (or the reverse): clear every table of this experiment first,
+        # so no stale CSV stays beside the ones this run wrote.
+        for name in os.listdir(out_dir):
+            if re.fullmatch(rf"{stem}(_\d+)?\.csv", name):
+                os.unlink(os.path.join(out_dir, name))
         for i, table in enumerate(tables):
             suffix = "" if len(tables) == 1 else f"_{i}"
-            name = f"{experiment.exp_id.lower()}{suffix}.csv"
-            table.to_csv(os.path.join(out_dir, name))
+            table.to_csv(os.path.join(out_dir, f"{stem}{suffix}.csv"))
         _append_runtime(
             out_dir,
             experiment.exp_id,

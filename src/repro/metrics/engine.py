@@ -352,7 +352,9 @@ def _sweep_bitpack(
     distances and its reached-target count (exact ints) — the raw
     material for the sampled-sweep confidence interval.  Distance 0
     (the source itself) is excluded; unreachable (src, dst) pairs are
-    counted, not raised — the caller decides.
+    counted, not raised — the caller decides.  The counter
+    ``engine.sweep.word_ops`` gains the CSR entries times uint64 words
+    the frontier expansions gathered.
     """
     expander = _BitExpander(graph)
     nodes = graph.num_nodes
@@ -364,6 +366,7 @@ def _sweep_bitpack(
     sums: List[int] = []
     reached: List[int] = []
     one = _np.uint64(1)
+    word_ops = 0
     for lo in range(0, len(source_arr), block):
         chunk = source_arr[lo : lo + block]
         width = len(chunk)
@@ -379,6 +382,7 @@ def _sweep_bitpack(
         while True:
             level += 1
             nxt = expander.expand(frontier)
+            word_ops += expander.entries * words
             nxt &= ~visited
             if not nxt.any():
                 break
@@ -400,6 +404,7 @@ def _sweep_bitpack(
         if per_source:
             sums.extend(int(v) for v in chunk_sums)
             reached.extend(int(v) for v in chunk_reached)
+    _obs.counter("engine.sweep.word_ops", word_ops)
     return _hist_dict(acc), unreachable, sums, reached
 
 

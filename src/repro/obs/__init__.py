@@ -13,9 +13,7 @@ serve daemon's ``GET /metrics``:
 * :mod:`repro.obs.profile` — opt-in cProfile hook;
 * :mod:`repro.obs.report` — trace loading, validation, the
   per-phase/utilization/peak-RSS report, per-trace-id stitching and
-  the live tail follower;
-* :mod:`repro.obs.diff` — noise-aware snapshot comparison (the CI
-  perf-regression gate).
+  the live tail follower.
 
 Instrumented code imports the module-level proxies (:func:`span`,
 :func:`record_span`, :func:`event`, :func:`counter`), so call sites
@@ -28,14 +26,6 @@ docs/OBSERVABILITY.md for the trace schema, span and metric names and
 environment variables.
 """
 
-from repro.obs.diff import (
-    DiffEntry,
-    DiffResult,
-    diff_files,
-    diff_timings,
-    flatten_timings,
-    render_diff,
-)
 from repro.obs.log import Heartbeat, get_logger, heartbeat_interval
 from repro.obs.memory import MemorySampler, memory_sample, peak_rss_mb
 from repro.obs.metrics import (
@@ -93,8 +83,6 @@ from repro.obs.trace import (
 __all__ = [
     "BUCKET_BOUNDS",
     "Counter",
-    "DiffEntry",
-    "DiffResult",
     "Gauge",
     "Heartbeat",
     "Histogram",
@@ -114,11 +102,8 @@ __all__ = [
     "cache_hit_lines",
     "counter",
     "current_trace_id",
-    "diff_files",
-    "diff_timings",
     "event",
     "exposition_problems",
-    "flatten_timings",
     "follow_trace",
     "get_logger",
     "get_registry",
@@ -134,7 +119,6 @@ __all__ = [
     "peak_rss_mb",
     "profile_enabled",
     "record_span",
-    "render_diff",
     "render_prometheus",
     "render_report",
     "render_tail_event",

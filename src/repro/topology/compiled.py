@@ -221,13 +221,16 @@ class CompiledGraph:
     def bfs_distances(self, src: int):
         """Hop distances from ``src`` to every node (-1 = unreachable).
 
-        Returns a numpy int64 array indexed by node id.
+        Returns a numpy int64 array indexed by node id.  The counter
+        ``compiled.bfs.entries`` gains the CSR neighbour entries the
+        frontiers gathered.
         """
         offsets, neighbors = self.offsets, self.neighbors
         dist = _np.full(self.num_nodes, -1, dtype=_np.int64)
         dist[src] = 0
         frontier = _np.array([src], dtype=_np.int64)
         level = 0
+        entries = 0
         while frontier.size:
             level += 1
             # int64 copies keep the gather arithmetic signed — the CSR
@@ -237,6 +240,7 @@ class CompiledGraph:
             total = int(counts.sum())
             if total == 0:
                 break
+            entries += total
             # Gather the concatenated neighbor slices of the frontier.
             ends = _np.cumsum(counts)
             gather = _np.arange(total) + _np.repeat(starts - (ends - counts), counts)
@@ -246,6 +250,7 @@ class CompiledGraph:
                 break
             dist[fresh] = level
             frontier = _np.unique(fresh)
+        _obs.counter("compiled.bfs.entries", entries)
         return dist
 
     def entry_index(self, u: int, v: int) -> int:

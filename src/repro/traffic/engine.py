@@ -30,6 +30,8 @@ from typing import Any, Dict, Optional, Sequence
 
 import numpy as _np
 
+from repro.obs import trace as _obs
+
 #: relative tie tolerance between saturation levels, and the relative
 #: completion threshold of the fluid FCT loop.
 SATURATION_EPS = 1e-12
@@ -149,6 +151,9 @@ def max_min_rates(routes, active: Optional[Any] = None) -> TrafficAllocation:
     rates frozen on it, so rates stay within a few ulps of exact
     water-filling.  Each incidence entry is visited O(1) times and each
     visit costs at most one heap operation: O(incidence · log E) in all.
+
+    The counter ``traffic.allocate.edge_visits`` gains the saturation
+    keys the loop evaluates: heap pops plus stale-key re-pushes.
     """
     np = _np
     num_flows = routes.num_flows
@@ -182,6 +187,7 @@ def max_min_rates(routes, active: Optional[Any] = None) -> TrafficAllocation:
     heap = list(zip((residual[loaded] / crossings[loaded]).tolist(), loaded.tolist()))
     del loaded
     heapq.heapify(heap)
+    heap_entries = len(heap)
 
     rates = np.zeros(num_flows, dtype=np.float64)
     bottlenecks = np.full(num_flows, -1, dtype=np.int64)
@@ -201,6 +207,7 @@ def max_min_rates(routes, active: Optional[Any] = None) -> TrafficAllocation:
     # need not be popped.
     remaining = int(np.count_nonzero(flow_active & (offsets[1:] > offsets[:-1])))
     rounds = 0
+    repushes = 0
     while remaining:
         key, edge = heap[0]
         count = count_v[edge]
@@ -210,6 +217,7 @@ def max_min_rates(routes, active: Optional[Any] = None) -> TrafficAllocation:
         current = residual_v[edge] / count
         if current != key:
             heapreplace(heap, (current, edge))
+            repushes += 1
             continue
         heappop(heap)
         rounds += 1
@@ -237,6 +245,7 @@ def max_min_rates(routes, active: Optional[Any] = None) -> TrafficAllocation:
                 entries += adj_offset_v[other + 1] - adj_offset_v[other]
             else:
                 heapreplace(heap, (current, other))
+                repushes += 1
         for edge in batch:
             batch_v[edge] = rounds
         if entries >= BATCH_ARRAY_MIN:
@@ -282,6 +291,7 @@ def max_min_rates(routes, active: Optional[Any] = None) -> TrafficAllocation:
 
     # Active flows that cross no edge meet no constraint.
     rates[live.view(bool)] = math.inf
+    _obs.counter("traffic.allocate.edge_visits", heap_entries - len(heap) + repushes)
     return TrafficAllocation(
         rates=rates,
         bottleneck_edges=bottlenecks,
@@ -358,7 +368,7 @@ def fluid_fct(routes, sizes, starts: Optional[Any] = None) -> FctStats:
     the unit of ``sizes``.  Starts within ``ARRIVAL_SLACK`` after the
     new instant are admitted; with no active flow, time jumps to the
     next start.  Unreachable flows never start and keep completion
-    ``inf``.
+    ``inf``.  The counter ``traffic.fct.solves`` gains the solves.
 
     Raises:
         ValueError: if ``sizes`` or ``starts`` has the wrong length, or
@@ -431,4 +441,5 @@ def fluid_fct(routes, sizes, starts: Optional[Any] = None) -> FctStats:
             raise RuntimeError(
                 f"fluid FCT solve {solves} neither retired nor admitted a flow"
             )
+    _obs.counter("traffic.fct.solves", solves)
     return FctStats(completion_times=finish, start_times=start_times, solves=solves)

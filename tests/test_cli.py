@@ -1,8 +1,14 @@
 """CLI surface tests (argument parsing, outputs, exit codes)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
 class TestList:
@@ -179,6 +185,37 @@ class TestErrorPaths:
 
         with pytest.raises(CliError):
             main(["build", "abccc", "-p", "n=three"])
+
+    @pytest.mark.parametrize(
+        "command,unbuffered",
+        [("experiments", False), ("experiments", True), ("list", False)],
+        ids=["long-buffered", "long-unbuffered", "short-buffered"],
+    )
+    def test_closed_stdout_stops_quietly(self, command, unbuffered):
+        # ``repro … | head``: the reader is gone before the output is.
+        # Block-buffered stdout (the default on a pipe) holds all of a
+        # short output until exit; unbuffered stdout fails at the first
+        # write.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.abspath(SRC), env.get("PYTHONPATH")])
+        )
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "repro", command],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 141
+        assert result.stderr == b""
 
 
 class TestExportVerifyManifest:

@@ -52,6 +52,10 @@ class TestExpectations:
         validation = quick_results["T1"][1]
         assert all(validation.column("valid"))
 
+    def test_t2_itemised_totals_positive(self, quick_results):
+        itemised = quick_results["T2"][0]
+        assert all(row["total"] > 0 for row in itemised.rows)
+
     def test_f1_diameter_ordering_and_linearity(self, quick_results):
         table = quick_results["F1"][0]
         s2 = table.column("abccc_s2")
@@ -86,6 +90,7 @@ class TestExpectations:
             by_family.setdefault(row["family"], []).append(row["per_server"])
         assert min(by_family["ficonn"]) < min(by_family["abccc_s2"])
         assert max(by_family["abccc_s2"]) < max(by_family["bcube"])
+        assert "fattree" in by_family
 
     def test_f5_abccc_pure_addition_bcube_not(self, quick_results):
         table = quick_results["F5"][0]
@@ -110,6 +115,9 @@ class TestExpectations:
 
     def test_f7_throughput_tracks_bisection(self, quick_results):
         table = quick_results["F7"][0]
+        for row in table.rows:
+            assert row["agg_per_server"] > 0
+            assert 0 < row["jain"] <= 1.0
         perm = {
             row["topology"]: row["agg_per_server"]
             for row in table.rows
@@ -128,6 +136,9 @@ class TestExpectations:
                     values[row["fraction"]] = row[column]
             assert values[0.0] == pytest.approx(1.0)
             assert all(v > 0.5 for v in values.values())  # graceful
+        ft_routing = quick_results["F8"][1]
+        for row in ft_routing.rows:
+            assert row["greedy_ok"] + row["fallback"] <= row["reachable"]
 
     def test_f9_tree_beats_naive_unicast(self, quick_results):
         table = quick_results["F9"][0]
@@ -152,6 +163,9 @@ class TestExpectations:
 
     def test_f12_locality_shortest_identity_not_best_balanced(self, quick_results):
         table = quick_results["F12"][0]
+        assert {row["strategy"] for row in table.rows} == {
+            "identity", "random", "locality", "balanced"
+        }
         rows = {row["strategy"]: row for row in table.rows if row["instance"]}
         assert rows["locality"]["mean_links"] <= rows["identity"]["mean_links"]
         assert rows["locality"]["mean_links"] <= rows["random"]["mean_links"]
@@ -173,6 +187,9 @@ class TestExpectations:
 
     def test_e3_adaptive_no_worse_than_fixed(self, quick_results):
         table = quick_results["E3"][0]
+        assert {row["policy"] for row in table.rows} == {
+            "adaptive", "fixed", "hashed", "vlb"
+        }
         by_key = {}
         for row in table.rows:
             by_key[(row["instance"], row["workload"], row["policy"])] = row
@@ -184,10 +201,16 @@ class TestExpectations:
 
     def test_e4_server_centric_keeps_cables_local(self, quick_results):
         table = quick_results["E4"][0]
+        assert all(row["total_length_m"] > 0 for row in table.rows)
         rows = {row["topology"]: row for row in table.rows}
         abccc = next(v for k, v in rows.items() if k.startswith("ABCCC"))
         fattree = next(v for k, v in rows.items() if k.startswith("FATTREE"))
         assert abccc["intra_rack_frac"] >= fattree["intra_rack_frac"]
+
+    def test_e6_repairs_never_exceed_reachable(self, quick_results):
+        table = quick_results["E6"][0]
+        for row in table.rows:
+            assert row["greedy_ok"] + row["fallback"] <= row["reachable"]
 
     def test_e7_rack_failures_accounted(self, quick_results):
         table = quick_results["E7"][0]
@@ -219,3 +242,13 @@ class TestRunnerPlumbing:
         assert tables
         files = list(tmp_path.glob("f11*.csv"))
         assert files
+
+    def test_rerun_leaves_only_its_own_tables(self, tmp_path):
+        # E2 writes one table quick and three full.
+        for quick, expected in (
+            (True, ["e2.csv"]),
+            (False, ["e2_0.csv", "e2_1.csv", "e2_2.csv"]),
+            (True, ["e2.csv"]),
+        ):
+            run_experiment("E2", quick=quick, out_dir=str(tmp_path), verbose=False)
+            assert sorted(p.name for p in tmp_path.glob("e2*.csv")) == expected
