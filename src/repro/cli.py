@@ -115,36 +115,38 @@ def _cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
+#: the spans of ``spec.compiled``: a vectorized build, or an object
+#: build and its compile.
+_COMPILE_PHASES = ("topology.fastbuild", "topology.build", "topology.compile")
+
+
+def _seconds(scope, names: Sequence[str]) -> float:
+    """Total seconds of the named spans in a run scope."""
+    phases = scope.phases()
+    return sum(phases[name][1] for name in names if name in phases)
+
+
 def _build_fast(spec, args: argparse.Namespace) -> int:
     """``build --fast``: direct-to-CSR compile, no object graph.
 
     Goes through the :func:`repro.topology.compiled.build_compiled`
     seam, so families without a vectorized constructor still work (the
-    summary says which path ran).  ``--memmap DIR`` backs the arrays
-    with files there; ``--trace PATH`` writes the span trace.
+    summary says which path ran, and the compile time includes their
+    object build).  ``--memmap DIR`` backs the arrays with files there;
+    ``--trace PATH`` writes the span trace.
     """
-    import time
-
-    from repro.obs import peak_rss_mb
-    from repro.obs import trace as obs_trace
+    from repro import obs
     from repro.topology.fastbuild import FastCompiledGraph, csr_nbytes
 
-    tracer = obs_trace.Tracer(path=args.trace) if args.trace else None
-    previous = obs_trace.set_tracer(tracer) if tracer else None
-    try:
-        started = time.perf_counter()
+    with obs.run(args.trace, command="build", instance=spec.label) as scope:
         graph = spec.compiled(memmap_dir=args.memmap)
-        elapsed = time.perf_counter() - started
-    finally:
-        if tracer is not None:
-            obs_trace.set_tracer(previous)
-            tracer.close()
     path = "fastbuild" if isinstance(graph, FastCompiledGraph) else "object graph"
     switches = graph.num_nodes - graph.num_servers
     print(f"{spec.label}: {graph.num_servers} servers, {switches} switches, "
           f"{graph.num_edges} links ({path})")
-    print(f"  compiled in {elapsed:.3f}s, CSR {csr_nbytes(graph) / 1e6:.1f} MB")
-    rss = peak_rss_mb()
+    print(f"  compiled in {_seconds(scope, _COMPILE_PHASES):.3f}s, "
+          f"CSR {csr_nbytes(graph) / 1e6:.1f} MB")
+    rss = obs.peak_rss_mb()
     if rss is not None:
         print(f"  peak RSS: {rss:.1f} MB")
     if args.memmap:
@@ -156,19 +158,12 @@ def _build_fast(spec, args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     """``sweep``: graph-native distance stats, no ``Network`` built."""
-    import time
-
+    from repro import obs
     from repro.metrics.engine import sweep_graph_distance_stats
-    from repro.obs import peak_rss_mb
-    from repro.obs import trace as obs_trace
 
     spec = create(args.kind, **_parse_params(args.param))
-    tracer = obs_trace.Tracer(path=args.trace) if args.trace else None
-    previous = obs_trace.set_tracer(tracer) if tracer else None
-    try:
-        started = time.perf_counter()
+    with obs.run(args.trace, command="sweep", instance=spec.label) as scope:
         graph = spec.compiled(memmap_dir=args.memmap)
-        compiled_at = time.perf_counter()
         stats = sweep_graph_distance_stats(
             graph,
             sample_sources=args.sample,
@@ -176,11 +171,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             workers=args.workers,
             label=spec.label,
         )
-        swept_at = time.perf_counter()
-    finally:
-        if tracer is not None:
-            obs_trace.set_tracer(previous)
-            tracer.close()
     switches = graph.num_nodes - graph.num_servers
     print(f"{spec.label}: {graph.num_servers} servers, {switches} switches")
     mean = f"{stats.mean:.4f}"
@@ -190,9 +180,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     bound = "diameter" if stats.exact else "diameter >="
     print(f"  {bound} {stats.diameter} link hops, mean {mean} "
           f"({mode}, {stats.pairs} pairs)")
-    print(f"  compile {compiled_at - started:.3f}s, "
-          f"sweep {swept_at - compiled_at:.3f}s")
-    rss = peak_rss_mb()
+    print(f"  compile {_seconds(scope, _COMPILE_PHASES):.3f}s, "
+          f"sweep {_seconds(scope, ['engine.sweep']):.3f}s")
+    rss = obs.peak_rss_mb()
     if rss is not None:
         print(f"  peak RSS: {rss:.1f} MB")
     if args.trace:
@@ -421,12 +411,12 @@ def _parse_faults(text: Optional[str]) -> Dict[str, float]:
 def _cmd_traffic(args: argparse.Namespace) -> int:
     """``traffic``: flow-level max-min engine on the compiled graph."""
     import json
-    import time
+    import re
 
-    from repro.faults.journal import TrialJournal
-    from repro.obs import metrics as obs_metrics
-    from repro.obs import peak_rss_mb
-    from repro.obs import trace as obs_trace
+    from repro import obs
+    from repro.experiments.harness import write_runtimes
+    from repro.faults.journal import journaled
+    from repro.metrics.engine import resolve_workers
     from repro.traffic import run_traffic
 
     if args.trials < 1:
@@ -435,65 +425,58 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
     matrix_params = _parse_matrix_params(args.matrix_param)
     fault_fractions = _parse_faults(args.faults)
 
-    import re
-
     slug = re.sub(r"[^A-Za-z0-9._-]+", "", spec.label)
-    journal = None
+    journal_file = None
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         journal_file = os.path.join(args.out, f"traffic-{slug}.journal.jsonl")
-        if not args.resume and os.path.exists(journal_file):
-            os.unlink(journal_file)
-        journal = TrialJournal(journal_file)
 
-    tracer = obs_trace.Tracer(path=args.trace) if args.trace else None
-    previous = obs_trace.set_tracer(tracer) if tracer else None
-    try:
-        started = time.perf_counter()
-        graph = spec.compiled(memmap_dir=args.memmap)
-        compiled_at = time.perf_counter()
-        table = run_traffic(
-            graph,
-            spec.label,
-            args.pattern,
-            trials=args.trials,
-            seed=args.seed,
-            pattern_params=matrix_params,
-            fault_fractions=fault_fractions,
-            fault_seed=args.fault_seed,
-            fct=args.fct,
-            workers=args.workers,
-            journal=journal,
-        )
-        finished = time.perf_counter()
-    finally:
-        if journal is not None:
-            journal.close()
-        if tracer is not None:
-            obs_trace.set_tracer(previous)
-            tracer.close()
-    print(table.render())
-    print(f"  compile {compiled_at - started:.3f}s, "
-          f"trials {finished - compiled_at:.3f}s")
-    rss = peak_rss_mb()
-    if rss is not None:
-        print(f"  peak RSS: {rss:.1f} MB")
-    if args.out:
-        csv_path = os.path.join(args.out, f"traffic_{slug}_{args.pattern}.csv")
-        table.to_csv(csv_path)
-        print(f"  rows written to {csv_path}")
-    if args.metrics:
-        with open(args.metrics, "w", encoding="utf-8") as handle:
-            json.dump(obs_metrics.get_registry().snapshot(), handle, indent=2)
-        print(f"  metrics snapshot written to {args.metrics}")
-    if args.trace:
-        print(f"  trace written to {args.trace}")
+    with journaled(journal_file, args.resume):
+        with obs.run(
+            args.trace, command="traffic", instance=spec.label, pattern=args.pattern
+        ) as scope:
+            graph = spec.compiled(memmap_dir=args.memmap)
+            table = run_traffic(
+                graph,
+                spec.label,
+                args.pattern,
+                trials=args.trials,
+                seed=args.seed,
+                pattern_params=matrix_params,
+                fault_fractions=fault_fractions,
+                fault_seed=args.fault_seed,
+                fct=args.fct,
+                workers=args.workers,
+            )
+        print(table.render())
+        print(f"  compile {_seconds(scope, _COMPILE_PHASES):.3f}s, "
+              f"trials {_seconds(scope, ['traffic.run']):.3f}s")
+        rss = obs.peak_rss_mb()
+        if rss is not None:
+            print(f"  peak RSS: {rss:.1f} MB")
+        if args.out:
+            csv_path = os.path.join(args.out, f"traffic_{slug}_{args.pattern}.csv")
+            table.to_csv(csv_path)
+            write_runtimes(
+                args.out,
+                f"traffic:{spec.label}:{args.pattern}",
+                False,
+                resolve_workers(args.workers),
+                scope.phases(),
+            )
+            print(f"  rows written to {csv_path}")
+        if args.metrics:
+            with open(args.metrics, "w", encoding="utf-8") as handle:
+                json.dump(scope.registry.snapshot(), handle, indent=2)
+            print(f"  metrics snapshot written to {args.metrics}")
+        if args.trace:
+            print(f"  trace written to {args.trace}")
     return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """``serve``: the always-on topology query daemon (docs/OPERATIONS.md)."""
-    from repro.obs import trace as obs_trace
+    from repro import obs
     from repro.serve import Daemon, ServeConfig, TopologyService
 
     if args.workers < 0:
@@ -513,9 +496,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         drain_timeout_s=args.drain_timeout,
         scenario_cache=args.scenario_cache,
     )
-    tracer = obs_trace.Tracer(path=args.trace) if args.trace else None
-    previous = obs_trace.set_tracer(tracer) if tracer else None
-    try:
+    with obs.run(args.trace, command="serve", instance=spec.label):
         graph = spec.compiled(memmap_dir=args.memmap)
         service = TopologyService(graph, config, label=spec.label)
         daemon = Daemon(
@@ -534,12 +515,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         code = daemon.run()
         print("drained and stopped", flush=True)
-        return code
-    finally:
-        if tracer is not None:
-            obs_trace.set_tracer(previous)
-            tracer.close()
-            print(f"trace written to {args.trace}", flush=True)
+    if args.trace:
+        print(f"trace written to {args.trace}", flush=True)
+    return code
 
 
 def _cmd_obs_report(args: argparse.Namespace) -> int:
@@ -924,13 +902,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        status = args.fn(args)
-        # Block-buffered stdout holds up to 8 KiB: flush here so a gone
-        # reader surfaces below, not in the interpreter's exit flush.
-        sys.stdout.flush()
-        return status
+        try:
+            args = build_parser().parse_args(argv)
+            return args.fn(args)
+        finally:
+            # Block-buffered stdout holds up to 8 KiB, argparse's help
+            # included: flush here, before its SystemExit propagates, so
+            # a gone reader surfaces below, not in the interpreter's
+            # exit flush.
+            sys.stdout.flush()
     except KeyboardInterrupt:  # pragma: no cover - interactive only
         return 130
     except BrokenPipeError:

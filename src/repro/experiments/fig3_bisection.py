@@ -2,10 +2,10 @@
 
 Per-server bisection bandwidth is ABCCC's clearest dial: ``1/(2c)`` with
 ``c = ceil((k+1)/(s-1))`` — BCCC pays ``1/(2(k+1))``, BCube enjoys
-``1/2``, ABCCC sweeps between.  The measured columns certify the closed
-forms: the best cut the estimator finds (spectral + digit + random
-partitions, each evaluated by exact max-flow) must *equal* the formula on
-the cube family.
+``1/2``, ABCCC sweeps between.  The measured column is the best cut the
+estimator finds (spectral + digit + random partitions, each evaluated by
+exact max-flow); on the cube family it equals the digit-cut closed form.
+Both are upper bounds on the bisection width, not the width itself.
 """
 
 from __future__ import annotations
@@ -83,12 +83,13 @@ def _measured_table(quick: bool) -> ResultTable:
             servers=spec.num_servers,
             analytic=analytic,
             measured_ub=measured,
-            match=(analytic is None or measured == analytic),
+            match=None if analytic is None else measured == analytic,
         )
     table.add_note(
-        "measured_ub is the best cut found (an upper bound); match=yes "
-        "certifies the closed form since the formula is also a lower-bound "
-        "argument. DCell/FiConn rows are measurement-only."
+        "measured_ub is the best cut found and analytic the digit-cut closed "
+        "form; both are upper bounds on the bisection width, so match=True "
+        "says the search found no cut below the formula, not that the formula "
+        "is the width. DCell/FiConn rows have no formula, so no match."
     )
     return table
 

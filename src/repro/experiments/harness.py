@@ -10,21 +10,21 @@ in seconds inside the test suite; full runs regenerate the numbers
 recorded in EXPERIMENTS.md.
 
 Robustness: when an output directory is set, each run opens a trial
-journal at ``<out_dir>/<exp_id>.journal.jsonl`` and installs it as the
-active journal for the fault sweeps (:mod:`repro.faults`) — every
-completed failure trial is flushed to disk, so a killed run (crash,
-SIGKILL, :class:`ExperimentTimeout`) can be re-run with ``resume=True``
-and only the missing trials are recomputed.  The journal is deleted on
-success; one on disk always means an interrupted run.  ``timeout``
-bounds an experiment's wall clock via ``SIGALRM`` (POSIX main thread
-only; a no-op elsewhere).
+journal at ``<out_dir>/<exp_id>.journal.jsonl`` through
+:func:`repro.faults.journal.journaled`, active for the fault sweeps
+(:mod:`repro.faults`) — every completed failure trial is flushed to
+disk, so a killed run (crash, SIGKILL, :class:`ExperimentTimeout`) can
+be re-run with ``resume=True`` and only the missing trials are
+recomputed.  The journal is deleted on success; one on disk always
+means an interrupted run.  ``timeout`` bounds an experiment's wall
+clock via ``SIGALRM`` (POSIX main thread only; a no-op elsewhere).
 
-Observability: every experiment runs under a fresh
-:class:`~repro.obs.metrics.MetricsRegistry`, folded into the caller's
-registry when it ends.  Its spans time into that registry, pool
-workers' included, and ``runtimes.csv`` reads its phase cells from
-there.  A JSONL trace is streamed only when ``trace=`` / ``--trace`` /
-``REPRO_TRACE`` opt in (summarise with ``repro obs report``).  Progress messages go to stderr through the ``repro``
+Observability: every experiment runs in its own :func:`repro.obs.run`
+scope.  Its spans, pool workers' included, time into the scope's
+registry, and ``runtimes.csv`` gets one row per phase that ran, read
+from there.  A JSONL trace is streamed only when ``trace=`` /
+``--trace`` / ``REPRO_TRACE`` opt in (summarise with ``repro obs
+report``).  Progress messages go to stderr through the ``repro``
 logger, with a periodic heartbeat on long runs; result tables stay on
 stdout.
 """
@@ -36,46 +36,33 @@ import os
 import re
 import signal
 import threading
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro import obs
 from repro.sim.results import ResultTable
 
-#: per-run timing log written next to the experiment CSVs; one row per
-#: (experiment, quick, workers) key — re-runs replace their row, so the
-#: file is a table of current timings, not an append-only history.
+#: per-run timing log written next to the experiment CSVs: one row per
+#: phase that ran, keyed by (experiment, quick, workers, phase) — a
+#: re-run replaces its key's rows, so the file is a table of current
+#: timings, not an append-only history.
 RUNTIMES_FILENAME = "runtimes.csv"
 
-#: runtimes.csv schema: identity key, wall clock, per-phase attribution
-#: (span totals from the run's registry) and the process peak RSS.
+#: runtimes.csv schema: the run's key, one span name with its count and
+#: summed seconds (pool workers' included), and the process's peak RSS.
+#: The ``experiment`` phase is an experiment's wall time.  The peak is
+#: the process high-water mark when the run ended, so in ``run all`` it
+#: includes every earlier experiment.
 RUNTIMES_COLUMNS = (
     "experiment",
     "quick",
     "workers",
-    "wall_time_s",
-    "compile_s",
-    "sweep_s",
-    "handoff_s",
-    "plan_s",
-    "mask_s",
-    "trials_s",
-    "journal_s",
-    "peak_rss_mb",
+    "phase",
+    "count",
+    "seconds",
+    "process_peak_rss_mb",
 )
-
-#: span name feeding each phase column of runtimes.csv.
-_PHASE_COLUMNS = {
-    "compile_s": "topology.compile",
-    "sweep_s": "engine.sweep",
-    "handoff_s": "engine.handoff",
-    "plan_s": "faults.plan",
-    "mask_s": "faults.mask",
-    "trials_s": "faults.trials",
-    "journal_s": "faults.journal",
-}
 
 
 @dataclass(frozen=True)
@@ -240,8 +227,8 @@ def run_experiment(
 
     ``workers`` sets the sweep engine's default worker count for the
     duration of the run (see :mod:`repro.metrics.engine`); every run
-    upserts its wall time, per-phase breakdown and peak RSS into
-    ``out_dir/runtimes.csv`` (keyed by experiment/quick/workers).
+    replaces its rows of ``out_dir/runtimes.csv`` (keyed by
+    experiment/quick/workers) with one row per phase that ran.
 
     ``resume=True`` replays the trial journal a previous interrupted run
     left in ``out_dir`` (completed fault-sweep trials are not recomputed);
@@ -257,205 +244,123 @@ def run_experiment(
     string = explicit path; ``None`` consults ``REPRO_TRACE``), and
     ``profile`` the cProfile hook (``None`` consults ``REPRO_PROFILE``).
     """
-    from repro.faults.journal import TrialJournal, set_active_journal
+    from repro.faults.journal import journaled
     from repro.metrics import engine
 
     experiment = get_experiment(exp_id)
     logger = obs.get_logger("repro.harness")
-    previous = engine.set_default_workers(workers) if workers is not None else None
-    journal = None
-    previous_journal = None
+    journal_file = None
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        path = journal_path(out_dir, experiment.exp_id)
-        if not resume and os.path.exists(path):
-            os.unlink(path)
-        journal = TrialJournal(path)
-        previous_journal = set_active_journal(journal)
-        if resume and verbose and len(journal):
-            logger.info(
-                "%s: resuming — %d journaled trials will be replayed",
-                experiment.exp_id,
-                len(journal),
-            )
-
-    effective_workers = engine.resolve_workers(workers)
-    # the run's own registry, like each pool task's: its counts and span
-    # timings are this experiment's alone.  Installed before the tracer,
-    # whose counters event reports the registry active when it opened.
-    registry = obs.MetricsRegistry()
-    previous_registry = obs.set_registry(registry)
-    trace_file = _resolve_trace(trace, out_dir, experiment.exp_id)
-    tracer = None
-    if trace_file:
-        tracer = obs.Tracer(
-            trace_file,
-            run_tags={
-                "experiment": experiment.exp_id,
-                "quick": int(quick),
-                "workers": effective_workers,
-            },
-        )
-    previous_tracer = obs.set_tracer(tracer)
-    started = time.perf_counter()
-
-    def _beat() -> None:
-        counters = registry.counter_values()
-        trials = int(
-            counters.get("faults.trials", 0)
-            + counters.get("faults.trials_replayed", 0)
-        )
-        logger.info(
-            "%s running — %.0fs elapsed, %d fault trials",
-            experiment.exp_id,
-            time.perf_counter() - started,
-            trials,
-        )
-
-    heartbeat = obs.Heartbeat(obs.heartbeat_interval() if verbose else 0.0, _beat)
+        journal_file = journal_path(out_dir, experiment.exp_id)
+    previous = engine.set_default_workers(workers) if workers is not None else None
     try:
-        with obs.span(
-            "experiment",
-            exp=experiment.exp_id,
-            quick=int(quick),
-            workers=effective_workers,
-        ):
-            with _wall_clock_limit(timeout, experiment.exp_id):
-                with obs.maybe_profile(
-                    obs.profile_enabled(profile), out_dir, experiment.exp_id
-                ):
-                    tables = experiment.execute(quick=quick)
-    except BaseException:
-        # Keep the journal on disk: completed trials are not lost and
-        # the run is resumable with resume=True.  The tracer is closed
-        # (shards merged) so a killed run's trace is still reportable.
-        if journal is not None:
-            journal.close()
-        if tracer is not None:
-            tracer.close()
-        raise
+        effective_workers = engine.resolve_workers(workers)
+        with journaled(journal_file, resume) as journal:
+            if resume and verbose and len(journal):
+                logger.info(
+                    "%s: resuming — %d journaled trials will be replayed",
+                    experiment.exp_id,
+                    len(journal),
+                )
+            with obs.run(
+                _resolve_trace(trace, out_dir, experiment.exp_id),
+                experiment=experiment.exp_id,
+                quick=int(quick),
+                workers=effective_workers,
+            ) as scope:
+
+                def _beat(elapsed: float) -> None:
+                    counters = scope.registry.counter_values()
+                    trials = int(
+                        counters.get("faults.trials", 0)
+                        + counters.get("faults.trials_replayed", 0)
+                    )
+                    logger.info(
+                        "%s running — %.0fs elapsed, %d fault trials",
+                        experiment.exp_id,
+                        elapsed,
+                        trials,
+                    )
+
+                heartbeat = obs.Heartbeat(
+                    obs.heartbeat_interval() if verbose else 0.0, _beat
+                )
+                with heartbeat, obs.span(
+                    "experiment",
+                    exp=experiment.exp_id,
+                    quick=int(quick),
+                    workers=effective_workers,
+                ) as whole:
+                    with _wall_clock_limit(timeout, experiment.exp_id):
+                        with obs.maybe_profile(
+                            obs.profile_enabled(profile), out_dir, experiment.exp_id
+                        ):
+                            tables = experiment.execute(quick=quick)
+            if verbose:
+                print(f"### {experiment.exp_id} — {experiment.title}")
+                print(f"expectation: {experiment.expectation}")
+                for table in tables:
+                    table.print()
+                logger.info("%s finished in %.1fs", experiment.exp_id, whole.dur)
+            if out_dir:
+                stem = experiment.exp_id.lower()
+                # A quick run writes one table where the full run writes
+                # several (or the reverse): clear every table of this
+                # experiment first, so no stale CSV stays beside the ones
+                # this run wrote.
+                for name in os.listdir(out_dir):
+                    if re.fullmatch(rf"{stem}(_\d+)?\.csv", name):
+                        os.unlink(os.path.join(out_dir, name))
+                for i, table in enumerate(tables):
+                    suffix = "" if len(tables) == 1 else f"_{i}"
+                    table.to_csv(os.path.join(out_dir, f"{stem}{suffix}.csv"))
+                write_runtimes(
+                    out_dir, experiment.exp_id, quick, effective_workers, scope.phases()
+                )
+            if verbose and scope.trace:
+                logger.info("%s trace written to %s", experiment.exp_id, scope.trace)
     finally:
-        heartbeat.stop()
-        obs.set_tracer(previous_tracer)
-        obs.set_registry(previous_registry)
-        previous_registry.merge(registry.snapshot())
-        if journal is not None:
-            set_active_journal(previous_journal)
         if previous is not None:
             engine.set_default_workers(previous)
-    elapsed = time.perf_counter() - started
-    if verbose:
-        print(f"### {experiment.exp_id} — {experiment.title}")
-        print(f"expectation: {experiment.expectation}")
-        for table in tables:
-            table.print()
-        logger.info("%s finished in %.1fs", experiment.exp_id, elapsed)
-    if out_dir:
-        stem = experiment.exp_id.lower()
-        # A quick run writes one table where the full run writes several
-        # (or the reverse): clear every table of this experiment first,
-        # so no stale CSV stays beside the ones this run wrote.
-        for name in os.listdir(out_dir):
-            if re.fullmatch(rf"{stem}(_\d+)?\.csv", name):
-                os.unlink(os.path.join(out_dir, name))
-        for i, table in enumerate(tables):
-            suffix = "" if len(tables) == 1 else f"_{i}"
-            table.to_csv(os.path.join(out_dir, f"{stem}{suffix}.csv"))
-        _append_runtime(
-            out_dir,
-            experiment.exp_id,
-            quick,
-            effective_workers,
-            elapsed,
-            phases=_span_seconds(registry.snapshot()),
-            peak_rss_mb=obs.peak_rss_mb(),
-        )
-    if tracer is not None:
-        tracer.close()
-        if verbose:
-            logger.info("%s trace written to %s", experiment.exp_id, tracer.path)
-    if journal is not None:
-        journal.delete()
     return tables
 
 
-def _span_seconds(snapshot: Dict) -> Dict[str, float]:
-    """Total seconds per span name in a registry snapshot.
-
-    Sums each ``<span>_seconds`` histogram over its labels; a span that
-    never closed has no entry.
-    """
-    totals: Dict[str, float] = {}
-    for entry in snapshot["histograms"]:
-        name = entry["name"]
-        if name.endswith("_seconds"):
-            span = name[: -len("_seconds")]
-            totals[span] = totals.get(span, 0.0) + entry["sum"]
-    return totals
-
-
-def _append_runtime(
+def write_runtimes(
     out_dir: str,
-    exp_id: str,
+    experiment: str,
     quick: bool,
     workers: int,
-    elapsed: float,
-    phases: Optional[Dict[str, float]] = None,
-    peak_rss_mb: Optional[float] = None,
+    phases: Dict[str, Tuple[int, float]],
 ) -> str:
-    """Upsert one timing row in ``out_dir/runtimes.csv``.
+    """Replace one run's rows of ``out_dir/runtimes.csv``.
 
-    Rows are keyed by ``(experiment, quick, workers)``: re-running an
-    experiment replaces its row instead of appending a duplicate, so
-    the file stays a current-timings table.  Pre-existing files with
-    the old 4-column header are upgraded in place (missing phase cells
-    become empty).  ``phases`` maps span names to seconds; a phase
-    column whose span is absent (it did not run) is left empty.
+    Writes one row per entry of ``phases`` (span name -> (count,
+    seconds), as :meth:`repro.obs.RunScope.phases` reports them) under
+    the key ``(experiment, quick, workers)``, in place of that key's
+    earlier rows; other keys' rows stay.  A file with another header
+    (an older layout) is rewritten, not merged.
     """
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, RUNTIMES_FILENAME)
-    phases = phases or {}
-    row = {
-        "experiment": exp_id,
-        "quick": str(int(quick)),
-        "workers": str(workers),
-        "wall_time_s": f"{elapsed:.3f}",
-        "peak_rss_mb": "" if peak_rss_mb is None else f"{peak_rss_mb:.1f}",
-    }
-    for column, span_name in _PHASE_COLUMNS.items():
-        seconds = phases.get(span_name)
-        row[column] = "" if seconds is None else f"{seconds:.3f}"
-
-    rows: List[Dict[str, str]] = []
+    key = [experiment, str(int(quick)), str(workers)]
+    rows: List[List[str]] = []
     if os.path.exists(path):
         with open(path, newline="") as handle:
             reader = csv.reader(handle)
-            try:
-                header = next(reader)
-            except StopIteration:
-                header = []
-            for old in reader:
-                if not old:
-                    continue
-                entry = {
-                    name: (old[i] if i < len(old) else "")
-                    for i, name in enumerate(header)
-                }
-                rows.append(
-                    {name: entry.get(name, "") for name in RUNTIMES_COLUMNS}
-                )
-
-    key = (row["experiment"], row["quick"], row["workers"])
-    for i, existing in enumerate(rows):
-        if (existing["experiment"], existing["quick"], existing["workers"]) == key:
-            rows[i] = row
-            break
-    else:
-        rows.append(row)
-
+            if next(reader, None) == list(RUNTIMES_COLUMNS):
+                rows = [row for row in reader if row]
+    at = next((i for i, row in enumerate(rows) if row[:3] == key), len(rows))
+    rows = [row for row in rows if row[:3] != key]
+    peak = obs.peak_rss_mb()
+    rss = "" if peak is None else f"{peak:.1f}"
+    rows[at:at] = [
+        key + [phase, str(count), f"{seconds:.6f}", rss]
+        for phase, (count, seconds) in sorted(phases.items())
+    ]
     with open(path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=list(RUNTIMES_COLUMNS))
-        writer.writeheader()
+        writer = csv.writer(handle)
+        writer.writerow(RUNTIMES_COLUMNS)
         writer.writerows(rows)
     return path
 

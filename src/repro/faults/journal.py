@@ -6,15 +6,19 @@ as one line, so a killed run (worker crash, SIGKILL, wall-clock
 timeout) loses at most the trial in flight; re-running with resume
 enabled replays the journal and computes only the missing trials.
 
-The experiment harness (:mod:`repro.experiments.harness`) opens one
-journal per experiment run at ``<out_dir>/<exp_id>.journal.jsonl`` and
-installs it as the *active* journal; :func:`repro.faults.sweep.
-degradation_sweep` picks it up automatically.  On a successful run the
-journal is deleted — a journal on disk always means an interrupted run.
+``repro run`` (one journal per experiment, at
+``<out_dir>/<exp_id>.journal.jsonl``) and ``repro traffic --out``
+(``<out>/traffic-<instance>.journal.jsonl``) both open theirs through
+:func:`journaled`, which installs it as the *active* journal —
+:func:`repro.faults.sweep.degradation_sweep` and
+:func:`repro.traffic.run.run_traffic` pick it up automatically — and
+deletes it when the run succeeds: a journal on disk always means an
+interrupted run.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from typing import Any, Dict, Iterator, Optional
@@ -107,3 +111,34 @@ def set_active_journal(journal: Optional[TrialJournal]) -> Optional[TrialJournal
 
 def get_active_journal() -> Optional[TrialJournal]:
     return _ACTIVE
+
+
+@contextlib.contextmanager
+def journaled(path: Optional[str], resume: bool) -> Iterator[Optional[TrialJournal]]:
+    """The trial journal of one run at ``path``, active for the block.
+
+    Without ``resume``, a journal an earlier run left at ``path`` is
+    discarded first.  When the block raises, the journal stays on disk
+    so the run can resume; when it completes, the journal is deleted.
+    ``path=None`` runs unjournaled, and then ``resume`` is an error:
+    there is nothing to resume from.
+    """
+    if path is None:
+        if resume:
+            raise ValueError(
+                "resume needs an output directory (--out): the trial journal lives there"
+            )
+        yield None
+        return
+    if not resume and os.path.exists(path):
+        os.unlink(path)
+    journal = TrialJournal(path)
+    previous = set_active_journal(journal)
+    try:
+        yield journal
+    except BaseException:
+        journal.close()
+        raise
+    finally:
+        set_active_journal(previous)
+    journal.delete()

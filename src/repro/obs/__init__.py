@@ -3,6 +3,8 @@
 The package behind ``repro run --trace``, ``repro obs report`` and the
 serve daemon's ``GET /metrics``:
 
+* :mod:`repro.obs.scope` — :func:`run`, the one scope that installs a
+  run's registry and trace file and reports its phase totals;
 * :mod:`repro.obs.trace` — spans, the one timer, plus the JSONL
   tracer, trace-id context propagation and worker-shard handling;
 * :mod:`repro.obs.metrics` — the live metrics registry, the one store
@@ -21,7 +23,7 @@ stay unconditional.  Every span times into the active metrics registry
 as ``<span name>_seconds``, whether or not a trace file is open; a
 file-backed tracer also writes the span and event records.
 :func:`counter` bumps the unlabeled counter of the active registry,
-and a tracer reports the counts recorded while it is open.  See
+and a tracer reports the counts of the run it belongs to.  See
 docs/OBSERVABILITY.md for the trace schema, span and metric names and
 environment variables.
 """
@@ -57,6 +59,7 @@ from repro.obs.report import (
     trace_spans,
     validate_trace,
 )
+from repro.obs.scope import RunScope, run
 from repro.obs.trace import (
     NULL_TRACER,
     PROFILE_ENV,
@@ -93,6 +96,7 @@ __all__ = [
     "PROFILE_ENV",
     "PhaseStats",
     "PoolStats",
+    "RunScope",
     "SCHEMA_VERSION",
     "SHARD_ENV",
     "Span",
@@ -125,6 +129,7 @@ __all__ = [
     "render_trace",
     "report_files",
     "report_trace_id",
+    "run",
     "set_registry",
     "set_tracer",
     "span",

@@ -6,11 +6,11 @@ keeping **stdout clean for result tables** — `repro run … > tables.txt`
 captures only data, while a human watching the terminal still sees
 liveness on stderr.
 
-:class:`Heartbeat` is a daemon thread that invokes a callback at a
-fixed cadence while a long experiment runs; the harness uses it to log
-``experiment id / elapsed / trials completed`` during otherwise silent
-sweeps.  The cadence comes from ``REPRO_HEARTBEAT_S`` (seconds,
-default 30; 0 disables).
+:class:`Heartbeat` is a daemon thread that invokes a callback with the
+seconds elapsed since it started, at a fixed cadence, while a long
+experiment runs; the harness uses it to log ``experiment id / elapsed /
+trials completed`` during otherwise silent sweeps.  The cadence comes
+from ``REPRO_HEARTBEAT_S`` (seconds, default 30; 0 disables).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import logging
 import os
 import sys
 import threading
+import time
 from typing import Callable, Optional
 
 #: environment variables (documented in docs/OBSERVABILITY.md).
@@ -66,7 +67,9 @@ def heartbeat_interval() -> float:
 
 
 class Heartbeat:
-    """Call ``callback()`` every ``interval_s`` seconds until stopped.
+    """Call ``callback(elapsed_s)`` every ``interval_s`` seconds until stopped.
+
+    ``elapsed_s`` counts from the heartbeat's construction.
 
     ``interval_s <= 0`` constructs a dormant heartbeat (no thread);
     ``stop()`` is always safe to call.  The callback runs on a daemon
@@ -74,9 +77,10 @@ class Heartbeat:
     callback stops the heartbeat, never the run it observes.
     """
 
-    def __init__(self, interval_s: float, callback: Callable[[], None]) -> None:
+    def __init__(self, interval_s: float, callback: Callable[[float], None]) -> None:
         self.interval_s = interval_s
         self._callback = callback
+        self._started = time.monotonic()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         if interval_s > 0:
@@ -88,7 +92,7 @@ class Heartbeat:
     def _run(self) -> None:
         while not self._stop.wait(self.interval_s):
             try:
-                self._callback()
+                self._callback(time.monotonic() - self._started)
             except Exception:
                 return
 

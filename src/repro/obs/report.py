@@ -25,6 +25,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.obs.trace import read_events
+
 _NUMERIC = (int, float)
 
 #: event types defined by schema version 1 (see docs/OBSERVABILITY.md).
@@ -33,19 +35,7 @@ KNOWN_EVENTS = ("meta", "span", "counters", "rss", "warning", "note")
 
 def load_trace(path: str) -> List[Dict[str, Any]]:
     """All parseable events of one JSONL trace file, in file order."""
-    events: List[Dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(event, dict):
-                events.append(event)
-    return events
+    return read_events(path)[0]
 
 
 def validate_trace(events: Sequence[Dict[str, Any]]) -> List[str]:

@@ -1,22 +1,23 @@
 """Span-based tracing: the one timer, JSONL events, worker shards.
 
-One tracer is active per process (installed with :func:`set_tracer`);
-instrumented code talks to it through the module-level proxies
-:func:`span`, :func:`record_span` and :func:`event`, which forward to
-the active tracer.  When nothing is installed the active tracer is
-:data:`NULL_TRACER`, which keeps no trace file.
+One tracer is active per process (installed by :func:`repro.obs.run`,
+through :func:`set_tracer`); instrumented code talks to it through the
+module-level proxies :func:`span`, :func:`record_span` and
+:func:`event`, which forward to the active tracer.  When nothing is
+installed the active tracer is :data:`NULL_TRACER`, which keeps no
+trace file.
 
 Every span is timed, traced or not: when a span closes (or
 :func:`record_span` records one) its duration is observed into the
 active :class:`~repro.obs.metrics.MetricsRegistry` histogram
 ``<span name>_seconds``, labeled by the span's tags that appear in
 :data:`LABEL_TAGS`.  The registry is the one store of counts and
-timings; ``/metrics``, ``repro traffic --metrics`` and the harness's
-``runtimes.csv`` phase cells all read it.  A span without a trace
-file costs a few microseconds (measured in docs/OBSERVABILITY.md), so
-spans wrap phases, trials and requests, never per-flow or per-source
-work.  The fourth proxy, :func:`counter`, does not go through the
-tracer: it bumps the unlabeled counter of the active registry.
+timings; ``/metrics``, ``repro traffic --metrics`` and the phase rows
+of ``runtimes.csv`` all read it.  A span without a trace file costs a
+few microseconds (measured in docs/OBSERVABILITY.md), so spans wrap
+phases, trials and requests, never per-flow or per-source work.  The
+fourth proxy, :func:`counter`, does not go through the tracer: it bumps
+the unlabeled counter of the active registry.
 
 A :class:`Tracer` additionally streams one JSON object per line to its
 ``path``:
@@ -26,9 +27,9 @@ A :class:`Tracer` additionally streams one JSON object per line to its
   duration ``dur``, per-process span id ``sid``, ``parent`` sid (or
   ``None`` for top-level spans), ``name`` and ``tags``;
 * ``counters`` — one event, written by the main tracer on close: the
-  registry counts recorded while it was open, labeled series keyed
-  ``name{k=v,...}``.  Pool workers' counts are already in them: each
-  pool task ships its counts home with its result (see
+  counts of the run's registry, labeled series keyed ``name{k=v,...}``.
+  Pool workers' counts are already in them: each pool task ships its
+  counts home with its result (see
   :func:`repro.metrics.engine.map_with_pool_recovery`).  Shards write
   none;
 * ``rss`` — periodic memory samples (see :mod:`repro.obs.memory`);
@@ -65,7 +66,7 @@ import os
 import re
 import threading
 import time
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs import metrics as _metrics
 
@@ -157,9 +158,6 @@ class NullTracer:
     def record_span(self, name: str, t0: float, dur: float, **tags: Any) -> None:
         _observe(name, dur, tags)
 
-    def counters(self) -> Dict[str, float]:
-        return {}
-
     def close(self) -> None:
         return None
 
@@ -172,10 +170,12 @@ class Span:
 
     Closing it observes its duration into ``<name>_seconds`` of the
     active registry, labeled by its :data:`LABEL_TAGS` tags at close; a
-    file-backed tracer also writes a ``span`` event.
+    file-backed tracer also writes a ``span`` event.  The duration stays
+    readable as :attr:`dur` once the span has closed, so code that needs
+    the time of its own region reads the span instead of a second timer.
     """
 
-    __slots__ = ("_tracer", "name", "tags", "sid", "parent", "t0")
+    __slots__ = ("_tracer", "name", "tags", "sid", "parent", "t0", "dur")
 
     def __init__(self, tracer, name: str, tags: Dict[str, Any]) -> None:
         self._tracer = tracer
@@ -204,7 +204,7 @@ class Span:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        dur = time.perf_counter() - self.t0
+        self.dur = dur = time.perf_counter() - self.t0
         _observe(self.name, dur, self.tags)
         tracer = self._tracer
         if tracer._handle is not None:
@@ -228,9 +228,13 @@ class Tracer:
     """File-backed tracer: spans time like :class:`NullTracer`'s, and
     every span and event is also streamed as JSONL to ``path``.
 
-    ``run_tags`` lands in the ``meta`` header event.  ``shard`` marks a
-    worker-side tracer: it neither exports :data:`SHARD_ENV` nor merges
-    shards on close, and writes no ``counters`` event.
+    ``run_tags`` lands in the ``meta`` header event.  On close, the
+    ``counters`` event holds the counts of the registry that was active
+    when the tracer opened; :func:`repro.obs.run` opens every run's
+    tracer on a fresh registry, so those are the run's counts.
+    ``shard`` marks a worker-side tracer: it neither exports
+    :data:`SHARD_ENV` nor merges shards on close, and writes no
+    ``counters`` event.
     """
 
     def __init__(
@@ -245,10 +249,7 @@ class Tracer:
         self._pid = os.getpid()
         self._sid = 0
         self._seq = 0
-        # counters() reports this registry's growth since the tracer opened
         self._registry = _metrics.get_registry()
-        self._counts_at_open = self._registry.counter_values()
-        self._counts_at_close: Optional[Dict[str, float]] = None
         self._lock = threading.Lock()
         self._local = threading.local()
         self._sampler = None
@@ -385,22 +386,6 @@ class Tracer:
         if sample:
             self._emit({"ev": "rss", "t": time.perf_counter(), **sample})
 
-    def counters(self) -> Dict[str, float]:
-        """Registry counts recorded while this tracer is open.
-
-        Keyed like :meth:`~repro.obs.metrics.MetricsRegistry.counter_values`;
-        a series that existed at open reports only its growth since.
-        Frozen at :meth:`close`.
-        """
-        if self._counts_at_close is not None:
-            return dict(self._counts_at_close)
-        before = self._counts_at_open
-        return {
-            key: value - before.get(key, 0)
-            for key, value in self._registry.counter_values().items()
-            if key not in before or value != before[key]
-        }
-
     def close(self) -> None:
         """Stop sampling, write the counters event, merge worker shards.
 
@@ -410,12 +395,11 @@ class Tracer:
         if self._closed:
             return
         self._closed = True
-        self._counts_at_close = self.counters()
         if self._sampler is not None:
             self._sampler.stop()
             self._sampler = None
         self.sample_memory()
-        counts = self._counts_at_close
+        counts = self._registry.counter_values()
         if counts and not self._shard:
             event = {"ev": "counters", "t": time.perf_counter(), "values": counts}
             self._emit(event)
@@ -426,17 +410,11 @@ class Tracer:
             if os.environ.get(SHARD_ENV) == self.path:
                 del os.environ[SHARD_ENV]
 
-    def __enter__(self) -> "Tracer":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
 
 # ----------------------------------------------------------------------
 # shard merging
 # ----------------------------------------------------------------------
-def _read_events(path: str) -> Tuple[List[Dict[str, Any]], int]:
+def read_events(path: str) -> Tuple[List[Dict[str, Any]], int]:
     """Events of one JSONL file plus the number of skipped bad lines.
 
     A worker killed mid-write (SIGKILL, OOM) leaves a truncated final
@@ -461,11 +439,6 @@ def _read_events(path: str) -> Tuple[List[Dict[str, Any]], int]:
     return events, skipped
 
 
-def _iter_events(path: str) -> Iterator[Dict[str, Any]]:
-    for event in _read_events(path)[0]:
-        yield event
-
-
 _SHARD_PID_RE = re.compile(r"\.shard-(\d+)$")
 
 
@@ -486,9 +459,9 @@ def merge_shards(path: str) -> int:
     shards = sorted(glob.glob(glob.escape(path) + ".shard-*"))
     if not shards:
         return 0
-    events, _ = _read_events(path)
+    events, _ = read_events(path)
     for shard in shards:
-        shard_events, skipped = _read_events(shard)
+        shard_events, skipped = read_events(shard)
         events.extend(shard_events)
         if skipped:
             match = _SHARD_PID_RE.search(shard)

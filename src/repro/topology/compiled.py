@@ -488,7 +488,8 @@ def build_compiled(spec, memmap_dir: Optional[str] = None):
     straight from digit arithmetic without ever materialising ``Node``
     objects, which is orders of magnitude faster and smaller at
     datacenter scale.  Otherwise it falls back to
-    ``compile_graph(spec.build())``.
+    ``compile_graph(spec.build())``, the object build timed as a
+    ``topology.build`` span.
 
     ``memmap_dir`` asks the fast path to back the large CSR arrays with
     memory-mapped files in that directory; the object path ignores it.
@@ -497,7 +498,9 @@ def build_compiled(spec, memmap_dir: Optional[str] = None):
 
     if fastbuild.supports(spec):
         return fastbuild.fast_compiled(spec, memmap_dir=memmap_dir)
-    return compile_graph(spec.build())
+    with _obs.span("topology.build", net=spec.label):
+        net = spec.build()
+    return compile_graph(net)
 
 
 def compile_server_projection(net: Network) -> CompiledGraph:

@@ -12,9 +12,10 @@ FCT distribution.  Results land in the standard pipeline:
 
 * a :class:`~repro.sim.results.ResultTable` row per trial (rate and FCT
   percentiles, throughput, link-load, unreachable counts);
-* :mod:`repro.obs` spans per phase (``traffic.matrix`` /
-  ``traffic.routes`` / ``traffic.allocate`` / ``traffic.fct``), timed
-  into ``<span>_seconds`` registry histograms labeled by pattern, and
+* :mod:`repro.obs` spans per trial (``traffic.trial``, the row's
+  ``elapsed_s``) and per phase (``traffic.matrix`` / ``traffic.routes``
+  / ``traffic.allocate`` / ``traffic.fct``), timed into
+  ``<span>_seconds`` registry histograms labeled by pattern, and
   counters, so ``repro obs report`` works on traced runs;
 * histograms of the flow model's results (``traffic.rate.units`` /
   ``traffic.fct.units``, in capacity and size-over-capacity units,
@@ -29,7 +30,6 @@ usual crash-recovery / sequential-degrade ladder.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -88,12 +88,22 @@ class TrafficTrialSpec:
 
 
 def run_trial(graph, spec: TrafficTrialSpec) -> Dict[str, Any]:
-    """Execute one trial against ``graph``; returns the table row dict."""
+    """Execute one trial against ``graph``; returns the table row dict.
+
+    The trial is one ``traffic.trial`` span, and its duration is the
+    row's ``elapsed_s``.
+    """
+    with _obs.span("traffic.trial", pattern=spec.pattern, trial=spec.trial) as trial:
+        row = _trial_row(graph, spec)
+    row["elapsed_s"] = trial.dur
+    return row
+
+
+def _trial_row(graph, spec: TrafficTrialSpec) -> Dict[str, Any]:
     # Deferred: repro.routing.batch imports repro.traffic.routes, so a
     # top-level import here would close an import cycle.
     from repro.routing.batch import batch_routes
 
-    started = time.perf_counter()
     with _obs.span("traffic.matrix", pattern=spec.pattern, trial=spec.trial):
         matrix = generate_matrix(
             spec.pattern,
@@ -156,7 +166,6 @@ def run_trial(graph, spec: TrafficTrialSpec) -> Dict[str, Any]:
         "rounds": allocation.rounds,
         "dead_nodes": dead_nodes,
         "dead_links": dead_links,
-        "elapsed_s": time.perf_counter() - started,
     }
     row.update(fct_summary)
     return row
@@ -281,7 +290,8 @@ def run_traffic(
                 finally:
                     handle.release()
             else:
-                results = [run_trial(graph, spec) for spec in pending]
+                # lazily, so each trial is journaled as soon as it finishes
+                results = (run_trial(graph, spec) for spec in pending)
             for spec, row in zip(pending, results):
                 rows[spec.trial] = row
                 if journal is not None:

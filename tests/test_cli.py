@@ -1,8 +1,12 @@
 """CLI surface tests (argument parsing, outputs, exit codes)."""
 
+import csv
+import json
 import os
+import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -58,6 +62,20 @@ class TestBuildFast:
     def test_fast_falls_back_for_unsupported_family(self, capsys):
         assert main(["build", "fattree", "-p", "p=4", "--fast"]) == 0
         assert "(object graph)" in capsys.readouterr().out
+
+    def test_fast_object_path_compile_time_includes_the_build(self, capsys, monkeypatch):
+        from repro.baselines import FatTreeSpec
+
+        build = FatTreeSpec.build
+
+        def slow_build(spec):
+            time.sleep(0.2)
+            return build(spec)
+
+        monkeypatch.setattr(FatTreeSpec, "build", slow_build)
+        assert main(["build", "fattree", "-p", "p=4", "--fast"]) == 0
+        out = capsys.readouterr().out
+        assert float(re.search(r"compiled in ([0-9.]+)s", out).group(1)) >= 0.2
 
     def test_fast_memmap_writes_arrays(self, tmp_path, capsys):
         mm = str(tmp_path / "arrays")
@@ -188,8 +206,20 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize(
         "command,unbuffered",
-        [("experiments", False), ("experiments", True), ("list", False)],
-        ids=["long-buffered", "long-unbuffered", "short-buffered"],
+        [
+            (["experiments"], False),
+            (["experiments"], True),
+            (["list"], False),
+            (["--help"], False),
+            (["run", "--help"], False),
+        ],
+        ids=[
+            "long-buffered",
+            "long-unbuffered",
+            "short-buffered",
+            "help-buffered",
+            "subcommand-help-buffered",
+        ],
     )
     def test_closed_stdout_stops_quietly(self, command, unbuffered):
         # ``repro … | head``: the reader is gone before the output is.
@@ -206,7 +236,7 @@ class TestErrorPaths:
         )
         try:
             result = subprocess.run(
-                [sys.executable, "-m", "repro", command],
+                [sys.executable, "-m", "repro", *command],
                 stdout=write_end,
                 stderr=subprocess.PIPE,
                 env=env,
@@ -364,19 +394,84 @@ class TestTraffic:
         snapshot = json.loads(metrics_path.read_text())
         assert snapshot  # histograms were recorded
 
-    def test_resume_replays_journal(self, capsys, tmp_path):
-        args = self.ARGS + [
-            "--pattern", "uniform", "--trials", "2", "--out", str(tmp_path)
-        ]
-        assert main(args) == 0
-        first = capsys.readouterr().out
-        assert main(args + ["--resume"]) == 0
-        second = capsys.readouterr().out
-        # replayed table is identical (elapsed_s comes from the journal)
-        table_lines = lambda text: [
-            line for line in text.splitlines() if line.startswith("|")
-        ]
-        assert table_lines(first) == table_lines(second)
+    @staticmethod
+    def _table(out_dir):
+        """The per-trial CSV of a ``--out`` run, without its timings."""
+        (path,) = out_dir.glob("traffic_*.csv")
+        with open(path, newline="") as handle:
+            return [
+                {k: v for k, v in row.items() if k != "elapsed_s"}
+                for row in csv.DictReader(handle)
+            ]
+
+    def _interrupted(self, args, out_dir, monkeypatch):
+        """Run ``args`` into ``out_dir``, interrupted after trial 0.
+
+        Returns the journal the interrupted run left behind.
+        """
+        from repro.faults.journal import TrialJournal
+        from repro.traffic import run as traffic_run
+
+        trial_row = traffic_run._trial_row
+
+        def interrupt_trial_1(graph, spec):
+            if spec.trial == 1:
+                raise KeyboardInterrupt
+            return trial_row(graph, spec)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(traffic_run, "_trial_row", interrupt_trial_1)
+            assert main(args + ["--out", str(out_dir)]) == 130
+        (path,) = out_dir.glob("traffic-*.journal.jsonl")
+        assert len(TrialJournal(str(path))) == 1  # trial 0 finished
+        return path
+
+    def test_resume_replays_journal(self, capsys, tmp_path, monkeypatch):
+        args = self.ARGS + ["--pattern", "uniform", "--trials", "2"]
+        assert main(args + ["--out", str(tmp_path / "whole")]) == 0
+        self._interrupted(args, tmp_path / "part", monkeypatch)
+        assert main(args + ["--out", str(tmp_path / "part"), "--resume"]) == 0
+        capsys.readouterr()
+        # the replayed trial and the recomputed one equal an uninterrupted run's
+        assert self._table(tmp_path / "part") == self._table(tmp_path / "whole")
+        assert not list((tmp_path / "part").glob("*.journal.jsonl"))
+
+    def test_journal_discarded_without_resume(self, capsys, tmp_path, monkeypatch):
+        args = self.ARGS + ["--pattern", "uniform", "--trials", "2"]
+        assert main(args + ["--out", str(tmp_path / "whole")]) == 0
+        path = self._interrupted(args, tmp_path / "part", monkeypatch)
+        (entry,) = [json.loads(line) for line in path.read_text().splitlines()]
+        entry["value"]["agg_throughput"] = -1.0  # replaying it would show
+        path.write_text(json.dumps(entry) + "\n")
+        assert main(args + ["--out", str(tmp_path / "part")]) == 0
+        capsys.readouterr()
+        assert self._table(tmp_path / "part") == self._table(tmp_path / "whole")
+        assert not path.exists()
+
+    def test_resume_without_out_exits_2(self, capsys):
+        assert main(self.ARGS + ["--resume"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error:")
+        assert "--out" in err
+
+    def test_out_writes_phase_rows_and_no_journal(self, capsys, tmp_path):
+        metrics_path = tmp_path / "metrics.json"
+        args = ["--trials", "4", "--workers", "2", "--out", str(tmp_path)]
+        assert main(self.ARGS + args + ["--metrics", str(metrics_path)]) == 0
+        capsys.readouterr()
+        assert not list(tmp_path.glob("*.journal.jsonl"))
+        with open(tmp_path / "runtimes.csv", newline="") as handle:
+            rows = {row["phase"]: row for row in csv.DictReader(handle)}
+        allocate = rows["traffic.allocate"]
+        assert allocate["experiment"] == "traffic:ABCCC(n=3, k=1, s=2):permutation"
+        snapshot = json.loads(metrics_path.read_text())
+        timed = sum(
+            h["count"]
+            for h in snapshot["histograms"]
+            if h["name"] == "traffic.allocate_seconds"
+        )
+        assert int(allocate["count"]) == timed == 4
+        assert int(rows["traffic.trial"]["count"]) == 4
 
     def test_bad_faults_exit_2(self, capsys):
         assert main(self.ARGS + ["--faults", "rack=0.5"]) == 2

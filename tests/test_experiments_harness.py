@@ -1,11 +1,20 @@
 """Harness plumbing: registration rules, runner output, CSV writing."""
 
+import csv
 import os
 
 import pytest
 
+from repro import obs
 from repro.experiments import all_experiments, run_all, run_experiment
-from repro.experiments.harness import Experiment, register
+from repro.experiments.harness import RUNTIMES_COLUMNS, register
+
+
+def _runtimes(out_dir):
+    """Header and rows of ``out_dir/runtimes.csv``."""
+    with open(os.path.join(out_dir, "runtimes.csv"), newline="") as handle:
+        rows = list(csv.reader(handle))
+    return rows[0], rows[1:]
 
 
 class TestRegistration:
@@ -47,18 +56,12 @@ class TestRunner:
         )
 
     def test_run_registry_folds_into_the_callers(self, tmp_path):
-        from repro.obs.metrics import MetricsRegistry, set_registry
-
-        outer = MetricsRegistry()
-        previous = set_registry(outer)
-        try:
+        with obs.run() as outer:
             run_experiment("F8", quick=True, out_dir=str(tmp_path), verbose=False)
-        finally:
-            set_registry(previous)
-        histograms = outer.snapshot()["histograms"]
+        histograms = outer.registry.snapshot()["histograms"]
         timed = sum(h["count"] for h in histograms if h["name"] == "faults.trial_seconds")
         # every counted trial was also timed, and both reached the caller
-        assert outer.counter_values()["faults.trials"] == timed > 0
+        assert outer.registry.counter_values()["faults.trials"] == timed > 0
         assert [h["count"] for h in histograms if h["name"] == "experiment_seconds"] == [1]
 
     def test_quiet_mode(self, capsys, tmp_path):
@@ -73,49 +76,41 @@ class TestRunner:
         run_experiment("F5", quick=True, out_dir=str(tmp_path), verbose=False)
         assert (tmp_path / "f5.csv").exists()
 
-    def test_runtimes_csv_one_row_per_key(self, tmp_path):
-        import csv
-
-        from repro.experiments.harness import RUNTIMES_COLUMNS
-
+    def test_runtimes_csv_one_row_per_phase(self, tmp_path):
         run_experiment("F11", quick=True, out_dir=str(tmp_path), verbose=False)
         run_experiment("F11", quick=True, out_dir=str(tmp_path), verbose=False, workers=2)
-        with open(tmp_path / "runtimes.csv", newline="") as handle:
-            rows = list(csv.reader(handle))
-        assert rows[0] == list(RUNTIMES_COLUMNS)
-        assert len(rows) == 3  # header + one row per distinct key
-        first, second = rows[1], rows[2]
-        assert first[:3] == ["F11", "1", "1"]
-        assert second[:3] == ["F11", "1", "2"]
-        assert all(float(row[3]) >= 0.0 for row in rows[1:])
+        header, rows = _runtimes(tmp_path)
+        assert header == list(RUNTIMES_COLUMNS)
+        keys = {tuple(row[:3]) for row in rows}
+        assert keys == {("F11", "1", "1"), ("F11", "1", "2")}
+        for key in keys:
+            phases = [row[3] for row in rows if tuple(row[:3]) == key]
+            assert len(phases) == len(set(phases))  # one row per phase
+            assert "experiment" in phases  # the wall time
+        assert all(int(row[4]) >= 1 and float(row[5]) >= 0.0 for row in rows)
 
     def test_runtimes_csv_rerun_replaces_row(self, tmp_path):
-        import csv
-
+        run_experiment("F8", quick=True, out_dir=str(tmp_path), verbose=False)
         run_experiment("F11", quick=True, out_dir=str(tmp_path), verbose=False)
-        run_experiment("F11", quick=True, out_dir=str(tmp_path), verbose=False)
-        with open(tmp_path / "runtimes.csv", newline="") as handle:
-            rows = list(csv.reader(handle))
-        assert len(rows) == 2  # header + the single deduped row
+        _, before = _runtimes(tmp_path)
+        run_experiment("F8", quick=True, out_dir=str(tmp_path), verbose=False)
+        _, after = _runtimes(tmp_path)
+        # F11's rows are untouched; F8's are replaced in place, not appended
+        assert [row for row in after if row[0] == "F11"] == [
+            row for row in before if row[0] == "F11"
+        ]
+        assert [row[:5] for row in after] == [row[:5] for row in before]
 
-    def test_runtimes_csv_upgrades_legacy_header(self, tmp_path):
-        import csv
-
-        legacy = tmp_path / "runtimes.csv"
-        legacy.write_text(
-            "experiment,quick,workers,wall_time_s\nF8,0,1,0.604\nF11,1,1,0.002\n"
+    def test_runtimes_csv_rewrites_a_wide_layout_file(self, tmp_path):
+        (tmp_path / "runtimes.csv").write_text(
+            "experiment,quick,workers,wall_time_s,compile_s,sweep_s,handoff_s,"
+            "plan_s,mask_s,trials_s,journal_s,peak_rss_mb\n"
+            "F8,0,1,0.604,0.001,,,0.002,0.003,0.400,0.010,89.2\n"
         )
         run_experiment("F11", quick=True, out_dir=str(tmp_path), verbose=False)
-        with open(legacy, newline="") as handle:
-            rows = list(csv.reader(handle))
-        from repro.experiments.harness import RUNTIMES_COLUMNS
-
-        assert rows[0] == list(RUNTIMES_COLUMNS)
-        by_key = {(r[0], r[1], r[2]): r for r in rows[1:]}
-        # The legacy F8 row survives (padded), the F11 row was replaced.
-        assert by_key[("F8", "0", "1")][3] == "0.604"
-        assert float(by_key[("F11", "1", "1")][3]) >= 0.0
-        assert len(rows) == 3
+        header, rows = _runtimes(tmp_path)
+        assert header == list(RUNTIMES_COLUMNS)
+        assert {row[0] for row in rows} == {"F11"}
 
     def test_workers_default_restored_after_run(self, tmp_path):
         from repro.metrics.engine import get_default_workers

@@ -268,25 +268,33 @@ class TestHarnessIntegration:
         run_experiment("F11", quick=True, out_dir=str(tmp_path), verbose=False)
         assert not list(tmp_path.glob("*.trace.jsonl"))
 
-    def test_runtimes_csv_phase_columns_populated(self, tmp_path):
+    def test_runtimes_csv_rows_are_the_phases_that_ran(self, tmp_path):
         import csv
 
         from repro.experiments import run_experiment
 
-        run_experiment("F8", quick=True, out_dir=str(tmp_path), verbose=False)
+        run_experiment("F8", quick=True, out_dir=str(tmp_path), verbose=False, trace=True)
         run_experiment("T1", quick=True, out_dir=str(tmp_path), verbose=False)
         with open(tmp_path / "runtimes.csv", newline="") as handle:
-            row, t1_row = list(csv.DictReader(handle))
-        assert row["experiment"] == "F8"
-        # F8 runs fault sweeps: plan/trials/journal phases are non-zero,
-        # and the peak-RSS cell is filled on Linux/POSIX.
-        assert float(row["trials_s"]) > 0.0
-        assert float(row["wall_time_s"]) >= float(row["trials_s"])
-        if row["peak_rss_mb"]:
-            assert float(row["peak_rss_mb"]) > 0.0
-        # T1 runs no fault sweep: its fault phases are blank, not 0.000
-        assert t1_row["experiment"] == "T1"
-        assert t1_row["mask_s"] == ""
+            rows = list(csv.DictReader(handle))
+        traced = {}
+        for event in load_trace(str(tmp_path / "f8.trace.jsonl")):
+            if event["ev"] == "span":
+                traced[event["name"]] = traced.get(event["name"], 0) + 1
+        # one F8 row per span name in the trace, carrying its span count
+        f8 = {row["phase"]: row for row in rows if row["experiment"] == "F8"}
+        assert {phase: int(row["count"]) for phase, row in f8.items()} == traced
+        assert traced["faults.trial"] == 24
+        wall = float(f8["experiment"]["seconds"])
+        assert wall >= float(f8["faults.trials"]["seconds"]) > 0.0
+        peaks = {row["process_peak_rss_mb"] for row in f8.values()}
+        assert len(peaks) == 1  # one process high-water mark per run
+        if peaks != {""}:
+            assert float(peaks.pop()) > 0.0
+        # T1 runs no fault sweep: it has no fault phase rows at all
+        t1 = {row["phase"] for row in rows if row["experiment"] == "T1"}
+        assert "experiment" in t1
+        assert not [phase for phase in t1 if phase.startswith("faults.")]
 
     def test_profile_flag_writes_prof(self, tmp_path):
         from repro.experiments import run_experiment

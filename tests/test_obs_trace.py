@@ -1,4 +1,5 @@
-"""Tracer core: no-op mode, nesting, schema, shards, warning events."""
+"""Tracer core: no-op mode, nesting, schema, shards, warning events,
+and the run scope that opens a run's registry and trace."""
 
 import json
 import os
@@ -6,6 +7,7 @@ import time
 
 import pytest
 
+from repro import obs
 from repro.obs import trace as obs_trace
 from repro.obs.log import Heartbeat
 from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
@@ -13,7 +15,6 @@ from repro.obs.report import load_trace, validate_trace
 from repro.obs.trace import (
     NULL_TRACER,
     SHARD_ENV,
-    Tracer,
     get_tracer,
     merge_shards,
     set_tracer,
@@ -64,7 +65,6 @@ class TestNullTracer:
     def test_counters_and_events_are_noops(self):
         obs_trace.counter("c", 3)
         NULL_TRACER.event("degraded-mode", "nope")
-        assert NULL_TRACER.counters() == {}
         NULL_TRACER.close()  # idempotent no-op
 
     def test_disabled_overhead_is_negligible(self):
@@ -81,11 +81,11 @@ class TestNullTracer:
 class TestSpans:
     def test_nesting_and_parent_ids(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
-        with Tracer(path=path) as tracer:
-            with tracer.span("outer", kind="a"):
-                with tracer.span("inner"):
+        with obs.run(path):
+            with obs_trace.span("outer", kind="a"):
+                with obs_trace.span("inner"):
                     pass
-                with tracer.span("inner"):
+                with obs_trace.span("inner"):
                     pass
         events = load_trace(path)
         spans = {(-e["t"], e["name"]): e for e in events if e["ev"] == "span"}
@@ -104,41 +104,109 @@ class TestSpans:
 
     def test_sibling_spans_share_parent_not_each_other(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
-        with Tracer(path=path) as tracer:
-            with tracer.span("a"):
+        with obs.run(path):
+            with obs_trace.span("a"):
                 pass
-            with tracer.span("b"):
+            with obs_trace.span("b"):
                 pass
         spans = [e for e in load_trace(path) if e["ev"] == "span"]
         assert all(s["parent"] is None for s in spans)
 
     def test_tag_after_entry(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
-        with Tracer(path=path) as tracer:
-            with tracer.span("work", fixed=1) as span:
+        with obs.run(path):
+            with obs_trace.span("work", fixed=1) as span:
                 span.tag(result=42)
         (span_event,) = [e for e in load_trace(path) if e["ev"] == "span"]
         assert span_event["tags"] == {"fixed": 1, "result": 42}
 
     def test_counters_accumulate(self, tmp_path):
-        tracer = Tracer(path=str(tmp_path / "t.jsonl"))
-        obs_trace.counter("hits")
-        obs_trace.counter("hits", 2)
-        obs_trace.counter("seconds", 0.5)
-        assert tracer.counters() == {"hits": 3, "seconds": 0.5}
-        tracer.close()
+        path = str(tmp_path / "t.jsonl")
+        with obs.run(path):
+            obs_trace.counter("hits")
+            obs_trace.counter("hits", 2)
+            obs_trace.counter("seconds", 0.5)
+        (counters,) = [e for e in load_trace(path) if e["ev"] == "counters"]
+        assert counters["values"] == {"hits": 3, "seconds": 0.5}
+
+    def test_span_keeps_its_duration(self):
+        with obs_trace.span("timed") as span:
+            time.sleep(0.01)
+        assert span.dur >= 0.01
+        (entry,) = [
+            h for h in get_registry().snapshot()["histograms"]
+            if h["name"] == "timed_seconds"
+        ]
+        assert entry["sum"] == pytest.approx(span.dur)
+
+
+class TestRunScope:
+    def test_run_folds_its_registry_into_the_callers(self):
+        outer = get_registry()
+        obs_trace.counter("hits", 10)
+        with obs.run() as scope:
+            assert get_registry() is scope.registry is not outer
+            obs_trace.counter("hits", 3)
+            with obs_trace.span("phase"):
+                pass
+        assert get_registry() is outer
+        assert scope.registry.counter_values() == {"hits": 3}
+        assert outer.counter_values() == {"hits": 13}
+        assert [h["count"] for h in outer.snapshot()["histograms"]] == [1]
+
+    def test_raising_block_folds_and_leaves_a_valid_trace(self, tmp_path):
+        outer = get_registry()
+        path = str(tmp_path / "t.jsonl")
+        with pytest.raises(RuntimeError):
+            with obs.run(path, experiment="X"):
+                obs_trace.counter("trials", 2)
+                with obs_trace.span("trial"):
+                    raise RuntimeError("the run fails")
+        assert get_registry() is outer
+        assert get_tracer() is NULL_TRACER
+        assert outer.counter_values() == {"trials": 2}
+        events = load_trace(path)
+        assert validate_trace(events) == []
+        assert events[0]["tags"] == {"experiment": "X"}
+        assert [e["name"] for e in events if e["ev"] == "span"] == ["trial"]
+        (counters,) = [e for e in events if e["ev"] == "counters"]
+        assert counters["values"] == {"trials": 2}
+
+    def test_phase_counts_equal_span_counts(self, tmp_path):
+        path = str(tmp_path / "t.jsonl")
+        with obs.run(path) as scope:
+            # one phase under two label sets sums into one entry
+            for pattern in ("uniform", "incast", "uniform"):
+                with obs_trace.span("allocate", pattern=pattern, trial=1):
+                    pass
+            obs_trace.record_span("queue", 0.0, 0.25, endpoint="route")
+        traced = {}
+        for event in load_trace(path):
+            if event["ev"] == "span":
+                count, seconds = traced.get(event["name"], (0, 0.0))
+                traced[event["name"]] = (count + 1, seconds + event["dur"])
+        phases = scope.phases()
+        assert set(phases) == set(traced) == {"allocate", "queue"}
+        for name, (count, seconds) in traced.items():
+            assert phases[name][0] == count
+            assert phases[name][1] == pytest.approx(seconds, abs=1e-6)
+        assert phases["queue"] == (1, 0.25)
+
+    def test_untraced_run_installs_no_tracer(self):
+        with obs.run() as scope:
+            assert get_tracer() is NULL_TRACER
+        assert scope.trace is None
 
 
 class TestSchema:
     def test_jsonl_roundtrip_validates(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
-        tracer = Tracer(path=path, run_tags={"experiment": "T1", "quick": 1})
-        with tracer.span("outer"):
-            with tracer.span("inner", depth=1):
-                obs_trace.counter("things", 2)
-        tracer.event("degraded-mode", "pool died", context="unit", workers=2)
-        tracer.sample_memory()
-        tracer.close()
+        with obs.run(path, experiment="T1", quick=1):
+            with obs_trace.span("outer"):
+                with obs_trace.span("inner", depth=1):
+                    obs_trace.counter("things", 2)
+            obs_trace.event("degraded-mode", "pool died", context="unit", workers=2)
+            get_tracer().sample_memory()
         events = load_trace(path)
         assert validate_trace(events) == []
         kinds = {e["ev"] for e in events}
@@ -232,10 +300,9 @@ class TestShards:
 
     def test_merge_without_shards_leaves_file_alone(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
-        tracer = Tracer(path=path)
-        with tracer.span("solo"):
-            pass
-        tracer.close()
+        with obs.run(path):
+            with obs_trace.span("solo"):
+                pass
         before = open(path).read()
         assert merge_shards(path) == 0
         assert open(path).read() == before
@@ -245,19 +312,14 @@ class TestShards:
         import multiprocessing
 
         path = str(tmp_path / "t.jsonl")
-        tracer = Tracer(path=path)
-        previous = set_tracer(tracer)
-        try:
+        with obs.run(path):
             ctx = multiprocessing.get_context("fork")
             proc = ctx.Process(target=_emit_child_span)
             proc.start()
             proc.join(timeout=30)
             assert proc.exitcode == 0
-        finally:
-            set_tracer(previous)
-        with tracer.span("parent-span"):
-            pass
-        tracer.close()
+            with obs_trace.span("parent-span"):
+                pass
         events = load_trace(path)
         assert validate_trace(events) == []
         pids = {e["pid"] for e in events if e["ev"] == "span"}
@@ -323,17 +385,12 @@ class TestTraceContext:
 
     def test_spans_are_tagged_with_the_active_trace(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
-        tracer = Tracer(path=path)
-        previous = set_tracer(tracer)
-        try:
+        with obs.run(path):
             with obs_trace.trace_context("req-1"):
                 with obs_trace.span("traced"):
                     pass
             with obs_trace.span("untraced"):
                 pass
-        finally:
-            set_tracer(previous)
-            tracer.close()
         spans = {e["name"]: e for e in load_trace(path) if e["ev"] == "span"}
         assert spans["traced"]["tags"]["trace"] == "req-1"
         assert "trace" not in spans["untraced"]["tags"]
@@ -342,15 +399,10 @@ class TestTraceContext:
         import time as _time
 
         path = str(tmp_path / "t.jsonl")
-        tracer = Tracer(path=path)
-        previous = set_tracer(tracer)
-        try:
+        with obs.run(path):
             t0 = _time.perf_counter() - 0.05
             with obs_trace.trace_context("req-2"):
                 obs_trace.record_span("serve.queue", t0, 0.05, op="route", slot=0)
-        finally:
-            set_tracer(previous)
-            tracer.close()
         events = load_trace(path)
         assert validate_trace(events) == []
         (span,) = [e for e in events if e["ev"] == "span"]
@@ -408,9 +460,8 @@ class TestTruncatedShards:
         import signal
 
         path = str(tmp_path / "t.jsonl")
-        tracer = Tracer(path=path)
-        previous = set_tracer(tracer)
-        try:
+        # the scope's close merges the child's shard, tail and all
+        with obs.run(path):
             import multiprocessing
 
             ctx = multiprocessing.get_context("fork")
@@ -418,9 +469,6 @@ class TestTruncatedShards:
             proc.start()
             proc.join(timeout=30)
             assert proc.exitcode == -signal.SIGKILL
-        finally:
-            set_tracer(previous)
-            tracer.close()  # close merges the child's shard, tail and all
         assert not [
             name for name in os.listdir(tmp_path) if ".shard-" in name
         ], "shard must be consumed by the close-time merge"
@@ -480,9 +528,7 @@ class TestDegradedModeEvents:
         monkeypatch.setattr(engine, "ProcessPoolExecutor", AlwaysBroken)
         monkeypatch.setattr(engine, "POOL_RETRY_BACKOFF_S", 0.0)
         path = str(tmp_path / "t.jsonl")
-        tracer = Tracer(path=path)
-        previous = set_tracer(tracer)
-        try:
+        with obs.run(path):
             with pytest.warns(engine.DegradedModeWarning):
                 result = engine.map_with_pool_recovery(
                     _times_three,
@@ -491,9 +537,6 @@ class TestDegradedModeEvents:
                     sequential=lambda tasks: [t * 3 for t in tasks],
                     context="obs unit test",
                 )
-        finally:
-            set_tracer(previous)
-            tracer.close()
         assert result == [3, 6]
         events = load_trace(path)
         assert validate_trace(events) == []
@@ -517,9 +560,7 @@ class TestDegradedModeEvents:
         from repro.metrics import engine
 
         path = str(tmp_path / "t.jsonl")
-        tracer = Tracer(path=path)
-        previous = set_tracer(tracer)
-        try:
+        with obs.run(path):
             result = engine.map_with_pool_recovery(
                 _times_three,
                 [1, 2, 3],
@@ -527,9 +568,6 @@ class TestDegradedModeEvents:
                 sequential=lambda tasks: [t * 3 for t in tasks],
                 context="healthy",
             )
-        finally:
-            set_tracer(previous)
-            tracer.close()
         assert result == [3, 6, 9]
         events = load_trace(path)
         assert [e for e in events if e["ev"] == "warning"] == []
@@ -542,23 +580,26 @@ def _times_three(x):
 class TestHeartbeat:
     def test_heartbeat_fires_until_stopped(self):
         beats = []
-        hb = Heartbeat(0.02, lambda: beats.append(1))
+        hb = Heartbeat(0.02, beats.append)
         time.sleep(0.15)
         hb.stop()
         count = len(beats)
         assert count >= 2
+        # each beat carries the seconds elapsed since the heartbeat began
+        assert 0.0 < beats[0] < beats[-1]
+        assert beats == sorted(beats)
         time.sleep(0.06)
         assert len(beats) == count  # stopped means stopped
 
     def test_zero_interval_is_dormant(self):
         beats = []
-        hb = Heartbeat(0.0, lambda: beats.append(1))
+        hb = Heartbeat(0.0, beats.append)
         time.sleep(0.05)
         hb.stop()
         assert beats == []
 
     def test_raising_callback_kills_heartbeat_not_test(self):
-        def boom():
+        def boom(elapsed):
             raise RuntimeError("observability must never break the run")
 
         hb = Heartbeat(0.01, boom)

@@ -121,141 +121,136 @@ class TestWorkerTelemetry:
     one request's trace stitches across a crash + retry."""
 
     def test_metrics_and_trace_survive_worker_crash(self, graph, tmp_path):
-        from repro.obs import trace as obs_trace
-        from repro.obs.metrics import MetricsRegistry, set_registry
+        from repro import obs
         from repro.obs.report import load_trace, report_trace_id, trace_spans
 
         trace_path = str(tmp_path / "chaos.trace.jsonl")
-        # The tracer must exist before the workers spawn: it exports
-        # the shard env var the spawned workers adopt.
-        tracer = obs_trace.Tracer(path=trace_path)
-        previous_tracer = obs_trace.set_tracer(tracer)
-        registry = MetricsRegistry()
-        previous_registry = set_registry(registry)
         service = None
         front = None
         thread = None
         client = None
-        try:
-            service = TopologyService(
-                graph,
-                ServeConfig(
-                    workers=1,
-                    queue_bound=8,
-                    spawn_timeout_s=SPAWN_TIMEOUT_S,
-                    backoff_base_s=0.05,
-                    backoff_max_s=0.5,
-                    default_deadline_s=30.0,
-                ),
-                label="chaos-telemetry",
-            )
-            service.start()
-            assert service.wait_ready(SPAWN_TIMEOUT_S)
-            front = HTTPFrontEnd(service, port=0)
-            thread = threading.Thread(target=front.serve_forever, daemon=True)
-            thread.start()
-            client = ServeClient(
-                port=front.port, retries=6, backoff_base_s=0.05,
-                timeout_s=60, seed=23,
-            )
-
-            # -- healthy requests: worker-side metrics merge over the pipe
-            for _ in range(3):
-                assert client.route("0", "17")["status"] == "ok"
-            snap = service.metrics_snapshot()
-
-            def count_of(name, **labels):
-                return sum(
-                    h["count"]
-                    for h in snap["histograms"]
-                    if h["name"] == name
-                    and all(h["labels"].get(k) == v for k, v in labels.items())
+        # The scope's tracer must exist before the workers spawn: it
+        # exports the shard env var the spawned workers adopt.  Closing
+        # it merges the worker shards into the main file.
+        with obs.run(trace_path) as scope:
+            try:
+                service = TopologyService(
+                    graph,
+                    ServeConfig(
+                        workers=1,
+                        queue_bound=8,
+                        spawn_timeout_s=SPAWN_TIMEOUT_S,
+                        backoff_base_s=0.05,
+                        backoff_max_s=0.5,
+                        default_deadline_s=30.0,
+                    ),
+                    label="chaos-telemetry",
+                )
+                service.start()
+                assert service.wait_ready(SPAWN_TIMEOUT_S)
+                front = HTTPFrontEnd(service, port=0)
+                thread = threading.Thread(target=front.serve_forever, daemon=True)
+                thread.start()
+                client = ServeClient(
+                    port=front.port, retries=6, backoff_base_s=0.05,
+                    timeout_s=60, seed=23,
                 )
 
-            # observed IN the worker process, merged into the parent
-            assert count_of(
-                "serve.execute.latency_seconds", endpoint="route", outcome="ok"
-            ) == 3
-            # healthy ABCCC routes are digit-corrected, counted in the worker
-            assert sum(
-                c["value"]
-                for c in snap["counters"]
-                if c["name"] == "serve.paths"
-                and c["labels"] == {"op": "route", "method": "digit"}
-            ) == 3
-            assert count_of("serve.bfs_seconds", op="route") == 0
-            # observed in the parent around the queue hand-off
-            assert count_of("serve.queue.wait_seconds", endpoint="route") == 3
-            gauges = {
-                (g["name"], tuple(sorted(g["labels"].items()))): g["value"]
-                for g in snap["gauges"]
-            }
-            assert gauges[("serve.worker.alive", (("slot", "0"),))] == 1
-            stats = service.stats()
-            rss = stats["workers"]["peak_rss_mb"]
-            assert rss and rss["pool_total"] > 0
-            assert stats["memory"]["pool_total_mb"] > 0
+                # -- healthy requests: worker-side metrics merge over the pipe
+                for _ in range(3):
+                    assert client.route("0", "17")["status"] == "ok"
+                snap = service.metrics_snapshot()
 
-            # a scenario route still runs the BFS, timed in the worker
-            dead = graph.names[graph.server_indices[1]]
-            scenario = {"dead_servers": [dead]}
-            assert client.route("0", "17", scenario=scenario)["status"] == "ok"
-            snap = service.metrics_snapshot()
-            assert count_of("serve.bfs_seconds", op="route") == 1
+                def count_of(name, **labels):
+                    return sum(
+                        h["count"]
+                        for h in snap["histograms"]
+                        if h["name"] == name
+                        and all(h["labels"].get(k) == v for k, v in labels.items())
+                    )
 
-            # -- SIGKILL the worker mid-request; the retry must recover
-            pid = worker_pids(service)[0]
-            os.kill(pid, signal.SIGSTOP)
-            outcome = {}
+                # observed IN the worker process, merged into the parent
+                assert count_of(
+                    "serve.execute.latency_seconds", endpoint="route", outcome="ok"
+                ) == 3
+                # healthy ABCCC routes are digit-corrected, counted in the worker
+                assert sum(
+                    c["value"]
+                    for c in snap["counters"]
+                    if c["name"] == "serve.paths"
+                    and c["labels"] == {"op": "route", "method": "digit"}
+                ) == 3
+                assert count_of("serve.bfs_seconds", op="route") == 0
+                # observed in the parent around the queue hand-off
+                assert count_of("serve.queue.wait_seconds", endpoint="route") == 3
+                gauges = {
+                    (g["name"], tuple(sorted(g["labels"].items()))): g["value"]
+                    for g in snap["gauges"]
+                }
+                assert gauges[("serve.worker.alive", (("slot", "0"),))] == 1
+                stats = service.stats()
+                rss = stats["workers"]["peak_rss_mb"]
+                assert rss and rss["pool_total"] > 0
+                assert stats["memory"]["pool_total_mb"] > 0
 
-            def query():
-                outcome["result"] = client.route("0", "17")
-                outcome["attempts"] = client.last_attempts
-                outcome["trace_id"] = client.last_trace_id
+                # a scenario route still runs the BFS, timed in the worker
+                dead = graph.names[graph.server_indices[1]]
+                scenario = {"dead_servers": [dead]}
+                assert client.route("0", "17", scenario=scenario)["status"] == "ok"
+                snap = service.metrics_snapshot()
+                assert count_of("serve.bfs_seconds", op="route") == 1
 
-            worker_thread = threading.Thread(target=query)
-            worker_thread.start()
-            time.sleep(0.4)
-            os.kill(pid, signal.SIGKILL)
-            worker_thread.join(timeout=SPAWN_TIMEOUT_S)
-            assert not worker_thread.is_alive(), "retry never completed"
-            assert outcome["result"]["status"] == "ok"
-            assert outcome["attempts"] >= 2
+                # -- SIGKILL the worker mid-request; the retry must recover
+                pid = worker_pids(service)[0]
+                os.kill(pid, signal.SIGSTOP)
+                outcome = {}
 
-            # -- counts survived the restart: the dead worker's snapshot
-            # was folded into the retired pile, the new worker adds one
-            snap = service.metrics_snapshot()
-            assert count_of(
-                "serve.execute.latency_seconds", endpoint="route", outcome="ok"
-            ) >= 5
-            restarts = sum(
-                c["value"]
-                for c in snap["counters"]
-                if c["name"] == "serve.worker.restarts"
-            )
-            assert restarts >= 1
-            trace_id = outcome["trace_id"]
-            new_pid = worker_pids(service)[0]
-            assert new_pid != pid
-        finally:
-            if client is not None:
-                client.close()
-            if service is not None:
-                service.drain_and_stop()
-            if front is not None:
-                front.shutdown()
-                front.close()
-            if thread is not None:
-                thread.join(timeout=10)
-            set_registry(previous_registry)
-            obs_trace.set_tracer(previous_tracer)
-            tracer.close()  # merges the worker shards into the main file
+                def query():
+                    outcome["result"] = client.route("0", "17")
+                    outcome["attempts"] = client.last_attempts
+                    outcome["trace_id"] = client.last_trace_id
+
+                worker_thread = threading.Thread(target=query)
+                worker_thread.start()
+                time.sleep(0.4)
+                os.kill(pid, signal.SIGKILL)
+                worker_thread.join(timeout=SPAWN_TIMEOUT_S)
+                assert not worker_thread.is_alive(), "retry never completed"
+                assert outcome["result"]["status"] == "ok"
+                assert outcome["attempts"] >= 2
+
+                # -- counts survived the restart: the dead worker's snapshot
+                # was folded into the retired pile, the new worker adds one
+                snap = service.metrics_snapshot()
+                assert count_of(
+                    "serve.execute.latency_seconds", endpoint="route", outcome="ok"
+                ) >= 5
+                restarts = sum(
+                    c["value"]
+                    for c in snap["counters"]
+                    if c["name"] == "serve.worker.restarts"
+                )
+                assert restarts >= 1
+                trace_id = outcome["trace_id"]
+                new_pid = worker_pids(service)[0]
+                assert new_pid != pid
+            finally:
+                if client is not None:
+                    client.close()
+                if service is not None:
+                    service.drain_and_stop()
+                if front is not None:
+                    front.shutdown()
+                    front.close()
+                if thread is not None:
+                    thread.join(timeout=10)
+
         assert shm.owned_segments() == ()
         # stopping the pool folded the workers' snapshots into the
-        # process registry: worker-side counts outlive the workers
+        # run's registry: worker-side counts outlive the workers
         executed_count = sum(
             h["count"]
-            for h in registry.snapshot()["histograms"]
+            for h in scope.registry.snapshot()["histograms"]
             if h["name"] == "serve.execute.latency_seconds"
         )
         assert executed_count >= 5

@@ -13,8 +13,8 @@ import threading
 
 import pytest
 
+from repro import obs
 from repro.core import AbcccSpec
-from repro.obs import trace as obs_trace
 from repro.obs.metrics import (
     MetricsRegistry,
     exposition_problems,
@@ -163,11 +163,9 @@ class TestSpansAreTheTimers:
     def test_every_serve_span_is_one_observation(self, service, graph, tmp_path):
         """Each serve span in the trace is one ``<span>_seconds`` count."""
         path = str(tmp_path / "serve.trace.jsonl")
-        tracer = obs_trace.Tracer(path=path)
-        previous = obs_trace.set_tracer(tracer)
         everyone = [graph.names[i] for i in graph.server_indices]
         dead = everyone[1]
-        try:
+        with obs.run(path):
             service.submit("route", {"src": "0", "dst": "17"})
             service.submit(
                 "route", {"src": "0", "dst": "17", "scenario": {"dead_servers": [dead]}}
@@ -175,9 +173,6 @@ class TestSpansAreTheTimers:
             service.submit("whatif", {"dead_servers": [dead], "sample_pairs": 5})
             service.submit("whatif", {"dead_servers": everyone, "sample_pairs": 5})
             snap = service.metrics_snapshot()
-        finally:
-            obs_trace.set_tracer(previous)
-            tracer.close()
         traced = {}
         for event in load_trace(path):
             if event["ev"] == "span" and event["name"].startswith("serve."):
@@ -246,14 +241,9 @@ class TestTracePropagation:
 
     def test_inline_request_stitches_into_one_trace(self, client, tmp_path):
         path = str(tmp_path / "serve.trace.jsonl")
-        tracer = obs_trace.Tracer(path=path)
-        previous = obs_trace.set_tracer(tracer)
-        try:
+        with obs.run(path):
             client.route("0", "17")
             trace_id = client.last_trace_id
-        finally:
-            obs_trace.set_tracer(previous)
-            tracer.close()
         spans = trace_spans(load_trace(path), trace_id)
         names = {s["name"] for s in spans}
         # client attempt and server-side execution in one stitched tree
@@ -267,9 +257,7 @@ class TestTracePropagation:
     def test_foreign_trace_header_lands_in_server_spans(self, client, tmp_path):
         """A caller-supplied X-Trace-Id tags the server-side spans."""
         path = str(tmp_path / "serve.trace.jsonl")
-        tracer = obs_trace.Tracer(path=path)
-        previous = obs_trace.set_tracer(tracer)
-        try:
+        with obs.run(path):
             conn = http.client.HTTPConnection(
                 "127.0.0.1", client.port_number, timeout=10
             )
@@ -282,8 +270,5 @@ class TestTracePropagation:
             response.read()
             conn.close()
             assert response.status == 200
-        finally:
-            obs_trace.set_tracer(previous)
-            tracer.close()
         spans = trace_spans(load_trace(path), "ext-42")
         assert {s["name"] for s in spans} >= {"serve.request.latency"}

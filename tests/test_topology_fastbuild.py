@@ -11,7 +11,7 @@ from repro.core.address import AddressError
 from repro.faults.mask import MaskedGraph
 from repro.faults.plan import FailureScenario
 from repro.metrics.engine import pairwise_distances
-from repro.obs import trace as obs_trace
+from repro import obs
 from repro.obs.report import load_trace
 from repro.topology import fastbuild
 from repro.topology.compiled import build_compiled, compile_graph
@@ -284,19 +284,21 @@ class TestMemmap:
 class TestObservability:
     def test_fastbuild_emits_span_and_counter(self, tmp_path):
         path = str(tmp_path / "trace.jsonl")
-        tracer = obs_trace.Tracer(path=path)
-        previous = obs_trace.set_tracer(tracer)
-        try:
+        with obs.run(path) as scope:
             fast_compiled(AbcccSpec(3, 1, 2))
-        finally:
-            obs_trace.set_tracer(previous)
-            tracer.close()
         spans = [e for e in load_trace(path) if e["ev"] == "span"]
         (span,) = [s for s in spans if s["name"] == "topology.fastbuild"]
         assert span["tags"]["kind"] == "abccc"
         assert span["tags"]["servers"] == 18
         assert span["tags"]["memmap"] is False
-        assert tracer.counters().get("fastbuild.graphs") == 1
+        assert scope.registry.counter_values().get("fastbuild.graphs") == 1
+
+    def test_object_path_times_its_build(self):
+        with obs.run() as scope:
+            build_compiled(FatTreeSpec(4))
+        phases = scope.phases()
+        assert phases["topology.build"][0] == phases["topology.compile"][0] == 1
+        assert "topology.fastbuild" not in phases
 
     def test_csr_nbytes_counts_all_arrays(self):
         graph = fast_compiled(AbcccSpec(3, 1, 2))

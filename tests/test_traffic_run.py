@@ -3,15 +3,10 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import AbcccSpec
 from repro.faults.journal import TrialJournal
-from repro.obs import trace as obs_trace
-from repro.obs.metrics import (
-    MetricsRegistry,
-    exposition_problems,
-    render_prometheus,
-    set_registry,
-)
+from repro.obs.metrics import exposition_problems, render_prometheus
 from repro.obs.report import load_trace, summarize
 from repro.topology.fastbuild import fast_compiled
 from repro.traffic import COLUMNS, TrafficTrialSpec, run_traffic, run_trial
@@ -132,23 +127,15 @@ class TestRunTraffic:
         monkeypatch.setenv("REPRO_TRACE_MEM_INTERVAL", "0")
 
         def counted_run(workers):
-            # a file tracer and a fresh registry around each side: pool
-            # workers' counts must come home to both
-            registry = MetricsRegistry()
-            previous_registry = set_registry(registry)
+            # a traced run scope around each side: pool workers' counts
+            # must come home to both its registry and its trace
             path = str(tmp_path / f"workers{workers}.trace.jsonl")
-            tracer = obs_trace.Tracer(path=path)
-            previous_tracer = obs_trace.set_tracer(tracer)
-            try:
+            with obs.run(path) as scope:
                 table = run_traffic(
                     graph, "t", "uniform", trials=4, seed=9, workers=workers, fct=True
                 )
-            finally:
-                obs_trace.set_tracer(previous_tracer)
-                tracer.close()
-                set_registry(previous_registry)
             counters = summarize(load_trace(path)).counters
-            snapshot = registry.snapshot()
+            snapshot = scope.registry.snapshot()
             # the flow model's histograms and the span timings share the
             # exposition without colliding
             assert exposition_problems(render_prometheus(snapshot)) == []
@@ -156,6 +143,14 @@ class TestRunTraffic:
             for h in snapshot["histograms"]:
                 counts[h["name"]] = counts.get(h["name"], 0) + h["count"]
             assert counts["traffic.allocate_seconds"] == 4  # one per trial
+            assert counts["traffic.trial_seconds"] == 4
+            # each row's elapsed_s is its traffic.trial span's duration
+            trials = [
+                e["dur"]
+                for e in load_trace(path)
+                if e["ev"] == "span" and e["name"] == "traffic.trial"
+            ]
+            assert sorted(trials) == sorted(row["elapsed_s"] for row in table.rows)
             return table, counters, counts["traffic.rate.units"]
 
         seq, seq_counters, seq_rates = counted_run(1)
