@@ -15,7 +15,7 @@ from repro import AbcccSpec, BcubeSpec, FatTreeSpec
 from repro.metrics.bottleneck import load_stats
 from repro.routing import EcmpRouter, route_all
 from repro.sim.packet import PacketSimConfig, PacketSimulator
-from repro.sim.traffic import shuffle_traffic
+from repro.sim.jobs import shuffle_job
 from repro.topology.compiled import compile_graph
 from repro.traffic import RouteSet, max_min_rates
 
@@ -25,7 +25,7 @@ MAPPERS, REDUCERS = 12, 8
 def run_on(spec) -> dict:
     net = spec.build()
     router = EcmpRouter(net).route if spec.kind == "fattree" else spec.route
-    flows = shuffle_traffic(net.servers, MAPPERS, REDUCERS, seed=99)
+    flows = shuffle_job("shuffle", 0.0, net.servers, MAPPERS, REDUCERS, seed=99).flows
     routes = route_all(net, flows, router)
 
     allocation = max_min_rates(RouteSet.from_name_routes(compile_graph(net), flows, routes))

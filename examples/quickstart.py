@@ -8,9 +8,8 @@ from repro import AbcccSpec, validate_network
 from repro.metrics.cost import capex
 from repro.metrics.distance import link_hop_stats
 from repro.routing import route_all
-from repro.sim.traffic import permutation_traffic
 from repro.topology.compiled import compile_graph
-from repro.traffic import RouteSet, max_min_rates
+from repro.traffic import RouteSet, generate_matrix, max_min_rates
 
 
 def main() -> None:
@@ -38,7 +37,7 @@ def main() -> None:
     print(f"mean/median server-pair distance: {stats.mean:.2f} links, p99 {stats.p99}")
 
     # 5. Throughput under permutation traffic (max-min fair rates).
-    flows = permutation_traffic(net.servers, seed=7)
+    flows = generate_matrix("permutation", net.num_servers, seed=7).flows(net.servers)
     routes = route_all(net, flows, spec.route)
     allocation = max_min_rates(RouteSet.from_name_routes(compile_graph(net), flows, routes))
     print(

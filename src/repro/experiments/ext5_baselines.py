@@ -19,9 +19,9 @@ from repro.experiments.harness import register
 from repro.metrics.cost import capex
 from repro.routing.base import route_all
 from repro.sim.results import ResultTable
-from repro.sim.traffic import permutation_traffic
 from repro.topology.compiled import compile_graph
 from repro.traffic.engine import max_min_rates
+from repro.traffic.matrix import generate_matrix
 from repro.traffic.routes import RouteSet
 
 
@@ -42,8 +42,9 @@ def _specs(quick: bool):
     "Extended baseline field: torus (CamCube), oversubscribed tree, Jellyfish",
     "torus: zero switch cost but 6 NICs/server and cube-root diameter "
     "growth; tree: cheapest switching but bisection collapses with "
-    "oversubscription; Jellyfish: strong throughput at low cost but no "
-    "structure (measured-only properties, table routing); ABCCC sits "
+    "oversubscription; Jellyfish: throughput between the tree's and "
+    "ABCCC's at low cost but no structure (measured-only properties, "
+    "table routing); ABCCC sits "
     "between on every axis — throughput per server: abccc > tree, "
     "diameter: abccc < torus at comparable sizes.",
 )
@@ -75,7 +76,9 @@ def run(quick: bool = False) -> List[ResultTable]:
             capex_per_server=capex(spec).per_server,
         )
         net = spec.build()
-        flows = permutation_traffic(net.servers, seed=61)
+        flows = generate_matrix("permutation", net.num_servers, seed=61).flows(
+            net.servers
+        )
         routes = route_all(net, flows, spec.route)
         allocation = max_min_rates(
             RouteSet.from_name_routes(compile_graph(net), flows, routes)

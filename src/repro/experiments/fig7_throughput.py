@@ -7,11 +7,10 @@ flow rate and Jain fairness — the "extensive simulations" core of the
 paper.  Per-server normalisation makes instances of different sizes
 comparable.
 
-The workloads come from the :mod:`repro.traffic` matrix generators:
+The workloads come from the :mod:`repro.traffic.matrix` generators:
 because they are drawn over server *ordinals*, two topologies with the
-same server count receive bit-identical flow sets — a stronger
-"identical workloads" guarantee than the name-based draws of
-:mod:`repro.sim.traffic`.  The allocation runs through the vectorized
+same server count receive bit-identical flow sets, whatever their
+server names.  The allocation runs through the vectorized
 engine (:func:`repro.traffic.engine.max_min_rates`); the test suite
 checks its rates against exact ``Fraction`` water-filling and the
 max-min certificate on F7's own quick topologies.
@@ -80,10 +79,12 @@ def _workloads(num_servers: int, quick: bool) -> List[Tuple[str, TrafficMatrix]]
 @register(
     "F7",
     "Max-min fair throughput under permutation / all-to-all / hot-rack",
-    "per-server throughput ordering: fat-tree ~ bcube > abccc(s=3) > "
-    "abccc(s=2)=bccc > ficonn, tracking per-server bisection 1/(2c); "
-    "hot-rack skew compresses every topology toward the receivers' NIC "
-    "limit.",
+    "permutation per-server throughput ordering: fat-tree ~ bcube > "
+    "abccc(s=3) > abccc(s=2) ~ bccc, tracking per-server bisection "
+    "1/(2c); ficonn(8,1)'s aggregate beats both abccc instances in every "
+    "pattern, but its all-to-all min rate and Jain collapse; hot-rack "
+    "skew lowers every topology's Jain fairness below its permutation "
+    "value.",
 )
 def run(quick: bool = False) -> List[ResultTable]:
     table = ResultTable(

@@ -22,7 +22,7 @@ from repro.experiments.harness import register
 from repro.metrics.bottleneck import load_stats
 from repro.routing.base import route_all
 from repro.sim.results import ResultTable
-from repro.sim.traffic import one_to_all_traffic
+from repro.sim.traffic import Flow
 
 
 def _broadcast_table(quick: bool) -> ResultTable:
@@ -58,7 +58,10 @@ def _broadcast_table(quick: bool) -> ResultTable:
         tree.validate(net)
         assert set(tree.servers) == set(net.servers)
         # Naive alternative: a unicast flow to every destination.
-        flows = one_to_all_traffic(net.servers, source=source.name)
+        flows = [
+            Flow(f"o2a-{i}", source.name, dst)
+            for i, dst in enumerate(s for s in net.servers if s != source.name)
+        ]
         routes = route_all(net, flows, spec.route)
         unicast = load_stats(net, routes.values())
         stress = tree.link_stress()

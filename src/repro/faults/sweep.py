@@ -268,33 +268,32 @@ def degradation_sweep(
     )
     with trials_span:
         if workers > 1 and len(pending) >= max(SWEEP_PARALLEL_THRESHOLD, 2 * workers):
-            scenarios = [plans[key].scenario for key in pending]
-            unique = list(dict.fromkeys(scenarios))
-            _obs.counter("faults.scenario_dedup", len(scenarios) - len(unique))
+            keys_of: Dict[FailureScenario, List[str]] = {}
+            for key in pending:
+                keys_of.setdefault(plans[key].scenario, []).append(key)
+            unique = list(keys_of)
+            _obs.counter("faults.scenario_dedup", len(pending) - len(unique))
             from repro.topology.shm import export_graph
 
             handle = export_graph(graph)
             try:
-                unique_results = map_with_pool_recovery(
+                # each scenario's trials are journaled as soon as it finishes
+                for index, result in map_with_pool_recovery(
                     _sweep_worker_trial,
                     unique,
                     workers=workers,
                     initializer=_sweep_worker_init,
                     initargs=(handle, panel),
-                    sequential=lambda tasks: [
-                        _evaluate_masked(graph, panel, scenario) for scenario in tasks
-                    ],
+                    sequential=lambda scenario: _evaluate_masked(graph, panel, scenario),
                     context=f"degradation sweep {net.name}/{tag}",
-                )
+                ):
+                    for key in keys_of[unique[index]]:
+                        computed[key] = result
+                        _trace_computed(key)
+                        if journal is not None:
+                            _record(journal, key, plans[key], result)
             finally:
                 handle.release()
-            by_scenario.update(zip(unique, unique_results))
-            results = [by_scenario[scenario] for scenario in scenarios]
-            for key, result in zip(pending, results):
-                computed[key] = result
-                _trace_computed(key)
-                if journal is not None:
-                    _record(journal, key, plans[key], result)
         else:
             for key in pending:
                 scenario = plans[key].scenario

@@ -40,7 +40,6 @@ experiment runner's ``--workers`` flag sets that default for a run).
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import pickle
@@ -48,9 +47,9 @@ import random
 import time
 import warnings
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as _np
 
@@ -139,35 +138,51 @@ def map_with_pool_recovery(
     workers: int,
     initializer: Optional[Callable] = None,
     initargs: Tuple = (),
-    sequential: Callable[[Sequence], List],
+    sequential: Callable[[Any], Any],
     context: str,
-) -> List:
-    """``pool.map(fn, tasks)`` with crash recovery, preserving order.
-
-    A mid-run worker crash (``BrokenProcessPool``), a pickling failure
-    or a missing-fork platform no longer kills the caller: the pool is
-    retried once after a short backoff, and if it fails again the whole
-    task list is recomputed by ``sequential(tasks)`` — loudly, via a
-    :class:`DegradedModeWarning` (never silently).
+) -> Iterator[Tuple[int, Any]]:
+    """``fn`` over ``tasks`` in a worker pool, yielding ``(index, result)``
+    as each task completes; callers put results back in task order.
 
     Each task runs under a fresh metrics registry in its worker and
-    ships that registry's snapshot home with its result.  The snapshots
-    fold into the caller's registry only once the whole map succeeded,
-    so the tasks of a failed attempt are never counted twice.
+    ships that registry's snapshot home with its result, which folds
+    into the caller's registry when the result is handed over.  A task
+    that raises does not throw away the others: every result that
+    completes is handed over, then the error propagates.  A crashed
+    pool (``BrokenProcessPool``), a pickling failure or a missing-fork
+    platform is retried once after a short backoff, and if it fails
+    again the tasks run through ``sequential(task)`` in this process —
+    loudly, via a :class:`DegradedModeWarning`.  The retry and the
+    fallback run only the tasks still without a result, so no task is
+    computed or counted twice.
     """
+    remaining = dict(enumerate(tasks))
+    registry = _metrics.get_registry()
     last_error: Optional[BaseException] = None
     with _obs.span("pool", context=context, workers=workers, tasks=len(tasks)) as pool_span:
         for attempt in (1, 2):
             try:
+                failed: Optional[BaseException] = None
                 with ProcessPoolExecutor(
                     max_workers=workers, initializer=initializer, initargs=initargs
                 ) as pool:
-                    counted = list(pool.map(functools.partial(_counted, fn), tasks))
+                    futures = {
+                        pool.submit(_counted, fn, task): index
+                        for index, task in remaining.items()
+                    }
+                    for future in as_completed(futures):
+                        try:
+                            result, snapshot = future.result()
+                        except Exception as error:
+                            failed = failed or error
+                            continue
+                        registry.merge(snapshot)
+                        del remaining[futures[future]]
+                        yield futures[future], result
+                if failed is not None:
+                    raise failed
                 pool_span.tag(attempts=attempt)
-                registry = _metrics.get_registry()
-                for _, snapshot in counted:
-                    registry.merge(snapshot)
-                return [result for result, _ in counted]
+                return
             except POOL_FAILURES as error:
                 last_error = error
                 if attempt == 1:
@@ -193,7 +208,8 @@ def map_with_pool_recovery(
         warnings.warn(
             DegradedModeWarning(context, workers, last_error), stacklevel=2
         )
-        return sequential(tasks)
+        for index, task in list(remaining.items()):
+            yield index, sequential(task)
 
 
 def set_default_workers(workers: int) -> int:
@@ -515,20 +531,23 @@ def _parallel_sweep(
 
     with _obs.span("engine.handoff", workers=workers):
         handle = _shm.export_graph(CSRGraphView.of(graph))
+    chunks = _chunk(sources, workers)
+    results: List = [None] * len(chunks)
     try:
-        results = map_with_pool_recovery(
+        for index, result in map_with_pool_recovery(
             _worker_sweep,
-            _chunk(sources, workers),
+            chunks,
             workers=workers,
             initializer=_worker_init,
             initargs=(handle, per_source),
-            sequential=lambda chunks: [
-                _sweep_bitpack(graph, c, per_source) for c in chunks
-            ],
+            sequential=lambda chunk: _sweep_bitpack(graph, chunk, per_source),
             context="all-pairs distance sweep",
-        )
+        ):
+            results[index] = result
     finally:
         handle.release()
+    # merged in task order, so the per-source lists (and mean_ci95) are
+    # bit-identical to the sequential path
     merged: Counter = Counter()
     unreachable = 0
     sums: List[int] = []

@@ -1,4 +1,4 @@
-"""Simulators: discrete events, packet level, jobs, churn, traffic patterns.
+"""Simulators: discrete events, packet level, jobs, churn.
 
 Flow-level max-min rates and fluid completion times live in
 :mod:`repro.traffic`; :mod:`repro.sim.jobs` runs job arrivals on it.
@@ -17,16 +17,7 @@ from repro.sim.jobs import (
 )
 from repro.sim.packet import PacketSimConfig, PacketSimResult, PacketSimulator
 from repro.sim.results import ResultTable
-from repro.sim.traffic import (
-    PATTERNS,
-    Flow,
-    all_to_all_traffic,
-    hotspot_traffic,
-    one_to_all_traffic,
-    permutation_traffic,
-    shuffle_traffic,
-    uniform_random_traffic,
-)
+from repro.sim.traffic import Flow
 
 __all__ = [
     "ChurnConfig",
@@ -41,17 +32,10 @@ __all__ = [
     "incast_job",
     "shuffle_job",
     "simulate_jobs",
-    "PATTERNS",
     "PacketSimConfig",
     "PacketSimResult",
     "PacketSimulator",
     "ResultTable",
     "SimulationError",
     "Simulator",
-    "all_to_all_traffic",
-    "hotspot_traffic",
-    "one_to_all_traffic",
-    "permutation_traffic",
-    "shuffle_traffic",
-    "uniform_random_traffic",
 ]

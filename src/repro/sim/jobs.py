@@ -6,8 +6,9 @@ backup — each a batch of flows sharing a start time, arriving over time.
 This module models that layer:
 
 * :class:`Job` — a named batch of flows with an arrival time;
-* :func:`job_flows` generators for common job shapes (shuffle,
-  aggregate/incast, broadcast-style disseminate);
+* generators for common job shapes (shuffle, aggregate/incast,
+  broadcast-style disseminate), whose participants are drawn by
+  :class:`repro.traffic.matrix.RawDraws`;
 * :func:`simulate_jobs` — run a job sequence through
   :func:`repro.traffic.engine.fluid_fct`, with each flow starting at
   its job's arrival, and report per-job completion times (a job
@@ -19,7 +20,6 @@ the library a realistic top layer users actually want.
 
 from __future__ import annotations
 
-import random
 import statistics
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
@@ -32,6 +32,7 @@ from repro.topology.graph import Network
 # Submodules, not the package: repro.traffic imports repro.traffic.run,
 # which imports repro.sim, so the package may still be initialising here.
 from repro.traffic.engine import FctStats, fluid_fct
+from repro.traffic.matrix import RawDraws
 from repro.traffic.routes import RouteSet
 
 
@@ -57,6 +58,13 @@ class Job:
         return sum(f.size for f in self.flows)
 
 
+def _participants(servers: Sequence, count: int, seed: int) -> list:
+    """``count`` distinct servers, uniform over ordered selections; indexes
+    ``servers`` without copying it, so a job costs its participants."""
+    picks = RawDraws(seed, "sim.jobs").distinct(len(servers), count)
+    return [servers[int(i)] for i in picks]
+
+
 def shuffle_job(
     job_id: str,
     arrival: float,
@@ -67,8 +75,7 @@ def shuffle_job(
     seed: int = 0,
 ) -> Job:
     """An m x r all-to-all shuffle between disjoint random server sets."""
-    rng = random.Random(seed)
-    chosen = rng.sample(list(servers), num_mappers + num_reducers)
+    chosen = _participants(servers, num_mappers + num_reducers, seed)
     mappers, reducers = chosen[:num_mappers], chosen[num_mappers:]
     flows = tuple(
         Flow(f"{job_id}/s{m}-{r}", mapper, reducer, size=volume_per_flow)
@@ -87,8 +94,7 @@ def incast_job(
     seed: int = 0,
 ) -> Job:
     """Aggregation: many workers send to one coordinator simultaneously."""
-    rng = random.Random(seed)
-    chosen = rng.sample(list(servers), num_workers + 1)
+    chosen = _participants(servers, num_workers + 1, seed)
     coordinator, workers = chosen[0], chosen[1:]
     flows = tuple(
         Flow(f"{job_id}/w{i}", worker, coordinator, size=volume_per_flow)
@@ -106,8 +112,7 @@ def disseminate_job(
     seed: int = 0,
 ) -> Job:
     """One source pushes a dataset to many receivers (unicast fan-out)."""
-    rng = random.Random(seed)
-    chosen = rng.sample(list(servers), num_receivers + 1)
+    chosen = _participants(servers, num_receivers + 1, seed)
     source, receivers = chosen[0], chosen[1:]
     flows = tuple(
         Flow(f"{job_id}/r{i}", source, receiver, size=volume_per_flow)

@@ -1,19 +1,22 @@
 """Seeded traffic-matrix generators over integer server ordinals.
 
-A :class:`TrafficMatrix` is the batch-native counterpart of the
-:class:`repro.sim.traffic.Flow` lists: one numpy record of ``src`` /
-``dst`` server *ordinals* (positions ``0 .. num_servers-1`` into a
-graph's ``server_indices``) plus per-flow ``size``.  Ordinals — not
-names — are the contract that lets the same workload run on an
-object-built :class:`~repro.topology.compiled.CompiledGraph`, a
-lazy-name :class:`~repro.topology.fastbuild.FastCompiledGraph` and a
+This module is the one source of flow endpoints.  A
+:class:`TrafficMatrix` is one numpy record of ``src`` / ``dst`` server
+*ordinals* (positions ``0 .. num_servers-1`` into a graph's
+``server_indices``) plus per-flow ``size``.  Ordinals — not names — are
+the contract that lets the same workload run on an object-built
+:class:`~repro.topology.compiled.CompiledGraph`, a lazy-name
+:class:`~repro.topology.fastbuild.FastCompiledGraph` and a
 :class:`~repro.faults.mask.MaskedGraph` without ever materialising a
-name string.
+name string; :meth:`TrafficMatrix.flows` maps them onto the
+:class:`~repro.sim.traffic.Flow` lists the name-keyed routers and the
+packet simulator take.
 
-Workload families (the Lebiednik et al. survey's evaluation staples):
+Workload families (the Lebiednik et al. survey's evaluation staples),
+each drawn under the law its generator's docstring states:
 
-* ``permutation`` — every server sends one flow, receives one flow
-  (a derangement);
+* ``permutation`` — every server sends one flow and receives one flow,
+  along a uniform random single cycle;
 * ``all_to_all`` — every ordered pair, optionally subsampled;
 * ``uniform`` — independent uniform pairs;
 * ``incast`` — many senders converge on few receivers (fan-in);
@@ -22,13 +25,15 @@ Workload families (the Lebiednik et al. survey's evaluation staples):
   the cube families);
 * ``job`` — job-placement-driven: a batch of MapReduce-style jobs
   (shuffle / aggregate / disseminate) placed by the
-  :mod:`repro.sim.jobs` generators over the ordinal space.
+  :mod:`repro.sim.jobs` shapes over the ordinal space.
 
 Every generator is a pure function of ``(num_servers, seed, params)``:
-two topologies with equal server counts receive bit-identical matrices,
-and the numpy ``PCG64`` streams (seeded through
-:func:`repro.faults.plan.child_seed`) are stable across processes and
-platforms — the discipline the paper's cross-family comparisons need.
+two topologies with equal server counts receive bit-identical matrices.
+Every draw reads the raw 64-bit words (``random_raw``) of a ``PCG64``
+bit generator seeded through :func:`repro.faults.plan.child_seed`,
+through the few primitives of :class:`RawDraws`.  numpy keeps those
+raw streams fixed across releases and platforms; it makes no such
+promise for the ``Generator`` methods, which this module never calls.
 
 Degenerate inputs are handled explicitly rather than crashing mid-sweep:
 an incast fan-in larger than the available senders is clamped (recorded
@@ -51,9 +56,57 @@ class TrafficError(ValueError):
     """Raised on unusable traffic-matrix parameters."""
 
 
-def _rng(seed: int, *labels: object):
-    """A process-stable PCG64 generator for one (seed, label) path."""
-    return _np.random.Generator(_np.random.PCG64(child_seed(seed, *labels)))
+_TWO_64 = 1 << 64
+
+
+class RawDraws:
+    """The primitives every draw of this module and of :mod:`repro.sim.jobs`
+    goes through, each reading the raw uint64 words of one
+    ``PCG64(child_seed(seed, *labels))``."""
+
+    def __init__(self, seed: int, *labels: object) -> None:
+        self._raw = _np.random.PCG64(child_seed(seed, *labels)).random_raw
+
+    def order(self, n: int):
+        """A uniform random order of ``range(n)``: a stable sort of raw keys
+        (exact unless two keys collide, probability below ``n^2 / 2^65``)."""
+        return _np.argsort(self._raw(n), kind="stable")
+
+    def below(self, bound: int, size: int):
+        """``size`` integers exactly uniform on ``[0, bound)``: a word at or
+        above ``2^64 - (2^64 mod bound)`` is rejected and redrawn."""
+        words = self._raw(size)
+        limit = _TWO_64 - _TWO_64 % int(bound)
+        if limit < _TWO_64:
+            rejected = _np.flatnonzero(words >= _np.uint64(limit))
+            while rejected.size:
+                words[rejected] = self._raw(rejected.size)
+                rejected = rejected[words[rejected] >= _np.uint64(limit)]
+        return (words % _np.uint64(bound)).astype(_np.int64)
+
+    def distinct(self, n: int, k: int):
+        """``k`` distinct values of ``range(n)``, uniform over ordered k-subsets.
+
+        For ``k <= n / 2`` each value is a uniform draw that skips the
+        values already taken, in draw order, so the work grows with
+        ``k``, not ``n``; past that, the first ``k`` of :meth:`order`.
+        """
+        if k > n:
+            raise TrafficError(f"{k} distinct draws exceed the {n} values")
+        if 2 * k > n:
+            return self.order(n)[:k]
+        chosen = _np.empty(0, dtype=_np.int64)
+        while chosen.size < k:
+            batch = self.below(n, 2 * (k - chosen.size))
+            _, first = _np.unique(batch, return_index=True)
+            fresh = batch[_np.sort(first)]
+            fresh = fresh[~_np.isin(fresh, chosen)]
+            chosen = _np.concatenate([chosen, fresh[: k - chosen.size]])
+        return chosen
+
+    def unit(self, size: int):
+        """``size`` floats uniform on ``[0, 1)``: a word's top 53 bits."""
+        return (self._raw(size) >> _np.uint64(11)) * (1.0 / (1 << 53))
 
 
 @dataclass(frozen=True)
@@ -95,12 +148,14 @@ class TrafficMatrix:
         return float(_np.asarray(self.size).sum())
 
     def flows(self, servers: Optional[Sequence[Any]] = None):
-        """The :class:`~repro.sim.traffic.Flow` view of the matrix.
+        """The :class:`~repro.sim.traffic.Flow` list of the matrix.
 
-        ``servers`` maps ordinals to identities (names, or the server
-        list of a built network); omitted, flows carry the raw ordinals
-        — which the :mod:`repro.sim` layer accepts since generators went
-        id-agnostic.  This is the bridge to name-based routers.
+        ``servers`` maps ordinals to identities (``net.servers`` of a
+        built network, any name list); omitted, flows carry the raw
+        ordinals, which the :mod:`repro.sim` layer accepts.  Flow ids
+        are ``<first four letters of the pattern>-<position>``.  This is
+        how name-keyed routers, the packet simulator and the
+        experiments get their workloads.
         """
         from repro.sim.traffic import Flow
 
@@ -150,28 +205,29 @@ def _check_servers(num_servers: int, pattern: str) -> None:
         raise TrafficError(f"{pattern}: need at least two servers, got {num_servers}")
 
 
+def _uniform_pairs(draws: RawDraws, num_servers: int, count: int):
+    """``count`` independent uniform pairs of distinct servers."""
+    src = draws.below(num_servers, count)
+    dst = (src + 1 + draws.below(num_servers - 1, count)) % num_servers
+    return src, dst
+
+
 # ----------------------------------------------------------------------
 # generator family
 # ----------------------------------------------------------------------
 def permutation_matrix(num_servers: int, seed: int = 0) -> TrafficMatrix:
-    """A uniform random derangement: one flow out and one in per server.
+    """A uniform random single cycle: one flow out and one in per server.
 
-    Drawn as a random permutation with fixed points repaired by cycling
-    them among themselves (one fixed point swaps with a random other
-    position) — O(S) numpy work, no per-element Python loop.
+    Law: uniform over the ``(S-1)!`` cyclic permutations of the ``S``
+    servers (Sattolo's law), so never a fixed point.  Drawn by putting
+    the servers in a :meth:`RawDraws.order` and sending each to the
+    next in that order, the last to the first.
     """
     _check_servers(num_servers, "permutation")
-    rng = _rng(seed, "traffic", "permutation", num_servers)
-    dst = rng.permutation(num_servers)
+    order = RawDraws(seed, "traffic", "permutation", num_servers).order(num_servers)
+    dst = _np.empty(num_servers, dtype=_np.int64)
+    dst[order] = _np.roll(order, -1)
     src = _np.arange(num_servers, dtype=_np.int64)
-    fixed = _np.flatnonzero(dst == src)
-    if fixed.size == 1:
-        other = int(rng.integers(num_servers - 1))
-        if other >= fixed[0]:
-            other += 1
-        dst[fixed[0]], dst[other] = dst[other], dst[fixed[0]]
-    elif fixed.size > 1:
-        dst[fixed] = dst[_np.roll(fixed, 1)]
     return _unit_matrix("permutation", num_servers, src, dst, seed, {})
 
 
@@ -180,9 +236,12 @@ def all_to_all_matrix(
 ) -> TrafficMatrix:
     """Every ordered pair — subsampled without replacement past ``max_flows``.
 
-    Subsampling rejection-samples unique pair codes from the
-    ``S * (S - 1)`` space, so million-server instances never materialise
-    the full pair list.
+    Law: with no cap (or a cap of at least ``S * (S - 1)``) every
+    ordered pair once, in source-major order, with no randomness.
+    Under a cap, a uniform random ``max_flows``-subset of the ordered
+    pairs in uniform random order: :meth:`RawDraws.distinct` over the
+    ``S * (S - 1)`` pair codes, so million-server instances never
+    materialise the full pair list.
     """
     _check_servers(num_servers, "all_to_all")
     total = num_servers * (num_servers - 1)
@@ -194,12 +253,8 @@ def all_to_all_matrix(
         return _unit_matrix("all_to_all", num_servers, src, dst, seed, params)
     if max_flows < 1:
         raise TrafficError(f"all_to_all: max_flows must be >= 1, got {max_flows}")
-    rng = _rng(seed, "traffic", "all_to_all", num_servers, max_flows)
-    chosen = _np.empty(0, dtype=_np.int64)
-    while chosen.size < max_flows:
-        draw = rng.integers(0, total, size=2 * (max_flows - chosen.size) + 16)
-        chosen = _np.unique(_np.concatenate([chosen, draw]))
-    chosen = chosen[rng.permutation(chosen.size)[:max_flows]]
+    draws = RawDraws(seed, "traffic", "all_to_all", num_servers, max_flows)
+    chosen = draws.distinct(total, max_flows)
     src = chosen // (num_servers - 1)
     rest = chosen % (num_servers - 1)
     dst = (src + 1 + rest) % num_servers
@@ -207,14 +262,17 @@ def all_to_all_matrix(
 
 
 def uniform_matrix(num_servers: int, num_flows: int, seed: int = 0) -> TrafficMatrix:
-    """``num_flows`` independent uniform source/destination pairs."""
+    """``num_flows`` independent uniform source/destination pairs.
+
+    Law: each flow is uniform over the ``S * (S - 1)`` ordered pairs of
+    distinct servers, independently: a uniform source, then a uniform
+    nonzero gap to the destination.
+    """
     _check_servers(num_servers, "uniform")
     if num_flows < 0:
         raise TrafficError(f"uniform: num_flows must be >= 0, got {num_flows}")
-    rng = _rng(seed, "traffic", "uniform", num_servers, num_flows)
-    src = rng.integers(0, num_servers, size=num_flows)
-    gap = rng.integers(1, num_servers, size=num_flows)
-    dst = (src + gap) % num_servers
+    draws = RawDraws(seed, "traffic", "uniform", num_servers, num_flows)
+    src, dst = _uniform_pairs(draws, num_servers, num_flows)
     return _unit_matrix(
         "uniform", num_servers, src, dst, seed, {"num_flows": num_flows}
     )
@@ -228,6 +286,11 @@ def incast_matrix(
 ) -> TrafficMatrix:
     """Fan-in: ``fan_in`` distinct senders converge on each of
     ``num_targets`` distinct receivers.
+
+    Law: the receivers are a uniform ordered ``num_targets``-subset of
+    the servers; each receiver's senders, independently, a uniform
+    ordered ``fan_in``-subset of the other servers
+    (:meth:`RawDraws.distinct`).
 
     A ``fan_in`` larger than the available senders (``num_servers - 1``)
     is clamped and recorded in the matrix notes — the degenerate "ask
@@ -250,12 +313,12 @@ def incast_matrix(
             f"fan_in={fan_in} exceeds {num_servers - 1} available senders; "
             f"clamped to {effective}"
         )
-    rng = _rng(seed, "traffic", "incast", num_servers, fan_in, num_targets)
-    targets = rng.choice(num_servers, size=num_targets, replace=False)
+    draws = RawDraws(seed, "traffic", "incast", num_servers, fan_in, num_targets)
+    targets = draws.distinct(num_servers, num_targets)
     srcs = []
     dsts = []
     for target in targets:
-        senders = rng.choice(num_servers - 1, size=effective, replace=False)
+        senders = draws.distinct(num_servers - 1, effective)
         senders = senders + (senders >= target)  # skip the receiver itself
         srcs.append(senders)
         dsts.append(_np.full(effective, target, dtype=_np.int64))
@@ -282,11 +345,16 @@ def hot_rack_matrix(
 
     Racks are contiguous ordinal blocks of ``rack_size`` servers (the
     crossbar blocks, when ``rack_size`` is the crossbar size).
-    ``hot_fraction`` of the flows pick a uniform destination inside a
-    hot rack and a uniform source outside all hot racks; the remainder
-    are uniform pairs.  On a single-rack topology there is no outside —
-    sources fall back to in-rack servers (recorded in the notes), so
-    the pattern degrades to an intra-rack hotspot instead of failing.
+
+    Law: the hot racks are a uniform ``num_hot_racks``-subset of the
+    racks.  Each flow, independently, is hot with probability
+    ``hot_fraction`` (a 53-bit unit float below it); a hot flow has a
+    uniform destination among the hot servers and a uniform source
+    among the others, and every other flow is a uniform pair of
+    distinct servers.  On a single-rack topology there is no outside —
+    a hot flow's source is uniform over the rack's other servers
+    (recorded in the notes), so the pattern degrades to an intra-rack
+    hotspot instead of failing.
     """
     _check_servers(num_servers, "hot_rack")
     if rack_size < 1:
@@ -309,37 +377,33 @@ def hot_rack_matrix(
         "hot_fraction": hot_fraction,
     }
     notes: List[str] = []
-    rng = _rng(
+    draws = RawDraws(
         seed, "traffic", "hot_rack", num_servers, rack_size, num_hot_racks, num_flows
     )
-    hot_racks = rng.choice(num_racks, size=num_hot_racks, replace=False)
+    hot_racks = draws.distinct(num_racks, num_hot_racks)
     hot_mask = _np.zeros(num_servers, dtype=bool)
     for rack in hot_racks:
         hot_mask[rack * rack_size : min((rack + 1) * rack_size, num_servers)] = True
     hot_servers = _np.flatnonzero(hot_mask)
     cold_servers = _np.flatnonzero(~hot_mask)
 
-    is_hot_flow = rng.random(num_flows) < hot_fraction
+    is_hot_flow = draws.unit(num_flows) < hot_fraction
     num_hot = int(is_hot_flow.sum())
     dst = _np.empty(num_flows, dtype=_np.int64)
     src = _np.empty(num_flows, dtype=_np.int64)
-    dst[is_hot_flow] = hot_servers[rng.integers(0, hot_servers.size, size=num_hot)]
+    dst[is_hot_flow] = hot_servers[draws.below(hot_servers.size, num_hot)]
     if cold_servers.size:
-        src[is_hot_flow] = cold_servers[
-            rng.integers(0, cold_servers.size, size=num_hot)
-        ]
+        src[is_hot_flow] = cold_servers[draws.below(cold_servers.size, num_hot)]
     else:
         notes.append(
             "every server is in a hot rack (single-rack topology); "
             "senders drawn from inside the rack"
         )
-        in_rack = rng.integers(0, num_servers - 1, size=num_hot)
+        in_rack = draws.below(num_servers - 1, num_hot)
         src[is_hot_flow] = in_rack + (in_rack >= dst[is_hot_flow])
-    num_cold = num_flows - num_hot
-    cold_src = rng.integers(0, num_servers, size=num_cold)
-    cold_gap = rng.integers(1, num_servers, size=num_cold)
-    src[~is_hot_flow] = cold_src
-    dst[~is_hot_flow] = (cold_src + cold_gap) % num_servers
+    src[~is_hot_flow], dst[~is_hot_flow] = _uniform_pairs(
+        draws, num_servers, num_flows - num_hot
+    )
     return _unit_matrix("hot_rack", num_servers, src, dst, seed, params, notes)
 
 
@@ -352,12 +416,18 @@ def job_matrix(
 ) -> TrafficMatrix:
     """Job-placement-driven traffic reusing the :mod:`repro.sim.jobs` shapes.
 
-    Each job draws its placement with the :func:`repro.sim.jobs`
-    generators over the *ordinal* space (they are id-agnostic), so the
-    flow set is exactly what a job scheduler placing ``num_jobs``
+    Each job draws its placement with the :mod:`repro.sim.jobs` shapes
+    over the *ordinal* space (``range(num_servers)``, never copied), so
+    the flow set is exactly what a job scheduler placing ``num_jobs``
     MapReduce-style jobs would offer the fabric: shuffles are ``m x r``
     bicliques, aggregates fan in, disseminates fan out.  ``scale``
     bounds the participants per job (clamped to the cluster size).
+
+    Law: job ``j`` has kind ``job_mix[j % len(job_mix)]``, and its
+    participants are a uniform ordered subset of the servers, drawn
+    independently per job from its own stream; a shuffle's first half
+    are mappers, an aggregate's or disseminate's first is its
+    coordinator or source.
     """
     _check_servers(num_servers, "job")
     if num_jobs < 1:

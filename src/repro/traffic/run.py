@@ -270,32 +270,32 @@ def run_traffic(
         pending=len(pending),
         workers=workers,
     ):
-        if pending:
-            if workers > 1 and len(pending) >= TRAFFIC_PARALLEL_THRESHOLD:
-                from repro.topology.shm import export_graph
+        handle = None
+        if workers > 1 and len(pending) >= TRAFFIC_PARALLEL_THRESHOLD:
+            from repro.topology.shm import export_graph
 
-                handle = export_graph(graph)
-                try:
-                    results = map_with_pool_recovery(
-                        _traffic_worker_trial,
-                        pending,
-                        workers=min(workers, len(pending)),
-                        initializer=_traffic_worker_init,
-                        initargs=(handle,),
-                        sequential=lambda tasks: [
-                            run_trial(graph, spec) for spec in tasks
-                        ],
-                        context=f"traffic {label}/{pattern}",
-                    )
-                finally:
-                    handle.release()
-            else:
-                # lazily, so each trial is journaled as soon as it finishes
-                results = (run_trial(graph, spec) for spec in pending)
-            for spec, row in zip(pending, results):
+            handle = export_graph(graph)
+            results = map_with_pool_recovery(
+                _traffic_worker_trial,
+                pending,
+                workers=min(workers, len(pending)),
+                initializer=_traffic_worker_init,
+                initargs=(handle,),
+                sequential=lambda spec: run_trial(graph, spec),
+                context=f"traffic {label}/{pattern}",
+            )
+        else:
+            results = ((i, run_trial(graph, spec)) for i, spec in enumerate(pending))
+        try:
+            # each trial is journaled as soon as it finishes
+            for index, row in results:
+                spec = pending[index]
                 rows[spec.trial] = row
                 if journal is not None:
                     journal.record(trial_key(label, spec), row)
+        finally:
+            if handle is not None:
+                handle.release()
 
     table = ResultTable(
         title=f"Traffic: {pattern} on {label} ({num_servers} servers)",

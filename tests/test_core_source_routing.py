@@ -13,7 +13,8 @@ from repro.core.source_routing import (
 )
 from repro.metrics.bottleneck import load_stats
 from repro.routing.base import Route
-from repro.sim.traffic import Flow, permutation_traffic
+from repro.sim.traffic import Flow
+from repro.traffic import generate_matrix
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +78,7 @@ class TestAdaptiveRouter:
 
     def test_routes_valid(self, instance):
         spec, net = instance
-        flows = permutation_traffic(net.servers, seed=9)
+        flows = generate_matrix("permutation", net.num_servers, seed=9).flows(net.servers)
         routes = place_flows_adaptive(spec.abccc, net, flows)
         for route in routes.values():
             route.validate(net)
@@ -108,7 +109,7 @@ class TestPolicyComparison:
 
     def test_hashed_is_deterministic(self, instance):
         spec, net = instance
-        flows = permutation_traffic(net.servers, seed=11)
+        flows = generate_matrix("permutation", net.num_servers, seed=11).flows(net.servers)
         a = place_flows_hashed(spec.abccc, net, flows)
         b = place_flows_hashed(spec.abccc, net, flows)
         assert {k: r.nodes for k, r in a.items()} == {k: r.nodes for k, r in b.items()}
@@ -118,7 +119,7 @@ class TestPolicyComparison:
 
     def test_all_policies_route_all_flows(self, instance):
         spec, net = instance
-        flows = permutation_traffic(net.servers, seed=13)
+        flows = generate_matrix("permutation", net.num_servers, seed=13).flows(net.servers)
         for place in PLACEMENT_POLICIES.values():
             routes = place(spec.abccc, net, flows)
             assert set(routes) == {f.flow_id for f in flows}
@@ -132,7 +133,7 @@ class TestVlb:
         from repro.core.source_routing import place_flows_vlb
 
         spec, net = instance
-        flows = permutation_traffic(net.servers, seed=21)
+        flows = generate_matrix("permutation", net.num_servers, seed=21).flows(net.servers)
         routes = place_flows_vlb(spec.abccc, net, flows)
         for route in routes.values():
             route.validate(net)  # walks may repeat nodes but use real links
@@ -141,7 +142,7 @@ class TestVlb:
         from repro.core.source_routing import place_flows_fixed, place_flows_vlb
 
         spec, net = instance
-        flows = permutation_traffic(net.servers, seed=22)
+        flows = generate_matrix("permutation", net.num_servers, seed=22).flows(net.servers)
         direct = place_flows_fixed(spec.abccc, net, flows)
         vlb = place_flows_vlb(spec.abccc, net, flows)
         mean = lambda routes: sum(r.link_hops for r in routes.values()) / len(routes)
@@ -156,7 +157,7 @@ class TestVlb:
         from repro.core.source_routing import place_flows_vlb
 
         spec, net = instance
-        flows = permutation_traffic(net.servers, seed=23)
+        flows = generate_matrix("permutation", net.num_servers, seed=23).flows(net.servers)
         a = place_flows_vlb(spec.abccc, net, flows)
         b = place_flows_vlb(spec.abccc, net, flows)
         assert {k: r.nodes for k, r in a.items()} == {k: r.nodes for k, r in b.items()}

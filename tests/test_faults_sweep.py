@@ -1,11 +1,12 @@
 """Degradation sweeps: curves, journaling/resume, pool degradation."""
 
 import math
+import multiprocessing
 
 import pytest
 
 from repro.faults.journal import TrialJournal, set_active_journal
-from repro.faults.plan import FaultModel
+from repro.faults.plan import FaultModel, child_seed
 from repro.faults.sweep import degradation_sweep
 from repro.obs.metrics import MetricsRegistry, set_registry
 
@@ -155,6 +156,55 @@ class TestParallelPath:
         assert sequential.points != ()  # smoke: both paths produced curves
         # the pool workers' trial counts reach the parent's registry
         assert pooled_trials == sequential_trials > 0
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="a monkeypatched trial reaches pool workers only when they fork",
+    )
+    def test_pooled_sweep_keeps_finished_trials(
+        self, abccc_medium, tmp_path, monkeypatch
+    ):
+        from repro.faults import sweep as sweep_module
+
+        _, net = abccc_medium
+        model = FaultModel("server+switch")
+        doomed = model.draw(
+            net, 0.3, child_seed(5, sweep_module._model_tag(model), 0.3, 3)
+        ).scenario
+        real = sweep_module._evaluate_masked
+
+        def doomed_fails(graph, panel, scenario):
+            if scenario == doomed:
+                raise RuntimeError("doomed scenario")
+            return real(graph, panel, scenario)
+
+        def counted(**kwargs):
+            registry = MetricsRegistry()
+            previous = set_registry(registry)
+            try:
+                curve = _sweep(net, workers=2, trials=4, **kwargs)
+            finally:
+                set_registry(previous)
+            return curve, registry.counter_values().get("faults.trials", 0)
+
+        fresh, fresh_trials = counted()
+        monkeypatch.setattr(sweep_module, "_evaluate_masked", doomed_fails)
+        path = str(tmp_path / "sweep.journal.jsonl")
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        try:
+            with pytest.raises(RuntimeError, match="doomed"):
+                _sweep(net, journal=TrialJournal(path), workers=2, trials=4)
+        finally:
+            set_registry(previous)
+        failed_trials = registry.counter_values()["faults.trials"]
+        assert len(TrialJournal(path)) == 11  # every trial but the doomed one
+
+        monkeypatch.undo()
+        resumed, resumed_trials = counted(journal=TrialJournal(path))
+        assert resumed_trials == 1
+        assert failed_trials + resumed_trials == fresh_trials
+        assert resumed == fresh
 
     def test_broken_pool_degrades_loudly_with_same_results(
         self, abccc_medium, monkeypatch

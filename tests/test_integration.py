@@ -10,11 +10,11 @@ from repro.faults import random_failures
 from repro.metrics.bottleneck import aggregate_bottleneck_throughput
 from repro.routing.base import route_all
 from repro.routing.table import ForwardingTable
+from repro.sim.jobs import shuffle_job
 from repro.sim.packet import PacketSimulator
-from repro.sim.traffic import permutation_traffic, shuffle_traffic
 from repro.topology.compiled import compile_graph
 from repro.topology.validate import validate_network
-from repro.traffic import RouteSet, max_min_rates
+from repro.traffic import RouteSet, generate_matrix, max_min_rates
 
 
 def _allocate(net, flows, routes):
@@ -32,7 +32,7 @@ class TestQuickstartWorkflow:
         route = spec.route(net, net.servers[0], net.servers[-1])
         route.validate(net)
 
-        flows = permutation_traffic(net.servers, seed=1)
+        flows = generate_matrix("permutation", net.num_servers, seed=1).flows(net.servers)
         routes = route_all(net, flows, spec.route)
         allocation = _allocate(net, flows, routes)
         assert allocation.min_rate > 0
@@ -71,7 +71,7 @@ class TestEveryRegisteredTopologyEndToEnd:
             route.validate(net)
             assert (route.source, route.destination) == (src, dst)
 
-        flows = permutation_traffic(net.servers, seed=2)
+        flows = generate_matrix("permutation", net.num_servers, seed=2).flows(net.servers)
         routes = route_all(net, flows, spec.route)
         allocation = _allocate(net, flows, routes)
         assert allocation.min_rate > 0
@@ -108,7 +108,7 @@ class TestForwardingPlusPacketSim:
     def test_table_driven_packets(self):
         spec = AbcccSpec(3, 1, 2)
         net = spec.build()
-        flows = shuffle_traffic(net.servers, num_mappers=3, num_reducers=3, seed=3)
+        flows = shuffle_job("shfl", 0.0, net.servers, 3, 3, seed=3).flows
         native = route_all(net, flows, spec.route)
         table = ForwardingTable.from_routes(native.values())
         forwarded = {

@@ -6,9 +6,8 @@ from repro.baselines import BcubeSpec, FatTreeSpec, TreeSpec
 from repro.core import AbcccSpec
 from repro.metrics.bounds import all_to_all_bounds, per_server_ceiling
 from repro.routing.base import route_all
-from repro.sim.traffic import all_to_all_traffic, permutation_traffic
 from repro.topology.compiled import compile_graph
-from repro.traffic import RouteSet, max_min_rates
+from repro.traffic import RouteSet, generate_matrix, max_min_rates
 
 
 def _allocate(spec, net, flows):
@@ -64,7 +63,9 @@ class TestMeasuredRespectsBounds:
     )
     def test_all_to_all_under_ceiling(self, spec):
         net = spec.build()
-        flows = all_to_all_traffic(net.servers, max_flows=400, seed=1)
+        flows = generate_matrix("all_to_all", net.num_servers, seed=1, max_flows=400).flows(
+            net.servers
+        )
         allocation = _allocate(spec, net, flows)
         bounds = all_to_all_bounds(spec, net)
         assert allocation.aggregate_throughput <= bounds.nic_bound + 1e-6
@@ -75,6 +76,6 @@ class TestMeasuredRespectsBounds:
 
     def test_permutation_under_nic_ceiling(self, abccc_small):
         spec, net = abccc_small
-        flows = permutation_traffic(net.servers, seed=2)
+        flows = generate_matrix("permutation", net.num_servers, seed=2).flows(net.servers)
         allocation = _allocate(spec, net, flows)
         assert allocation.aggregate_throughput <= all_to_all_bounds(spec, net).nic_bound

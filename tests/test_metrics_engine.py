@@ -180,11 +180,12 @@ class TestPoolRecovery:
 
         kwargs = dict(
             workers=2,
-            sequential=lambda tasks: [t * 10 for t in tasks],
+            sequential=lambda task: task * 10,
             context="unit test",
         )
         kwargs.update(overrides)
-        return map_with_pool_recovery(_times_ten, [1, 2, 3], **kwargs)
+        results = dict(map_with_pool_recovery(_times_ten, [1, 2, 3], **kwargs))
+        return [results[index] for index in range(3)]
 
     def test_healthy_pool_no_warning(self, recwarn):
         assert self._call() == [10, 20, 30]
@@ -237,14 +238,16 @@ class TestPoolRecovery:
         monkeypatch.setattr(engine, "POOL_RETRY_BACKOFF_S", 0.0)
         unpicklable = lambda x: x + 1  # noqa: E731 — lambdas cannot pickle
         with pytest.warns(engine.DegradedModeWarning):
-            result = engine.map_with_pool_recovery(
-                unpicklable,
-                [1, 2],
-                workers=2,
-                sequential=lambda tasks: [unpicklable(t) for t in tasks],
-                context="pickle test",
+            result = dict(
+                engine.map_with_pool_recovery(
+                    unpicklable,
+                    [1, 2],
+                    workers=2,
+                    sequential=unpicklable,
+                    context="pickle test",
+                )
             )
-        assert result == [2, 3]
+        assert result == {0: 2, 1: 3}
 
 
 def _times_ten(x):

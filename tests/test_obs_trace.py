@@ -530,14 +530,16 @@ class TestDegradedModeEvents:
         path = str(tmp_path / "t.jsonl")
         with obs.run(path):
             with pytest.warns(engine.DegradedModeWarning):
-                result = engine.map_with_pool_recovery(
-                    _times_three,
-                    [1, 2],
-                    workers=2,
-                    sequential=lambda tasks: [t * 3 for t in tasks],
-                    context="obs unit test",
+                result = dict(
+                    engine.map_with_pool_recovery(
+                        _times_three,
+                        [1, 2],
+                        workers=2,
+                        sequential=_times_three,
+                        context="obs unit test",
+                    )
                 )
-        assert result == [3, 6]
+        assert result == {0: 3, 1: 6}
         events = load_trace(path)
         assert validate_trace(events) == []
         warnings = [e for e in events if e["ev"] == "warning"]
@@ -561,14 +563,16 @@ class TestDegradedModeEvents:
 
         path = str(tmp_path / "t.jsonl")
         with obs.run(path):
-            result = engine.map_with_pool_recovery(
-                _times_three,
-                [1, 2, 3],
-                workers=2,
-                sequential=lambda tasks: [t * 3 for t in tasks],
-                context="healthy",
+            result = dict(
+                engine.map_with_pool_recovery(
+                    _times_three,
+                    [1, 2, 3],
+                    workers=2,
+                    sequential=_times_three,
+                    context="healthy",
+                )
             )
-        assert result == [3, 6, 9]
+        assert result == {0: 3, 1: 6, 2: 9}
         events = load_trace(path)
         assert [e for e in events if e["ev"] == "warning"] == []
 

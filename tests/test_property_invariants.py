@@ -128,12 +128,11 @@ class TestFlowFctConsistency:
     def test_fct_bounds_from_maxmin(self, seed):
         """For simultaneous unit flows: min-rate bound >= makespan >=
         max-rate bound (slowest/ fastest first-round rates bracket it)."""
-        from repro.sim.traffic import permutation_traffic
-        from repro.traffic import fluid_fct, max_min_rates
+        from repro.traffic import fluid_fct, generate_matrix, max_min_rates
 
         spec = AbcccSpec(3, 1, 2)
         net = spec.build()
-        flows = permutation_traffic(net.servers, seed=seed)
+        flows = generate_matrix("permutation", net.num_servers, seed=seed).flows(net.servers)
         route_set = self._route_set(spec, net, flows)
         allocation = max_min_rates(route_set)
         makespan = fluid_fct(route_set, [f.size for f in flows]).max_fct
@@ -145,12 +144,11 @@ class TestFlowFctConsistency:
     def test_fct_monotone_in_volume(self, seed):
         """Doubling every flow's size exactly doubles the makespan
         (fluid model is scale-invariant)."""
-        from repro.sim.traffic import permutation_traffic
-        from repro.traffic import fluid_fct
+        from repro.traffic import fluid_fct, generate_matrix
 
         spec = AbcccSpec(2, 1, 2)
         net = spec.build()
-        base = permutation_traffic(net.servers, seed=seed)
+        base = generate_matrix("permutation", net.num_servers, seed=seed).flows(net.servers)
         route_set = self._route_set(spec, net, base)
         t1 = fluid_fct(route_set, [1.0] * len(base)).max_fct
         t2 = fluid_fct(route_set, [2.0] * len(base)).max_fct

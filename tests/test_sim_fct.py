@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.routing.base import Route, route_all
-from repro.sim.traffic import Flow, permutation_traffic
+from repro.sim.traffic import Flow
 from repro.topology.compiled import compile_graph
 from repro.topology.graph import Network
-from repro.traffic import RouteSet, RouteSetError, fluid_fct, max_min_rates
+from repro.traffic import RouteSet, RouteSetError, fluid_fct, generate_matrix, max_min_rates
 
 
 def _single_link(capacity=1.0) -> Network:
@@ -101,7 +101,7 @@ class TestHandSchedules:
 class TestInvariants:
     def test_all_flows_complete(self, abccc_small):
         spec, net = abccc_small
-        flows = permutation_traffic(net.servers, seed=3)
+        flows = generate_matrix("permutation", net.num_servers, seed=3).flows(net.servers)
         routes = route_all(net, flows, spec.route)
         stats, done = _simulate(net, flows, routes)
         assert set(done) == {f.flow_id for f in flows}
@@ -112,7 +112,7 @@ class TestInvariants:
     def test_makespan_lower_bound(self, abccc_small):
         """Makespan >= the size/min-max-min-rate bound of the first round."""
         spec, net = abccc_small
-        flows = permutation_traffic(net.servers, seed=4)
+        flows = generate_matrix("permutation", net.num_servers, seed=4).flows(net.servers)
         routes = route_all(net, flows, spec.route)
         route_set = RouteSet.from_name_routes(compile_graph(net), flows, routes)
         allocation = max_min_rates(route_set)
@@ -123,7 +123,7 @@ class TestInvariants:
         """With simultaneous starts, max_fct (E3's shuffle time) is the
         last completion instant."""
         spec, net = abccc_small
-        flows = permutation_traffic(net.servers, seed=5)
+        flows = generate_matrix("permutation", net.num_servers, seed=5).flows(net.servers)
         routes = route_all(net, flows, spec.route)
         stats, done = _simulate(net, flows, routes)
         assert stats.max_fct == max(done.values())

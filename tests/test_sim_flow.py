@@ -3,10 +3,10 @@
 import pytest
 
 from repro.routing.base import Route, route_all
-from repro.sim.traffic import Flow, permutation_traffic
+from repro.sim.traffic import Flow
 from repro.topology.compiled import compile_graph
 from repro.topology.graph import Network
-from repro.traffic import RouteSet, RouteSetError, max_min_rates
+from repro.traffic import RouteSet, RouteSetError, generate_matrix, max_min_rates
 
 
 def _line(capacities) -> Network:
@@ -83,7 +83,7 @@ class TestInvariants:
 
         spec = AbcccSpec(3, 1, 2)
         net = spec.build()
-        flows = permutation_traffic(net.servers, seed=seed)
+        flows = generate_matrix("permutation", net.num_servers, seed=seed).flows(net.servers)
         routes = route_all(net, flows, spec.route)
         graph, allocation, rates = _allocate(net, flows, routes)
         return net, graph, flows, routes, allocation, rates

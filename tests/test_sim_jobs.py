@@ -1,5 +1,7 @@
 """Job-level workload model tests."""
 
+from collections.abc import Sequence
+
 import pytest
 
 from repro.core import AbcccSpec
@@ -41,6 +43,25 @@ class TestJobConstruction:
         assert len(job.flows) == 5
         assert len({f.src for f in job.flows}) == 1
 
+    def test_shapes_index_servers_without_copying(self):
+        """A shape costs its participants: it indexes ``servers`` and never
+        iterates it, so a billion-server list is as cheap as ten."""
+
+        class Huge(Sequence):
+            def __len__(self):
+                return 10**9
+
+            def __getitem__(self, i):
+                return f"s{i}"
+
+            def __iter__(self):
+                raise AssertionError("servers copied")
+
+        servers = Huge()
+        assert len(shuffle_job("a", 0.0, servers, 3, 4, seed=1).flows) == 12
+        assert len(incast_job("b", 0.0, servers, 5, seed=1).flows) == 5
+        assert len(disseminate_job("c", 0.0, servers, 5, seed=1).flows) == 5
+
     def test_validation(self):
         with pytest.raises(ValueError, match="no flows"):
             Job("j", 0.0, ())
@@ -72,14 +93,14 @@ class TestSimulation:
     def test_staggered_arrivals_ordered(self, fabric):
         spec, net = fabric
         early = shuffle_job("early", 0.0, net.servers, 2, 2, seed=6)
-        late = shuffle_job("late", 50.0, net.servers, 2, 2, seed=7)
+        late = shuffle_job("late", 50.0, net.servers, 2, 2, seed=6)
         result = simulate_jobs(net, [early, late], spec.route)
         assert result.job("early").completion < result.job("late").completion
         assert result.job("late").arrival == 50.0
-        # By t=50 the early job has long finished, so the late job sees an
-        # idle fabric and matches the early job's duration.
+        # By t=50 the early job has long finished, so the late job, placed
+        # on the same servers, sees an idle fabric and takes exactly as long.
         assert result.job("late").duration == pytest.approx(
-            result.job("early").duration, rel=0.3
+            result.job("early").duration, rel=1e-12
         )
 
     def test_flow_result_in_job_then_flow_order(self, fabric):

@@ -109,10 +109,10 @@ class TestQueueing:
 class TestDeterminismAndAccounting:
     def test_seeded_runs_identical(self, abccc_small):
         spec, net = abccc_small
-        from repro.sim.traffic import permutation_traffic
+        from repro.traffic import generate_matrix
         from repro.routing.base import route_all
 
-        flows = permutation_traffic(net.servers, seed=4)
+        flows = generate_matrix("permutation", net.num_servers, seed=4).flows(net.servers)
         routes = route_all(net, flows, spec.route)
 
         def run_once():
@@ -125,10 +125,10 @@ class TestDeterminismAndAccounting:
 
     def test_conservation(self, abccc_small):
         spec, net = abccc_small
-        from repro.sim.traffic import permutation_traffic
+        from repro.traffic import generate_matrix
         from repro.routing.base import route_all
 
-        flows = permutation_traffic(net.servers, seed=5)
+        flows = generate_matrix("permutation", net.num_servers, seed=5).flows(net.servers)
         routes = route_all(net, flows, spec.route)
         sim = PacketSimulator(net, PacketSimConfig(queue_capacity=2))
         result = sim.run(flows, routes, packets_per_flow=10, mean_interarrival=0.5, seed=8)
@@ -221,10 +221,10 @@ class TestMultipathSpraying:
 
     def test_single_path_never_reorders(self, abccc_small):
         spec, net = abccc_small
-        from repro.sim.traffic import permutation_traffic
+        from repro.traffic import generate_matrix
         from repro.routing.base import route_all
 
-        flows = permutation_traffic(net.servers, seed=6)
+        flows = generate_matrix("permutation", net.num_servers, seed=6).flows(net.servers)
         routes = route_all(net, flows, spec.route)
         sim = PacketSimulator(net)
         result = sim.run(flows, routes, packets_per_flow=10, seed=3)

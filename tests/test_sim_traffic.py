@@ -1,17 +1,21 @@
-"""Traffic-pattern generators: shapes, determinism, validation."""
+"""Flow lists: the Flow record and the workloads as name-keyed callers see them.
+
+Every flow set comes from :mod:`repro.traffic.matrix` (through
+:meth:`TrafficMatrix.flows`) or a :mod:`repro.sim.jobs` shape; these
+tests check shapes, determinism and validation on that Flow view, over
+server names, integer ordinals and numpy ids alike.
+"""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.sim.traffic import (
-    Flow,
-    all_to_all_traffic,
-    hotspot_traffic,
-    one_to_all_traffic,
-    permutation_traffic,
-    shuffle_traffic,
-    uniform_random_traffic,
+from repro.sim.jobs import disseminate_job, shuffle_job
+from repro.sim.traffic import Flow
+from repro.traffic import (
+    TrafficError,
+    all_to_all_matrix,
+    hot_rack_matrix,
+    permutation_matrix,
+    uniform_matrix,
 )
 
 SERVERS = [f"s{i}" for i in range(12)]
@@ -28,81 +32,74 @@ class TestFlow:
 
 
 class TestPermutation:
-    @settings(max_examples=25, deadline=None)
-    @given(
-        count=st.integers(min_value=2, max_value=40),
-        seed=st.integers(min_value=0, max_value=999),
-    )
-    def test_is_derangement(self, count, seed):
-        servers = [f"n{i}" for i in range(count)]
-        flows = permutation_traffic(servers, seed=seed)
-        assert len(flows) == count
-        sources = [f.src for f in flows]
-        destinations = [f.dst for f in flows]
-        assert sorted(sources) == sorted(servers)
-        assert sorted(destinations) == sorted(servers)
-        assert all(f.src != f.dst for f in flows)
-
     def test_seed_determinism(self):
-        assert permutation_traffic(SERVERS, 3) == permutation_traffic(SERVERS, 3)
+        assert permutation_matrix(12, 3).flows(SERVERS) == permutation_matrix(
+            12, 3
+        ).flows(SERVERS)
 
     def test_too_few_servers(self):
         with pytest.raises(ValueError):
-            permutation_traffic(["only"])
+            permutation_matrix(1)
 
 
 class TestAllToAll:
     def test_complete(self):
-        flows = all_to_all_traffic(SERVERS[:4])
+        flows = all_to_all_matrix(4).flows(SERVERS[:4])
         assert len(flows) == 12
         pairs = {(f.src, f.dst) for f in flows}
         assert len(pairs) == 12
 
     def test_subsampled(self):
-        flows = all_to_all_traffic(SERVERS, max_flows=20, seed=1)
+        flows = all_to_all_matrix(12, max_flows=20, seed=1).flows(SERVERS)
         assert len(flows) == 20
         assert len({(f.src, f.dst) for f in flows}) == 20
 
     def test_cap_larger_than_population(self):
-        flows = all_to_all_traffic(SERVERS[:3], max_flows=100)
+        flows = all_to_all_matrix(3, max_flows=100).flows(SERVERS[:3])
         assert len(flows) == 6
 
 
 class TestUniform:
     def test_count_and_validity(self):
-        flows = uniform_random_traffic(SERVERS, 30, seed=2)
+        flows = uniform_matrix(12, 30, seed=2).flows(SERVERS)
         assert len(flows) == 30
         assert all(f.src != f.dst for f in flows)
 
     def test_distinct_ids(self):
-        flows = uniform_random_traffic(SERVERS, 30, seed=2)
+        flows = uniform_matrix(12, 30, seed=2).flows(SERVERS)
         assert len({f.flow_id for f in flows}) == 30
 
 
 class TestHotspot:
+    """A hot rack of one server is a hotspot."""
+
     def test_hot_traffic_targets_hotspots(self):
-        flows = hotspot_traffic(SERVERS, 200, num_hotspots=2, hot_fraction=1.0, seed=3)
-        destinations = {f.dst for f in flows}
+        matrix = hot_rack_matrix(
+            12, 200, rack_size=1, num_hot_racks=2, hot_fraction=1.0, seed=3
+        )
+        destinations = {f.dst for f in matrix.flows(SERVERS)}
         assert len(destinations) == 2
 
     def test_mixed_fraction(self):
-        flows = hotspot_traffic(SERVERS, 300, num_hotspots=1, hot_fraction=0.5, seed=4)
+        matrix = hot_rack_matrix(
+            12, 300, rack_size=1, num_hot_racks=1, hot_fraction=0.5, seed=4
+        )
         counts = {}
-        for flow in flows:
+        for flow in matrix.flows(SERVERS):
             counts[flow.dst] = counts.get(flow.dst, 0) + 1
         # The hotspot should receive far more than a uniform share.
         assert max(counts.values()) > 300 / len(SERVERS) * 3
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="hot_fraction"):
-            hotspot_traffic(SERVERS, 10, hot_fraction=1.5)
-        with pytest.raises(ValueError, match="num_hotspots"):
-            hotspot_traffic(SERVERS, 10, num_hotspots=0)
+        with pytest.raises(TrafficError, match="hot_fraction"):
+            hot_rack_matrix(12, 10, rack_size=1, hot_fraction=1.5)
+        with pytest.raises(TrafficError, match="num_hot_racks"):
+            hot_rack_matrix(12, 10, rack_size=1, num_hot_racks=0)
 
 
 class TestShuffle:
     def test_every_mapper_to_every_reducer(self):
-        flows = shuffle_traffic(SERVERS, num_mappers=3, num_reducers=4, seed=5)
+        flows = shuffle_job("j", 0.0, SERVERS, 3, 4, seed=5).flows
         assert len(flows) == 12
         mappers = {f.src for f in flows}
         reducers = {f.dst for f in flows}
@@ -112,74 +109,66 @@ class TestShuffle:
 
     def test_too_many_roles(self):
         with pytest.raises(ValueError, match="exceed"):
-            shuffle_traffic(SERVERS[:4], num_mappers=3, num_reducers=2)
+            shuffle_job("j", 0.0, SERVERS[:4], 3, 2)
 
 
 class TestOneToAll:
     def test_covers_everyone_once(self):
-        flows = one_to_all_traffic(SERVERS, source="s3")
+        """A dissemination to every other server is the one-to-all set."""
+        flows = disseminate_job("j", 0.0, SERVERS, len(SERVERS) - 1, seed=3).flows
         assert len(flows) == len(SERVERS) - 1
-        assert all(f.src == "s3" for f in flows)
-        assert "s3" not in {f.dst for f in flows}
-
-    def test_default_source(self):
-        flows = one_to_all_traffic(SERVERS)
-        assert flows[0].src == SERVERS[0]
-
-    def test_unknown_source(self):
-        with pytest.raises(ValueError, match="not a server"):
-            one_to_all_traffic(SERVERS, source="ghost")
+        (source,) = {f.src for f in flows}
+        assert {f.dst for f in flows} == set(SERVERS) - {source}
 
 
 class TestIntegerServerIds:
-    """Generators accept any opaque hashable ids — ordinals included.
+    """The Flow view carries any opaque hashable ids — ordinals included.
 
-    The large-scale :mod:`repro.traffic` path hands CSR server ordinals
-    straight to these generators for small-scale cross-checks; name
-    strings must never be assumed.
+    Name strings must never be assumed: the same matrix drives the
+    name-keyed routers (``net.servers``) and the ordinal-keyed engine.
     """
 
     def test_permutation_over_range(self):
-        flows = permutation_traffic(range(10), seed=3)
+        flows = permutation_matrix(10, seed=3).flows(range(10))
         assert len(flows) == 10
         assert all(isinstance(f.src, int) for f in flows)
         assert all(f.src != f.dst for f in flows)
 
     def test_all_to_all_over_ints(self):
-        flows = all_to_all_traffic(list(range(5)), seed=0)
+        flows = all_to_all_matrix(5, seed=0).flows(list(range(5)))
         assert len(flows) == 5 * 4
         assert {(f.src, f.dst) for f in flows} == {
             (a, b) for a in range(5) for b in range(5) if a != b
         }
 
     def test_uniform_and_hotspot_over_ints(self):
-        uniform = uniform_random_traffic(range(8), num_flows=20, seed=1)
-        hot = hotspot_traffic(range(8), num_flows=20, seed=1)
+        uniform = uniform_matrix(8, num_flows=20, seed=1).flows(range(8))
+        hot = hot_rack_matrix(8, num_flows=20, rack_size=1, seed=1).flows(range(8))
         for flows in (uniform, hot):
             assert len(flows) == 20
             assert all(0 <= f.src < 8 and 0 <= f.dst < 8 for f in flows)
             assert all(f.src != f.dst for f in flows)
 
     def test_shuffle_and_one_to_all_over_ints(self):
-        shuffle = shuffle_traffic(range(9), num_mappers=3, num_reducers=2, seed=2)
+        shuffle = shuffle_job("j", 0.0, range(9), 3, 2, seed=2).flows
         assert len(shuffle) == 6
-        broadcast = one_to_all_traffic(range(6), source=4)
+        broadcast = disseminate_job("j", 0.0, range(6), 5, seed=4).flows
         assert len(broadcast) == 5
-        assert all(f.src == 4 for f in broadcast)
+        assert {f.dst for f in broadcast} | {broadcast[0].src} == set(range(6))
 
     def test_numpy_integer_ids(self):
         import numpy as np
 
         ids = np.arange(7)
-        flows = permutation_traffic(ids, seed=5)
+        flows = permutation_matrix(7, seed=5).flows(ids)
         assert len(flows) == 7
         # numpy scalars stay hashable and comparable
         assert all(f.src != f.dst for f in flows)
 
     def test_same_seed_same_flows_regardless_of_id_type(self):
-        by_ordinal = permutation_traffic(range(12), seed=9)
-        by_name = permutation_traffic([f"s{i}" for i in range(12)], seed=9)
+        matrix = permutation_matrix(12, seed=9)
+        by_ordinal = matrix.flows(range(12))
+        by_name = matrix.flows(SERVERS)
         # the drawn permutation is positionally identical
-        names = [f"s{i}" for i in range(12)]
-        assert [names[f.src] for f in by_ordinal] == [f.src for f in by_name]
-        assert [names[f.dst] for f in by_ordinal] == [f.dst for f in by_name]
+        assert [SERVERS[f.src] for f in by_ordinal] == [f.src for f in by_name]
+        assert [SERVERS[f.dst] for f in by_ordinal] == [f.dst for f in by_name]

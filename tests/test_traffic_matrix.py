@@ -5,6 +5,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.sim.jobs import disseminate_job, incast_job, shuffle_job
 
 from repro.traffic import (
     MATRICES,
@@ -19,6 +23,31 @@ from repro.traffic import (
     permutation_matrix,
     uniform_matrix,
 )
+
+
+def _cycle_length(dst) -> int:
+    """Length of the cycle through server 0 of the map ``i -> dst[i]``."""
+    length, node = 1, int(dst[0])
+    while node != 0:
+        length, node = length + 1, int(dst[node])
+    return length
+
+
+def _job_digest(job) -> str:
+    import hashlib
+
+    return hashlib.sha256(
+        repr([(f.flow_id, f.src, f.dst, f.size) for f in job.flows]).encode()
+    ).hexdigest()
+
+
+def _job_draws():
+    """One draw of each job shape, over ordinals."""
+    return {
+        "shuffle_job": shuffle_job("s", 0.0, range(80), 3, 4, seed=42),
+        "incast_job": incast_job("i", 0.0, range(80), 5, seed=42),
+        "disseminate_job": disseminate_job("d", 0.0, range(80), 5, seed=42),
+    }
 
 
 def _digest(matrix: TrafficMatrix) -> str:
@@ -76,17 +105,44 @@ class TestInvariants:
             )
 
 
+#: sha256 of ``generate_matrix(p, 80, seed=42)`` per pattern, and of
+#: :func:`_job_draws` per shape.  A numpy release or a code change that
+#: moves a stream changes these.
+PINNED_DIGESTS = {
+    "all_to_all":
+        "7b9943027b46ecda9585f526f686abcccd2778bcec7f4e252e50b239b13880bb",
+    "hot_rack":
+        "e33ed6c2efb75769cac6b708e2d792102703972ff4f42ce98b8f60a08039c7ed",
+    "incast":
+        "0372fccf513b2213ae17f07b4ab18c910351f106c7129000c07e1185c2322792",
+    "job":
+        "63ac73148ebb655f69d02ec5837acbfef8cf156699b54771b82f1ef021976a80",
+    "permutation":
+        "163895b1f99f90ab91f169b0c0d1e96692e5f71d9fafc9f101e4e12197bb71a3",
+    "uniform":
+        "13ae87e31f2e775d25066035a4f11544dab0be02b5aab19cab31a8440cd7d31e",
+    "shuffle_job":
+        "852657fa8d86cfef01160d33171a9f9677b4a0add681a72ea9cb1a6efebdf388",
+    "incast_job":
+        "d4bde5ec21f5d1319e8f7ddb6adf08d6b0b3eda1cc846576fc275c840f9c418b",
+    "disseminate_job":
+        "4f7f9613465f1d1633d99435c98c750b01b8c18b74762f5e4f0c6ad9d4773154",
+}
+
+
 class TestCrossProcessDeterminism:
-    """The PCG64 child-seed streams must match across interpreters."""
+    """The PCG64 raw streams must match across interpreters and installs."""
 
     def test_subprocess_reproduces_digests(self):
         patterns = sorted(MATRICES)
         local = {p: _digest(generate_matrix(p, 80, seed=42)) for p in patterns}
+        local.update({k: _job_digest(job) for k, job in _job_draws().items()})
         script = (
             "import json\n"
             "from repro.traffic import generate_matrix\n"
             "import tests.test_traffic_matrix as t\n"
             "out = {p: t._digest(generate_matrix(p, 80, seed=42)) for p in %r}\n"
+            "out.update({k: t._job_digest(j) for k, j in t._job_draws().items()})\n"
             "print(json.dumps(out))\n" % (patterns,)
         )
         result = subprocess.run(
@@ -98,6 +154,20 @@ class TestCrossProcessDeterminism:
         import json
 
         assert json.loads(result.stdout) == local
+        assert local == PINNED_DIGESTS
+
+    def test_no_generator_method_is_called(self, monkeypatch):
+        """Every pattern and job shape draws from raw words alone."""
+
+        class NoGenerator:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("numpy.random.Generator used")
+
+        monkeypatch.setattr(np.random, "Generator", NoGenerator)
+        monkeypatch.setattr(np.random, "default_rng", NoGenerator)
+        for pattern in sorted(MATRICES):
+            assert generate_matrix(pattern, 80, seed=42).num_flows > 0
+        assert all(job.flows for job in _job_draws().values())
 
 
 class TestPermutation:
@@ -116,6 +186,32 @@ class TestPermutation:
             m = permutation_matrix(13, seed=seed)
             assert not np.any(m.src == m.dst)
             assert np.array_equal(np.sort(m.dst), np.arange(13))
+            assert _cycle_length(m.dst) == 13
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        count=st.integers(min_value=2, max_value=40),
+        seed=st.integers(min_value=0, max_value=999),
+    )
+    def test_is_single_cycle(self, count, seed):
+        """Ported from the stdlib permutation generator's derangement test."""
+        servers = [f"n{i}" for i in range(count)]
+        flows = permutation_matrix(count, seed=seed).flows(servers)
+        assert len(flows) == count
+        assert sorted(f.src for f in flows) == sorted(servers)
+        assert sorted(f.dst for f in flows) == sorted(servers)
+        assert all(f.src != f.dst for f in flows)
+        assert _cycle_length(permutation_matrix(count, seed=seed).dst) == count
+
+    def test_every_cycle_equally_likely(self):
+        """n = 4 has 3! = 6 single cycles; 6,000 seeds hit each ~1,000 times."""
+        counts = {}
+        for seed in range(6000):
+            key = tuple(permutation_matrix(4, seed=seed).dst.tolist())
+            counts[key] = counts.get(key, 0) + 1
+        assert len(counts) == 6
+        # each count is Binomial(6000, 1/6): sd ~29, so +-150 is > 5 sd
+        assert all(abs(c - 1000) < 150 for c in counts.values())
 
 
 class TestAllToAll:

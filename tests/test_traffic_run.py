@@ -1,16 +1,24 @@
 """run_traffic orchestration: journaling, determinism, pool parity."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from repro import obs
 from repro.core import AbcccSpec
-from repro.faults.journal import TrialJournal
+from repro.faults.journal import TrialJournal, journaled
 from repro.obs.metrics import exposition_problems, render_prometheus
 from repro.obs.report import load_trace, summarize
 from repro.topology.fastbuild import fast_compiled
 from repro.traffic import COLUMNS, TrafficTrialSpec, run_traffic, run_trial
 from repro.traffic.run import trial_key
+
+
+FORK_ONLY = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="monkeypatched trials reach pool workers only when they fork",
+)
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +172,75 @@ class TestRunTraffic:
         assert seq_counters["traffic.trials"] == par_counters["traffic.trials"] == 4
         assert seq_counters["traffic.flows"] == par_counters["traffic.flows"] == flows
         assert seq_rates == par_rates == flows
+
+    @FORK_ONLY
+    def test_pooled_run_journals_every_finished_trial(
+        self, graph, tmp_path, monkeypatch
+    ):
+        from repro.traffic import run as run_module
+
+        real = run_module.run_trial
+
+        def trial_7_fails(g, spec):
+            if spec.trial == 7:
+                raise RuntimeError("trial 7 failed")
+            return real(g, spec)
+
+        monkeypatch.setattr(run_module, "run_trial", trial_7_fails)
+        path = str(tmp_path / "traffic.journal.jsonl")
+        with pytest.raises(RuntimeError, match="trial 7"):
+            with journaled(path, resume=False):
+                run_traffic(graph, "t", "permutation", trials=8, seed=4, workers=2)
+        assert len(TrialJournal(path)) == 7
+
+        monkeypatch.undo()
+        with obs.run() as scope:
+            with journaled(path, resume=True):
+                table = run_traffic(
+                    graph, "t", "permutation", trials=8, seed=4, workers=2
+                )
+        assert scope.phases()["traffic.trial"][0] == 1
+        assert [row["trial"] for row in _rows(table)] == list(range(8))
+
+    def test_pool_failure_recomputes_only_missing_trials(self, graph, monkeypatch):
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.metrics import engine
+
+        real_pool, real_as_completed = engine.ProcessPoolExecutor, engine.as_completed
+        pools = []
+
+        class RecordingPool(real_pool):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append([])
+
+            def submit(self, fn, *args, **kwargs):
+                pools[-1].append(args[-1].trial)
+                return super().submit(fn, *args, **kwargs)
+
+        def break_after_three(futures):
+            for count, future in enumerate(real_as_completed(futures)):
+                if len(pools) == 1 and count == 3:
+                    raise BrokenProcessPool("injected after three results")
+                yield future
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(engine, "as_completed", break_after_three)
+        monkeypatch.setattr(engine, "POOL_RETRY_BACKOFF_S", 0.0)
+        with obs.run() as scope:
+            table = run_traffic(graph, "t", "uniform", trials=8, seed=9, workers=2)
+        first, retry = pools
+        assert sorted(first) == list(range(8))
+        assert len(retry) == 5  # the three handed-over trials are kept
+        counters = scope.registry.counter_values()
+        assert counters["traffic.trials"] == 8
+        assert counters["pool.retries"] == 1
+        sequential = run_traffic(graph, "t", "uniform", trials=8, seed=9, workers=1)
+        for ra, rb in zip(_rows(sequential), _rows(table)):
+            assert {c: ra[c] for c in COLUMNS if c != "elapsed_s"} == {
+                c: rb[c] for c in COLUMNS if c != "elapsed_s"
+            }
 
     def test_degraded_note_rendered(self, graph):
         table = run_traffic(
