@@ -27,10 +27,7 @@ assert it produces *identical* trial results.
 
 ``REPRO_FAULTS_TRIAL_SLEEP`` (seconds, float) throttles each computed
 trial — a test hook so crash/resume tests can interrupt a quick-mode
-run deterministically.  ``REPRO_FAULTS_TRIAL_TRACE`` (a file path)
-appends the key of every trial actually *computed* (journal replays are
-not traced) — the resume tests use it to prove completed trials are
-never recomputed.
+run deterministically.
 """
 
 from __future__ import annotations
@@ -123,13 +120,6 @@ def _trial_sleep() -> None:
     delay = os.environ.get("REPRO_FAULTS_TRIAL_SLEEP", "").strip()
     if delay:
         time.sleep(float(delay))
-
-
-def _trace_computed(key: str) -> None:
-    path = os.environ.get("REPRO_FAULTS_TRIAL_TRACE", "").strip()
-    if path:
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(key + "\n")
 
 
 def _draw_panel(
@@ -289,7 +279,6 @@ def degradation_sweep(
                 ):
                     for key in keys_of[unique[index]]:
                         computed[key] = result
-                        _trace_computed(key)
                         if journal is not None:
                             _record(journal, key, plans[key], result)
             finally:
@@ -304,7 +293,6 @@ def degradation_sweep(
                 else:
                     _obs.counter("faults.scenario_dedup")
                 computed[key] = result
-                _trace_computed(key)
                 _trial_sleep()
                 if journal is not None:
                     _record(journal, key, plans[key], computed[key])

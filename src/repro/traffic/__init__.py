@@ -9,7 +9,7 @@ numpy batch state over the compiled CSR graphs —
   job-placement-driven) over integer server ordinals;
 * :mod:`repro.traffic.routes` — :class:`RouteSet`, routes as a
   flow x link sparse incidence of undirected edge ids;
-* :mod:`repro.traffic.engine` — lazy-heap water-filling
+* :mod:`repro.traffic.engine` — batched water-filling
   (:func:`max_min_rates`) and fluid FCT with per-flow start times
   (:func:`fluid_fct`);
 * :mod:`repro.traffic.run` — journaled multi-trial orchestration

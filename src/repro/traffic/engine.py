@@ -2,11 +2,12 @@
 
 The one max-min and fluid-FCT implementation in the tree: every
 experiment, ``repro traffic`` and the job simulator allocate here.
-Water-filling keeps every loaded edge in a binary heap keyed by the
-level at which it saturates and freezes flows batch by batch, in
-O(incidence · log E) work; a 163,840-flow permutation on ABCCC(8,4,2)
-allocates in a few seconds.  The test suite checks the rates against an
-exact ``Fraction`` water-filling oracle and the max-min certificate.
+Water-filling runs in batched rounds: each round freezes the flows of
+every locally minimal edge at once, so a permutation takes tens of
+rounds (27–32 at 38,880 flows, 32–35 at 163,840), each a handful of
+array passes over the live incidence.  The test suite checks the rates
+against an exact ``Fraction`` water-filling oracle and the max-min
+certificate.
 
 Flows marked unreachable in the :class:`~repro.traffic.routes.RouteSet`
 allocate at rate 0.0 and are excluded from the fairness statistics —
@@ -23,7 +24,6 @@ permutation takes 213–220 solves and a 4,096-flow all-to-all 433–449
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence
@@ -33,16 +33,8 @@ import numpy as _np
 from repro.obs import trace as _obs
 
 #: relative tie tolerance between saturation levels, and the relative
-#: completion threshold of the fluid FCT loop.
+#: completion and arrival thresholds of the fluid FCT loop.
 SATURATION_EPS = 1e-12
-
-#: arrivals this close after the current instant are admitted with it.
-ARRIVAL_SLACK = 1e-12
-
-#: edge -> flow entries from which a tie batch freezes through array
-#: calls rather than the scalar loop (incast's shared links); both
-#: paths leave bit-equal state.
-BATCH_ARRAY_MIN = 512
 
 
 @dataclass(frozen=True)
@@ -52,10 +44,11 @@ class TrafficAllocation:
     Attributes:
         rates: float64 rate per flow (0.0 for unreachable flows).
         bottleneck_edges: per flow, the first edge on its route that
-            saturated in its round; -1 for unreachable (or uncapped)
-            flows.
+            is saturated and on which no flow has a higher rate; -1 for
+            unreachable, inactive or uncapped flows.
         unreachable: per-flow bool, copied from the RouteSet.
-        rounds: tie batches the water-filling froze.
+        rounds: batched water-filling rounds; each freezes the flows of
+            every locally minimal edge.
     """
 
     rates: Any
@@ -112,23 +105,8 @@ class TrafficAllocation:
         return {q: float(served[r]) for q, r in zip(qs, ranks)}
 
 
-def _ragged_gather(starts, lens):
-    """Flattened ``[start, start + len)`` slices, concatenated in order."""
-    np = _np
-    nonzero = lens > 0
-    starts = starts[nonzero]
-    lens = lens[nonzero]
-    if starts.size == 0:
-        return np.empty(0, dtype=np.int64)
-    step = np.ones(int(lens.sum()), dtype=np.int64)
-    step[0] = starts[0]
-    ends = np.cumsum(lens)[:-1]
-    step[ends] = starts[1:] - starts[:-1] - lens[:-1] + 1
-    return np.cumsum(step)
-
-
 def max_min_rates(routes, active: Optional[Any] = None) -> TrafficAllocation:
-    """Max-min fair rates for a RouteSet, by lazy-heap water-filling.
+    """Max-min fair rates for a RouteSet, by batched water-filling.
 
     Args:
         routes: the flow x edge incidence.
@@ -136,24 +114,30 @@ def max_min_rates(routes, active: Optional[Any] = None) -> TrafficAllocation:
             rate 0.0 and consume no capacity (the FCT loop's retired
             flows).
 
-    Each loaded edge is keyed by the level at which it saturates,
-    ``(capacity - frozen rate sum) / active crossings``, crossings
-    counted with multiplicity.  Freezing flows at the current level can
-    only raise the keys of the edges they cross, so a binary heap with
-    lazy re-push finds the next bottleneck: when the minimum entry's key
-    is stale, push the current key back; otherwise every active flow on
-    that edge, and on every edge whose key lies within a relative
-    ``SATURATION_EPS`` of it, freezes at its level.  One such tie batch
-    is one round, and a flow's bottleneck is the first edge of its
-    round's batch in route order.  The tie rule is relative, so rounds
-    and rates do not depend on the capacity unit.  The level itself is
-    the batch edge's headroom summed exactly (``math.fsum``) over the
-    rates frozen on it, so rates stay within a few ulps of exact
-    water-filling.  Each incidence entry is visited O(1) times and each
-    visit costs at most one heap operation: O(incidence · log E) in all.
+    An edge's level is ``(capacity - rates frozen on it) / live
+    crossings``, crossings counted with multiplicity.  Each round
+    computes every live edge's level and freezes the flows of every
+    locally minimal edge: one on which no live flow crosses an edge with
+    a lower level, within a relative ``SATURATION_EPS``.  Levels only
+    rise as flows freeze, so such an edge saturates at exactly its
+    current level, and all of them freeze in the same round; a flow that
+    crosses two of them sees levels within the tie tolerance and takes
+    the lower.  The round then drops its frozen flows from the live
+    incidence.  The tie rule is relative, so rounds and rates do not
+    depend on the capacity unit.
 
-    The counter ``traffic.allocate.edge_visits`` gains the saturation
-    keys the loop evaluates: heap pops plus stale-key re-pushes.
+    A running float sum of the frozen rates only compares levels.  The
+    level that sets a rate divides the edge's exactly rounded headroom,
+    its capacity less the ``math.fsum`` of the rates frozen on it, so
+    rates stay within a few ulps of exact water-filling.
+
+    A flow's bottleneck is the first edge on its route that is saturated
+    and on which no flow has a higher rate, both within
+    ``SATURATION_EPS``: the witness of the max-min certificate, taken
+    from the final rates.
+
+    The counter ``traffic.allocate.entries_scanned`` gains the live
+    incidence entries the rounds scan.
     """
     np = _np
     num_flows = routes.num_flows
@@ -164,134 +148,123 @@ def max_min_rates(routes, active: Optional[Any] = None) -> TrafficAllocation:
         flow_active &= np.asarray(active, dtype=bool)
     offsets = np.asarray(routes.offsets, dtype=np.int64)
     edge_ids = np.asarray(routes.edge_ids, dtype=np.int64)
-
-    # Edge -> flow adjacency: the flow of every incidence entry, grouped
-    # by edge in flow order.  Inactive flows stay in it and are skipped
-    # at use.  Temporaries are dropped as soon as they are used, so they
-    # are not alive with the heap, which sets the peak memory.
-    order = np.argsort(edge_ids, kind="stable")
-    edge_flows = np.repeat(
-        np.arange(num_flows, dtype=np.int32), np.diff(offsets)
-    )[order]
-    del order
-    crossings = np.bincount(edge_ids, minlength=num_edges)
-    edge_offsets = np.zeros(num_edges + 1, dtype=np.int64)
-    np.cumsum(crossings, out=edge_offsets[1:])
-    if not bool(flow_active.all()):
-        live_entries = np.repeat(flow_active, np.diff(offsets))
-        crossings = np.bincount(edge_ids[live_entries], minlength=num_edges)
-        del live_entries
+    hops = np.diff(offsets)
     capacity = routes.capacities()
+
+    # Edge -> flow adjacency, for the rates frozen on an edge: every
+    # entry's flow, grouped by edge.  Sorting packed (edge, flow) keys
+    # is several times faster than a stable argsort of the edges.
+    packed = edge_ids << 32
+    packed |= np.repeat(np.arange(num_flows, dtype=np.int32), hops)
+    packed.sort()
+    packed &= 0xFFFFFFFF
+    edge_flows = packed.astype(np.int32)
+    del packed
+    edge_offsets = np.zeros(num_edges + 1, dtype=np.int64)
+    np.cumsum(np.bincount(edge_ids, minlength=num_edges), out=edge_offsets[1:])
+
+    # The live incidence in flow order: the unfrozen flows that cross an
+    # edge, their hop counts, and the edges of their entries.
+    live_flows = np.flatnonzero(flow_active & (hops > 0)).astype(np.int32)
+    live_hops = hops[live_flows]
+    live_edges = edge_ids.astype(np.int32)[np.repeat(flow_active, hops)]
+    crossings = np.bincount(live_edges, minlength=num_edges)
     residual = capacity.copy()
-    loaded = np.flatnonzero(crossings)
-    heap = list(zip((residual[loaded] / crossings[loaded]).tolist(), loaded.tolist()))
-    del loaded
-    heapq.heapify(heap)
-    heap_entries = len(heap)
-
     rates = np.zeros(num_flows, dtype=np.float64)
-    bottlenecks = np.full(num_flows, -1, dtype=np.int64)
-    live = flow_active.astype(np.uint8)
-    batch_round = np.zeros(num_edges, dtype=np.int64)
-    # Scalar state behind memoryviews: most batches freeze a handful of
-    # flows, too few to amortise numpy calls, and memoryviews keep no
-    # per-element Python objects alive.
-    rate_v, bottleneck_v, live_v = rates.data, bottlenecks.data, live.data
-    capacity_v, residual_v, count_v = capacity.data, residual.data, crossings.data
-    batch_v = batch_round.data
-    offset_v, edge_v = offsets.data, edge_ids.data
-    adj_offset_v, adj_flow_v = edge_offsets.data, edge_flows.data
-    heappop, heapreplace, fsum = heapq.heappop, heapq.heapreplace, math.fsum
-
-    # Flows left to freeze; once none is, the heap's drained entries
-    # need not be popped.
-    remaining = int(np.count_nonzero(flow_active & (offsets[1:] > offsets[:-1])))
+    # Per flow, the lowest exact level among the minimal edges it has
+    # crossed; inf while it has crossed none.  Read for live flows only.
+    freeze_level = np.full(num_flows, math.inf)
     rounds = 0
-    repushes = 0
-    while remaining:
-        key, edge = heap[0]
-        count = count_v[edge]
-        if not count:
-            heappop(heap)
-            continue
-        current = residual_v[edge] / count
-        if current != key:
-            heapreplace(heap, (current, edge))
-            repushes += 1
-            continue
-        heappop(heap)
+    scanned = 0
+    # Each round deletes its temporaries once used: incidence-sized
+    # arrays alive together set the allocator's peak memory.
+    while live_flows.size:
         rounds += 1
-        # The running residual only orders the heap: it loses digits to
-        # cancellation as an edge fills.  The level divides the exactly
-        # rounded headroom, capacity minus the rates already frozen on
-        # the edge.
-        crossing = adj_flow_v[adj_offset_v[edge] : adj_offset_v[edge + 1]]
-        headroom = [-rate_v[flow] for flow in crossing if not live_v[flow]]
-        headroom.append(capacity_v[edge])
-        level = fsum(headroom) / count
-        limit = level + level * SATURATION_EPS
-        batch = [edge]
-        entries = len(crossing)
-        while heap and heap[0][0] <= limit:
-            other = heap[0][1]
-            count = count_v[other]
-            if not count:
-                heappop(heap)
-                continue
-            current = residual_v[other] / count
-            if current <= limit:
-                heappop(heap)
-                batch.append(other)
-                entries += adj_offset_v[other + 1] - adj_offset_v[other]
-            else:
-                heapreplace(heap, (current, other))
-                repushes += 1
-        for edge in batch:
-            batch_v[edge] = rounds
-        if entries >= BATCH_ARRAY_MIN:
-            # The same freeze as the loop below.  Every crossing of a
-            # batch subtracts the same level, once each (ufunc.at is
-            # unbuffered), so the residuals end bit-equal in any order.
-            edges = np.asarray(batch, dtype=np.int64)
-            starts = edge_offsets[edges]
-            candidates = edge_flows[_ragged_gather(starts, edge_offsets[edges + 1] - starts)]
-            newly = np.unique(candidates[live[candidates] != 0])
-            rates[newly] = level
-            live[newly] = 0
-            remaining -= newly.size
-            lens = offsets[newly + 1] - offsets[newly]
-            route_edges = edge_ids[_ragged_gather(offsets[newly], lens)]
-            in_batch = batch_round[route_edges] == rounds
-            first_flows, first = np.unique(
-                np.repeat(newly, lens)[in_batch], return_index=True
-            )
-            bottlenecks[first_flows] = route_edges[in_batch][first]
-            np.subtract.at(residual, route_edges, level)
-            np.subtract.at(crossings, route_edges, 1)
-            continue
-        single = len(batch) == 1
-        for edge in batch:
-            for flow in adj_flow_v[adj_offset_v[edge] : adj_offset_v[edge + 1]]:
-                if not live_v[flow]:
-                    continue
-                live_v[flow] = 0
-                rate_v[flow] = level
-                remaining -= 1
-                route = edge_v[offset_v[flow] : offset_v[flow + 1]]
-                if single:
-                    bottleneck_v[flow] = edge
-                else:
-                    for crossed in route:
-                        if batch_v[crossed] == rounds:
-                            bottleneck_v[flow] = crossed
-                            break
-                for crossed in route:
-                    residual_v[crossed] -= level
-                    count_v[crossed] -= 1
+        scanned += live_edges.size
+        starts = np.zeros(live_flows.size, dtype=np.int64)
+        np.cumsum(live_hops[:-1], out=starts[1:])
+        # Levels of edges that no live flow crosses are never read.
+        level = residual / np.maximum(crossings, 1)
+        # Each flow's lowest level, within the tie rule; an edge is
+        # locally minimal when its level is within the limit of every
+        # flow on it.
+        limit = np.minimum.reduceat(level[live_edges], starts)
+        limit += limit * SATURATION_EPS
+        edge_limit = np.full(num_edges, math.inf)
+        np.minimum.at(edge_limit, live_edges, np.repeat(limit, live_hops))
+        del limit
+        minimal = np.flatnonzero((crossings > 0) & (level <= edge_limit))
+        del edge_limit
+
+        # The flows crossing the minimal edges, edge by edge.  Unfrozen
+        # flows still read rate 0.0, so the nonzero rates among them are
+        # the frozen ones; an edge with none has its exact level already.
+        first = edge_offsets[minimal]
+        lens = edge_offsets[minimal + 1] - first
+        ends = np.cumsum(lens)
+        crossing = edge_flows[
+            np.repeat(first - ends + lens, lens) + np.arange(ends[-1])
+        ]
+        crossing_rates = rates[crossing]
+        held = np.flatnonzero(crossing_rates)
+        minimal_level = level[minimal]
+        if held.size:
+            owners = np.searchsorted(ends, held, side="right")
+            cuts = np.flatnonzero(owners[1:] != owners[:-1]) + 1
+            bounds = [0, *cuts.tolist(), held.size]
+            owners = owners[bounds[:-1]]
+            edges = minimal[owners]
+            terms = (-crossing_rates[held]).tolist()
+            headroom = [
+                math.fsum([cap, *terms[lo:hi]])
+                for cap, lo, hi in zip(capacity[edges].tolist(), bounds, bounds[1:])
+            ]
+            minimal_level[owners] = np.array(headroom) / crossings[edges]
+        del crossing_rates, held
+
+        # Every live flow on a minimal edge freezes, at its lowest such
+        # level.
+        np.minimum.at(freeze_level, crossing, np.repeat(minimal_level, lens))
+        del crossing
+        frozen_rate = freeze_level[live_flows]
+        frozen = frozen_rate < math.inf
+        frozen_rate = frozen_rate[frozen]
+        rates[live_flows[frozen]] = frozen_rate
+        leaving = np.repeat(frozen, live_hops)
+        gone = live_edges[leaving]
+        crossings -= np.bincount(gone, minlength=num_edges)
+        residual -= np.bincount(
+            gone,
+            weights=np.repeat(frozen_rate, live_hops[frozen]),
+            minlength=num_edges,
+        )
+        del gone
+        live_edges = live_edges[~leaving]
+        del leaving
+        live_flows = live_flows[~frozen]
+        live_hops = live_hops[~frozen]
+    del edge_flows, live_edges
 
     # Active flows that cross no edge meet no constraint.
-    rates[live.view(bool)] = math.inf
-    _obs.counter("traffic.allocate.edge_visits", heap_entries - len(heap) + repushes)
+    rates[flow_active & (hops == 0)] = math.inf
+    # Each flow's bottleneck, from the final rates: its first edge that
+    # is saturated and on which no flow has a higher rate.
+    entry_rate = np.repeat(rates, hops)
+    load = np.bincount(edge_ids, weights=entry_rate, minlength=num_edges)
+    top = np.zeros(num_edges, dtype=np.float64)
+    np.maximum.at(top, edge_ids, entry_rate)
+    threshold = np.where(
+        load >= capacity * (1 - SATURATION_EPS), top * (1 - SATURATION_EPS), math.inf
+    )
+    del load, top
+    witness = np.flatnonzero(entry_rate >= threshold[edge_ids])
+    del entry_rate
+    witnessed, first = np.unique(
+        np.searchsorted(offsets, witness, side="right") - 1, return_index=True
+    )
+    bottlenecks = np.full(num_flows, -1, dtype=np.int64)
+    bottlenecks[witnessed] = edge_ids[witness[first]]
+    _obs.counter("traffic.allocate.entries_scanned", scanned)
     return TrafficAllocation(
         rates=rates,
         bottleneck_edges=bottlenecks,
@@ -364,11 +337,12 @@ def fluid_fct(routes, sizes, starts: Optional[Any] = None) -> FctStats:
     Each solve allocates max-min rates over the active flows, then
     advances to the earlier of the next completion and the next start.
     A flow completes once its remaining volume is at most
-    ``SATURATION_EPS`` of its size, so the result does not depend on
-    the unit of ``sizes``.  Starts within ``ARRIVAL_SLACK`` after the
-    new instant are admitted; with no active flow, time jumps to the
-    next start.  Unreachable flows never start and keep completion
-    ``inf``.  The counter ``traffic.fct.solves`` gains the solves.
+    ``SATURATION_EPS`` of its size, and starts at most ``SATURATION_EPS``
+    of the new instant after it are admitted with it, so the result
+    does not depend on the unit of ``sizes`` or of time.  With no active
+    flow, time jumps to the next start.  Unreachable flows never start
+    and keep completion ``inf``.  The counter ``traffic.fct.solves``
+    gains the solves.
 
     Raises:
         ValueError: if ``sizes`` or ``starts`` has the wrong length, or
@@ -434,7 +408,7 @@ def fluid_fct(routes, sizes, starts: Optional[Any] = None) -> FctStats:
         active &= ~done
         # An arrival-bound step admits that arrival even when rounding
         # left ``now`` an ulp short of it.
-        horizon = now + ARRIVAL_SLACK
+        horizon = now + abs(now) * SATURATION_EPS
         if arrival_bound:
             horizon = max(horizon, next_start)
         if not admit(horizon) and not bool(done.any()):

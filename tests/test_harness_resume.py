@@ -6,8 +6,8 @@ Two layers are covered:
   trial journal survives with the completed trials, and ``resume=True``
   finishes the run without recomputing them;
 * subprocess smoke — ``repro run F8 --quick`` is SIGKILLed mid-sweep,
-  then ``repro run F8 --quick --resume`` completes from the journal
-  (asserted by counting which trial keys the resumed run recomputes).
+  then ``repro run F8 --quick --resume --trace`` completes from the
+  journal (asserted from the trial counters in the resumed run's trace).
 
 Both use the ``REPRO_FAULTS_TRIAL_SLEEP`` throttle so quick-mode runs
 are slow enough to interrupt deterministically.
@@ -27,6 +27,7 @@ from repro.experiments.harness import (
     journal_path,
     run_experiment,
 )
+from repro.obs.report import load_trace, summarize
 
 REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -123,7 +124,7 @@ class TestSigkillSmoke:
         assert completed, "completed trials must survive SIGKILL"
 
         env.pop("REPRO_FAULTS_TRIAL_SLEEP")
-        env["REPRO_FAULTS_TRIAL_TRACE"] = str(tmp_path / "trace.log")
+        trace = str(tmp_path / "resumed.trace.jsonl")
         result = subprocess.run(
             [
                 sys.executable,
@@ -135,6 +136,8 @@ class TestSigkillSmoke:
                 "--resume",
                 "--out",
                 out,
+                "--trace",
+                trace,
             ],
             env=env,
             capture_output=True,
@@ -145,9 +148,23 @@ class TestSigkillSmoke:
         assert "resuming" in result.stderr  # progress goes to the obs logger
         assert not os.path.exists(path), "journal is deleted after success"
         # No lost work: the resumed process replayed every journaled trial
-        # rather than recomputing it.
-        trace = (tmp_path / "trace.log").read_text().splitlines()
-        recomputed = set(trace)
-        assert not (set(completed) & recomputed), (
-            "resume recomputed trials that were already journaled"
+        # and evaluated (or deduplicated) only the rest of a fresh run's.
+        fresh_trace = str(tmp_path / "fresh.trace.jsonl")
+        run_experiment(
+            "F8",
+            quick=True,
+            out_dir=str(tmp_path / "fresh"),
+            verbose=False,
+            trace=fresh_trace,
+        )
+        resumed = summarize(load_trace(trace)).counters
+        fresh = summarize(load_trace(fresh_trace)).counters
+        trial_counters = (
+            "faults.trials",
+            "faults.scenario_dedup",
+            "faults.trials_replayed",
+        )
+        assert resumed["faults.trials_replayed"] == len(set(completed))
+        assert sum(resumed.get(name, 0) for name in trial_counters) == sum(
+            fresh.get(name, 0) for name in trial_counters
         )

@@ -1,6 +1,7 @@
 """Max-min + FCT: exact oracles, the max-min certificate, fluid invariants."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from repro.traffic import (
     generate_matrix,
     max_min_rates,
 )
-from repro.traffic import engine
 from repro.traffic.engine import SATURATION_EPS
 from tests.flow_oracle import (
     exact_fluid_fct,
@@ -39,6 +39,32 @@ def _worst_error(rates, routes) -> float:
     """Largest relative distance of ``rates`` from exact water-filling."""
     exact = exact_max_min_rates(*incidence(routes))
     return max(relative_error(r, x) for r, x in zip(rates, exact))
+
+
+def _faulted_routes():
+    """A permutation on ABCCC(4,3,2) with 2% of switches and 5% of links
+    failed: some flows unreachable."""
+    graph = fast_compiled(AbcccSpec(4, 3, 2))
+    plan = random_index_failures(graph, switch_fraction=0.02, link_fraction=0.05, seed=3)
+    masked = MaskedGraph.from_indices(graph, plan.dead_nodes, plan.dead_edges)
+    matrix = generate_matrix("permutation", graph.num_servers, seed=3)
+    return batch_routes(graph, matrix, masked)
+
+
+def _bottleneck_cases():
+    """``(name, routes)``: arithmetic routes on ABCCC, with and without
+    faults, and BFS routes on a fat-tree."""
+    small = fast_compiled(AbcccSpec(3, 2, 2))
+    matrix = generate_matrix("permutation", small.num_servers, seed=4)
+    yield "ABCCC(3,2,2) permutation", batch_routes(small, matrix)
+    graph = fast_compiled(AbcccSpec(4, 3, 2))
+    for pattern in ("permutation", "all_to_all", "hot_rack"):
+        matrix = generate_matrix(pattern, graph.num_servers, seed=3)
+        yield f"ABCCC(4,3,2) {pattern}", batch_routes(graph, matrix)
+    yield "ABCCC(4,3,2) permutation under faults", _faulted_routes()
+    fat = compile_graph(FatTreeSpec(4).build())
+    matrix = generate_matrix("all_to_all", fat.num_servers, seed=3)
+    yield "fat-tree(4) all_to_all", batch_routes(fat, matrix)
 
 
 class TestOracleParity:
@@ -83,26 +109,31 @@ class TestOracleParity:
         assert _worst_error(allocation.rates, routes) <= 1e-12
 
     def test_bottlenecks_are_saturated_edges(self):
-        """A flow's bottleneck is the first edge on its route that
-        saturated in its round: saturated, and the flow's rate is the
-        largest on it."""
-        graph = fast_compiled(AbcccSpec(3, 2, 2))
-        matrix = generate_matrix("permutation", graph.num_servers, seed=4)
-        routes = batch_routes(graph, matrix)
-        allocation = max_min_rates(routes)
-        rates = allocation.rates
-        flows = np.repeat(np.arange(routes.num_flows), routes.hop_counts)
-        load = np.bincount(routes.edge_ids, weights=rates[flows], minlength=routes.num_edges)
-        top = np.zeros(routes.num_edges)
-        np.maximum.at(top, routes.edge_ids, rates[flows])
-        saturated = load >= routes.capacities() * (1 - SATURATION_EPS)
-        offsets = routes.offsets
-        for i in range(matrix.num_flows):
-            hops = routes.edge_ids[offsets[i] : offsets[i + 1]]
-            in_round = [
-                e for e in hops if saturated[e] and rates[i] >= top[e] * (1 - SATURATION_EPS)
-            ]
-            assert allocation.bottleneck_edges[i] == in_round[0]
+        """A flow's bottleneck is the first edge on its route that is
+        saturated and on which no flow has a higher rate, both within
+        ``SATURATION_EPS``; an unreachable flow has none."""
+        for name, routes in _bottleneck_cases():
+            allocation = max_min_rates(routes)
+            rates = allocation.rates
+            flows = np.repeat(np.arange(routes.num_flows), routes.hop_counts)
+            load = np.bincount(
+                routes.edge_ids, weights=rates[flows], minlength=routes.num_edges
+            )
+            top = np.zeros(routes.num_edges)
+            np.maximum.at(top, routes.edge_ids, rates[flows])
+            saturated = load >= routes.capacities() * (1 - SATURATION_EPS)
+            offsets = routes.offsets
+            for i in range(routes.num_flows):
+                if routes.unreachable[i]:
+                    assert allocation.bottleneck_edges[i] == -1, (name, i)
+                    continue
+                hops = routes.edge_ids[offsets[i] : offsets[i + 1]]
+                witnesses = [
+                    e
+                    for e in hops
+                    if saturated[e] and rates[i] >= top[e] * (1 - SATURATION_EPS)
+                ]
+                assert allocation.bottleneck_edges[i] == witnesses[0], (name, i)
 
 
 class _ScaledCapacities:
@@ -127,40 +158,11 @@ class TestWaterFilling:
         assert max_min_problems(routes, allocation.rates) is None
 
     def test_certificate_under_faults(self):
-        graph = fast_compiled(AbcccSpec(4, 3, 2))
-        plan = random_index_failures(
-            graph, switch_fraction=0.02, link_fraction=0.05, seed=3
-        )
-        masked = MaskedGraph.from_indices(graph, plan.dead_nodes, plan.dead_edges)
-        matrix = generate_matrix("permutation", graph.num_servers, seed=3)
-        routes = batch_routes(graph, matrix, masked)
+        routes = _faulted_routes()
         assert routes.num_unreachable > 0
         allocation = max_min_rates(routes)
         assert max_min_problems(routes, allocation.rates) is None
         assert (allocation.bottleneck_edges[routes.unreachable] == -1).all()
-
-    def test_array_and_scalar_batches_agree_bit_for_bit(self, monkeypatch):
-        """Large tie batches freeze through array calls, small ones in a
-        scalar loop; either path leaves the same bits, with repeated
-        crossings and a partial active mask too."""
-        graph = fast_compiled(AbcccSpec(4, 3, 2))
-        cases = [
-            (batch_routes(graph, generate_matrix(p, graph.num_servers, seed=3)), None)
-            for p in ("permutation", "incast", "hot_rack")
-        ]
-        small = compile_graph(AbcccSpec(3, 1, 2).build())
-        matrix = generate_matrix("all_to_all", small.num_servers, seed=19, max_flows=64)
-        detoured = _with_detours(small, batch_routes(small, matrix))
-        cases.append((detoured, np.arange(detoured.num_flows) % 4 != 0))
-        for routes, active in cases:
-            runs = []
-            for threshold in (0, 10**9):
-                monkeypatch.setattr(engine, "BATCH_ARRAY_MIN", threshold)
-                runs.append(max_min_rates(routes, active))
-            array, scalar = runs
-            assert array.rounds == scalar.rounds
-            assert np.array_equal(array.rates, scalar.rates)
-            assert np.array_equal(array.bottleneck_edges, scalar.bottleneck_edges)
 
     def test_rounds_and_rates_are_scale_free(self):
         """Ties are relative: the same instance in any capacity unit runs
@@ -169,7 +171,7 @@ class TestWaterFilling:
         matrix = generate_matrix("all_to_all", graph.num_servers, seed=2, max_flows=400)
         routes = batch_routes(graph, matrix)
         base = max_min_rates(routes)
-        assert base.rounds == 56
+        assert base.rounds == 13
         for scale in (1e-13, 1e-9, 1e9, 1e13):
             scaled = max_min_rates(
                 RouteSet.from_edge_arrays(
@@ -184,6 +186,32 @@ class TestWaterFilling:
             np.testing.assert_allclose(
                 scaled.rates / scale, base.rates, rtol=SATURATION_EPS, atol=0
             )
+
+    @pytest.mark.parametrize("num_flows,cap", [(1_000, 0.000999), (3_000, 0.000333)])
+    def test_rates_exact_under_cancellation(self, num_flows, cap):
+        """One unit edge is shared by every flow, and all but the last
+        flow also cross a private edge of capacity in [0.9 cap, cap],
+        below the shared edge's 1/num_flows.  The last flow gets the
+        exact remainder 1 - sum(private capacities); a rate set from a
+        running float sum of the frozen rates is off by over 1e-14."""
+        private = np.random.default_rng(num_flows).uniform(0.9 * cap, cap, num_flows - 1)
+        graph = SimpleNamespace(
+            edge_u=np.zeros(num_flows), edge_capacity=np.concatenate(([1.0], private))
+        )
+        shared_then_private = np.column_stack(
+            (np.zeros(num_flows - 1, dtype=np.int64), np.arange(1, num_flows))
+        )
+        routes = RouteSet.from_edge_arrays(
+            graph,
+            np.zeros(num_flows),
+            np.ones(num_flows),
+            np.append(shared_then_private.ravel(), 0),
+            np.append(np.arange(0, 2 * num_flows - 1, 2), 2 * num_flows - 1),
+        )
+        rates = max_min_rates(routes).rates
+        exact = [Fraction(float(c)) for c in private]
+        exact.append(1 - sum(exact))
+        assert max(relative_error(r, x) for r, x in zip(rates, exact)) <= 1e-15
 
 
 class TestAllocationStats:
@@ -247,19 +275,36 @@ class TestFluidFct:
             fluid_fct(routes, np.ones(3))
 
     def test_completion_is_scale_free(self):
-        """The same workload in any volume unit takes the same solves and
-        completes at the same scaled instants."""
+        """The same workload in any volume and time unit takes the same
+        solves and completes at the same scaled instants."""
         graph = fast_compiled(AbcccSpec(3, 1, 2))
         matrix = generate_matrix("all_to_all", graph.num_servers, seed=5)
-        routes = batch_routes(graph, matrix)
-        sizes = 1.0 + np.random.default_rng(0).random(matrix.num_flows)
-        base = fluid_fct(routes, sizes)
-        for scale in (1e-9, 1e9):
-            scaled = fluid_fct(routes, sizes * scale)
-            assert scaled.solves == base.solves
-            np.testing.assert_allclose(
-                scaled.completion_times / scale, base.completion_times, rtol=1e-13
-            )
+        # Two unit edges: A (size 1) and B (size 1, starting 5e-13
+        # after A completes) on edge 0, D (size 10) on edge 1.  B starts
+        # within the arrival tolerance of A's completion in every unit.
+        two_edges = SimpleNamespace(edge_u=np.zeros(2), edge_capacity=np.ones(2))
+        cases = [
+            (
+                batch_routes(graph, matrix),
+                1.0 + np.random.default_rng(0).random(matrix.num_flows),
+                np.zeros(matrix.num_flows),
+            ),
+            (
+                RouteSet.from_edge_arrays(
+                    two_edges, [0] * 3, [1] * 3, [0, 1, 0], [0, 1, 2, 3]
+                ),
+                np.array([1.0, 10.0, 1.0]),
+                np.array([0.0, 0.0, 1 + 5e-13]),
+            ),
+        ]
+        for routes, sizes, starts in cases:
+            base = fluid_fct(routes, sizes, starts)
+            for scale in (1e-9, 1e3, 1e6, 1e9):
+                scaled = fluid_fct(routes, sizes * scale, starts * scale)
+                assert scaled.solves == base.solves
+                np.testing.assert_allclose(
+                    scaled.completion_times / scale, base.completion_times, rtol=1e-13
+                )
 
     def test_durations_subtract_starts(self):
         graph = fast_compiled(AbcccSpec(3, 1, 2))
@@ -370,8 +415,15 @@ class TestExactOracle:
         return routes, seed
 
     def test_rates_match_exact_water_filling(self, instance):
+        """Every flow, then with every fourth flow outside ``active``."""
         routes, _ = instance
         assert _worst_error(max_min_rates(routes).rates, routes) <= 1e-12
+        active = np.arange(routes.num_flows) % 4 != 0
+        rates = max_min_rates(routes, active).rates
+        exact = exact_max_min_rates(*incidence(routes), active)
+        assert (rates[~active] == 0.0).all()
+        worst = max(relative_error(r, x) for r, x, on in zip(rates, exact, active) if on)
+        assert worst <= 1e-12
 
     def test_fct_matches_exact_trajectory(self, instance):
         """Unequal sizes; starts in three waves, the last after an idle gap."""

@@ -102,7 +102,11 @@ class Layer:
 
 LEDGER: Dict[str, Layer] = {
     "allocate": Layer(
-        "traffic.allocate.edge_visits", _allocate, LARGE, (3_205, 15_771, 50_227), 1.25
+        "traffic.allocate.entries_scanned",
+        _allocate,
+        LARGE,
+        (49_198, 379_076, 1_740_098),
+        1.5,
     ),
     "fct": Layer("traffic.fct.solves", _fct, SMALL, (23, 73, 218), 1.25),
     "routes": Layer(
@@ -189,7 +193,7 @@ def test_work_counters_render_as_prometheus():
     snapshot = registry.snapshot()
     counted = {entry["name"] for entry in snapshot["counters"]}
     assert {
-        "traffic.allocate.edge_visits",
+        "traffic.allocate.entries_scanned",
         "traffic.fct.solves",
         "compiled.bfs.entries",
         "engine.sweep.word_ops",
