@@ -193,10 +193,15 @@ def main() -> int:
     assert exposed == recorded, (exposed, recorded)
     assert 'outcome="shed"' in body, "shed outcome series missing"
     memory = stats.get("memory") or {}
-    assert memory.get("pool_total_mb"), memory
+    pool_mb = memory.get("pool_total_mb")
+    assert pool_mb, memory
+    # The daemon and its two workers read ~150 MB here after the burst,
+    # what-ifs included.  A worker that imports scipy adds ~27 MB, so
+    # the budget fails if the query path pulls scipy back in.
+    assert pool_mb < 190, f"pool RSS {pool_mb} MB is over the 190 MB budget"
     print(
         f"/metrics vs /stats: {int(exposed)} requests in both; "
-        f"pool RSS {memory['pool_total_mb']} MB"
+        f"pool RSS {pool_mb} MB"
     )
     client.close()
 

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Set, Tuple
 
-import networkx as nx
-
 from repro.core.address import AbcccParams, ServerAddress
 from repro.core.permutation import differing_levels
 from repro.core.routing import route_with_order
@@ -77,11 +75,15 @@ def crossbar_disjoint_routes(
 
 def edge_disjoint_path_count(net: Network, src: str, dst: str) -> int:
     """Ground-truth number of edge-disjoint paths (max-flow, unit caps)."""
+    import networkx as nx
+
     graph = net.to_networkx()
     return nx.algorithms.connectivity.edge_connectivity(graph, src, dst)
 
 
 def node_disjoint_path_count(net: Network, src: str, dst: str) -> int:
     """Ground-truth number of internally node-disjoint paths."""
+    import networkx as nx
+
     graph = net.to_networkx()
     return nx.algorithms.connectivity.node_connectivity(graph, src, dst)

@@ -113,7 +113,7 @@ class MaskedGraph:
         """Masked component labels (``-1`` for dead nodes), cached."""
         if self._labels is None:
             self._labels = self.graph.component_labels_masked(
-                self.node_alive, self.dead_entries
+                self.node_alive, self.dead_edge_ids
             )
         return self._labels
 

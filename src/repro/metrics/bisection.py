@@ -23,8 +23,6 @@ import itertools
 import random
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
 from repro.topology.compiled import compile_graph
 from repro.topology.graph import Network
 
@@ -44,6 +42,8 @@ def partition_cut_width(net: Network, side_a: Iterable[str]) -> int:
         raise ValueError("side_a must be a proper non-empty subset of servers")
     if not side_a <= servers:
         raise ValueError("side_a contains non-server nodes")
+
+    import networkx as nx
 
     compiled = compile_graph(net)
     side = {compiled.index[name] for name in side_a}
@@ -69,6 +69,8 @@ def partition_cut_width(net: Network, side_a: Iterable[str]) -> int:
 
 def spectral_split(net: Network, seed: int = 0) -> Set[str]:
     """Server halves from the Fiedler vector of the full graph."""
+    import networkx as nx
+
     graph = net.to_networkx()
     servers = net.servers
     try:

@@ -10,8 +10,6 @@ from __future__ import annotations
 import random
 from typing import List, Sequence, Set, Tuple
 
-import networkx as nx
-
 from repro.topology.graph import Network
 
 
@@ -19,6 +17,8 @@ def server_pair_connectivity(
     net: Network, pairs: Sequence[Tuple[str, str]]
 ) -> List[Tuple[int, int]]:
     """``(node_connectivity, edge_connectivity)`` for each server pair."""
+    import networkx as nx
+
     graph = net.to_networkx()
     results = []
     for src, dst in pairs:

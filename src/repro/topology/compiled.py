@@ -7,7 +7,7 @@ per neighbor and allocates a dict entry per settled node.  This module
 flattens a network once into int-indexed CSR arrays (``offsets`` +
 ``neighbors``) plus name/server lookup tables, and runs the BFS frontier
 loop over those flat arrays, vectorised with numpy.  Masked component
-labels on larger graphs go through scipy's ``connected_components``.
+labels come from a numpy label propagation over the alive edges.
 
 Two compiled views exist per network:
 
@@ -33,8 +33,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as _np
-from scipy.sparse import csr_matrix as _scipy_csr
-from scipy.sparse.csgraph import connected_components as _scipy_components
 
 from repro.obs import trace as _obs
 from repro.topology.graph import Network
@@ -77,9 +75,7 @@ class CompiledGraph:
         "edge_v",
         "edge_capacity",
         "_edge_lookup",
-        "_indices32",
         "_rows",
-        "_masked_template",
     )
 
     def __init__(
@@ -101,9 +97,7 @@ class CompiledGraph:
         self.edge_v = edge_v
         self.edge_capacity = edge_capacity
         self._edge_lookup: Optional[Dict[Tuple[int, int], int]] = None
-        self._indices32 = None
         self._rows = None
-        self._masked_template = None
 
     # ------------------------------------------------------------------
     # pickling (slots classes need explicit state; workers receive these)
@@ -269,86 +263,43 @@ class CompiledGraph:
             raise KeyError(f"no edge between node {u} and node {v}")
         return j
 
-    def component_labels_masked(self, node_alive, dead_entries=None):
-        """Component labels with failures applied as masks over the CSR.
+    def component_labels_masked(self, node_alive, dead_edges=()):
+        """Component labels with failures applied as masks over the edges.
 
         ``node_alive`` is a boolean sequence aligned with node indices;
-        ``dead_entries`` an optional set of CSR entry positions to skip
-        (both directions of a dead link — see :meth:`entry_index`).
-        Dead nodes are labeled ``-1``.  Alive nodes get the same
-        partition that compiling the failure-injected subgraph would
-        produce, at the cost of one flat BFS — no ``subgraph_without``
-        copy, no recompile.  Label *values* identify the partition only
-        (equal label == same component); callers must not depend on the
-        numbering, which differs between the Python BFS and the scipy
-        fast path used for larger graphs.
-        """
-        if self.num_nodes >= _SCIPY_MASK_THRESHOLD:
-            return self._component_labels_masked_scipy(node_alive, dead_entries)
-        labels = [-1] * self.num_nodes
-        offsets, neighbors = self.offsets, self.neighbors
-        current = 0
-        for start in range(self.num_nodes):
-            if labels[start] >= 0 or not node_alive[start]:
-                continue
-            labels[start] = current
-            frontier = [start]
-            while frontier:
-                nxt: List[int] = []
-                for u in frontier:
-                    for j in range(offsets[u], offsets[u + 1]):
-                        if dead_entries is not None and j in dead_entries:
-                            continue
-                        v = neighbors[j]
-                        if labels[v] < 0 and node_alive[v]:
-                            labels[v] = current
-                            nxt.append(v)
-                frontier = nxt
-            current += 1
-        return _np.fromiter(labels, dtype=_np.int64)
+        ``dead_edges`` optional edge ids (positions into
+        ``edge_u``/``edge_v``) of dead links.  Dead nodes are labeled
+        ``-1``.  Alive nodes get the partition that compiling the
+        failure-injected subgraph would produce, without a
+        ``subgraph_without`` copy or a recompile, and each component is
+        labeled by its smallest node index: labels rise with each
+        component's first node, and ``MaskedGraph.cut_off_servers``
+        breaks a tie between largest components on that order.
 
-    def _component_labels_masked_scipy(self, node_alive, dead_entries):
-        """Masked labels via ``scipy.sparse.csgraph.connected_components``.
-
-        The CSR entry order matches ``neighbors``, so the mask is one
-        boolean filter over the flat entry arrays: keep an entry when
-        both endpoints are alive and it is not a dead link, rebuild the
-        (indptr, indices) pair with ``bincount``/``cumsum``, and label
-        the whole matrix in C.  Dead nodes survive as isolated rows with
-        throwaway unique labels, overwritten with ``-1`` afterwards —
-        the alive partition is unaffected.
+        Label propagation over the alive edges: each round drops the
+        edges whose ends already share a label, hooks the larger label
+        of every other edge under the smaller, then jumps pointers until
+        each node points at its root.
         """
-        num_nodes = self.num_nodes
         alive = _np.asarray(node_alive, dtype=bool)
-        # int32, not the CSR's uint32: scipy needs signed indices.
-        if self._indices32 is None:
-            self._indices32 = _np.asarray(self.neighbors, dtype=_np.int32)
-        indices = self._indices32
-        rows = self._entry_rows()
-        keep = alive[rows] & alive[indices]
-        if dead_entries:
-            keep[list(dead_entries)] = False
-        kept_indices = indices[keep]
-        counts = _np.bincount(rows[keep], minlength=num_nodes)
-        indptr = _np.zeros(num_nodes + 1, dtype=_np.int32)
-        _np.cumsum(counts, out=indptr[1:])
-        # float64 data: csgraph would otherwise astype-copy int weights.
-        # The csr_matrix object itself is built once and reused — its
-        # constructor re-validates index dtypes on every call, which is
-        # measurable at one matrix per trial; swapping the arrays on a
-        # template skips that while staying a perfectly formed CSR.
-        data = _np.ones(len(kept_indices), dtype=_np.float64)
-        masked = self._masked_template
-        if masked is None:
-            masked = _scipy_csr(
-                (data, kept_indices, indptr), shape=(num_nodes, num_nodes)
-            )
-            self._masked_template = masked
-        else:
-            masked.data = data
-            masked.indices = kept_indices
-            masked.indptr = indptr
-        _, labels = _scipy_components(masked, directed=False)
+        u, v = _np.asarray(self.edge_u), _np.asarray(self.edge_v)
+        keep = alive[u] & alive[v]
+        if len(dead_edges):
+            keep[_np.asarray(dead_edges, dtype=_np.int64)] = False
+        u, v = u[keep], v[keep]
+        labels = _np.arange(self.num_nodes, dtype=_np.int32)
+        while u.size:
+            lu, lv = labels[u], labels[v]
+            split = lu != lv
+            u, v, lu, lv = u[split], v[split], lu[split], lv[split]
+            if not u.size:
+                break
+            _np.minimum.at(labels, _np.maximum(lu, lv), _np.minimum(lu, lv))
+            while True:
+                jumped = labels[labels]
+                if _np.array_equal(jumped, labels):
+                    break
+                labels = jumped
         labels = labels.astype(_np.int64)
         labels[~alive] = -1
         return labels
@@ -391,9 +342,7 @@ class CSRGraphView(CompiledGraph):
         self.edge_v = ()
         self.edge_capacity = ()
         self._edge_lookup = None
-        self._indices32 = None
         self._rows = None
-        self._masked_template = None
 
     @classmethod
     def of(cls, graph: "CompiledGraph") -> "CSRGraphView":
@@ -433,11 +382,6 @@ class CSRGraphView(CompiledGraph):
             f"<CSRGraphView: {self.num_servers} servers, "
             f"{self.num_nodes} nodes, {len(self.neighbors)} entries>"
         )
-
-
-#: below this node count the pure-Python masked BFS beats the scipy
-#: slice-and-label round trip (measured on the quick-mode instances).
-_SCIPY_MASK_THRESHOLD = 192
 
 
 def _csr_from_lists(adjacency: Sequence[Sequence[int]]):

@@ -393,9 +393,7 @@ class FastCompiledGraph(CompiledGraph):
         self._index_view: Optional[LazyIndex] = None
         self._capacity = None
         self._edge_lookup = None
-        self._indices32 = None
         self._rows = None
-        self._masked_template = None
 
     # -- lazy views shadowing the parent's slots -----------------------
     @property

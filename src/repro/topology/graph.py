@@ -13,11 +13,12 @@ with three extras over a plain graph:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.topology.node import Link, Node, NodeKind, link_key
+
+if TYPE_CHECKING:  # imported in to_networkx: most processes never convert
+    import networkx as nx
 
 
 class NetworkError(Exception):
@@ -252,6 +253,8 @@ class Network:
 
     def to_networkx(self) -> nx.Graph:
         """Export as an :class:`networkx.Graph` with node/link attributes."""
+        import networkx as nx
+
         graph = nx.Graph(name=self.name)
         for node in self._nodes.values():
             graph.add_node(

@@ -78,6 +78,13 @@ def abccc_s3() -> tuple:
 
 
 @pytest.fixture(scope="session")
+def abccc_large() -> tuple:
+    """ABCCC(4, 3, 2): 1,536 nodes, a graph the size serve and sweeps label."""
+    spec = AbcccSpec(4, 3, 2)
+    return spec, spec.build()
+
+
+@pytest.fixture(scope="session")
 def bcube_small() -> tuple:
     spec = BcubeSpec(3, 1)
     return spec, spec.build()

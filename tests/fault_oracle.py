@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from typing import Dict, Sequence, Tuple
+from typing import Dict, FrozenSet, Sequence, Set, Tuple
 
 import networkx as nx
 
@@ -44,6 +44,15 @@ def _alive_components(
         for name in members
     }
     return alive, component
+
+
+def alive_partition(net: Network, scenario: FailureScenario) -> Set[FrozenSet[str]]:
+    """The connected components of the failure-injected copy, as name sets."""
+    _, component = _alive_components(net, scenario)
+    members: Dict[int, Set[str]] = {}
+    for name, label in component.items():
+        members.setdefault(label, set()).add(name)
+    return {frozenset(names) for names in members.values()}
 
 
 def connection_ratio(

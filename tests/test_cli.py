@@ -371,18 +371,23 @@ class TestTraffic:
         assert "compile" in out and "trials" in out
 
     def test_degraded_run_with_fct_and_outputs(self, capsys, tmp_path):
+        from repro.faults.plan import FaultRoundingWarning
+
         metrics_path = tmp_path / "metrics.json"
-        code = main(
-            self.ARGS
-            + [
-                "--pattern", "incast",
-                "--trials", "2",
-                "--faults", "switch=0.05,link=0.01",
-                "--fct",
-                "--out", str(tmp_path),
-                "--metrics", str(metrics_path),
-            ]
-        )
+        # 1% of 36 links rounds to zero: each trial floors it to one
+        # dead link and says so.
+        with pytest.warns(FaultRoundingWarning, match="floored to 1 dead link"):
+            code = main(
+                self.ARGS
+                + [
+                    "--pattern", "incast",
+                    "--trials", "2",
+                    "--faults", "switch=0.05,link=0.01",
+                    "--fct",
+                    "--out", str(tmp_path),
+                    "--metrics", str(metrics_path),
+                ]
+            )
         assert code == 0
         out = capsys.readouterr().out
         assert "degraded" in out

@@ -1,12 +1,12 @@
 """Masked-CSR trial parity: identical results to the copy-and-recompile oracle.
 
 The acceptance bar for the masking path is *identity*, not closeness:
-the same scenario must produce the same connection ratio and
-largest-component fraction whether it is applied as a mask over the
+the same scenario must produce the same components, connection ratio
+and largest-component fraction whether it is applied as a mask over the
 compiled graph or via ``subgraph_without`` + a cold recompile
 (``tests/fault_oracle.py``).  The scenarios here are randomised across
-ABCCC and two baseline families and include dead links, which exercise
-the entry-mask path.
+ABCCC and two baseline families, from 15 to 1,536 nodes, and include
+dead links only, every node dead and the last-indexed node dead.
 """
 
 import pytest
@@ -15,43 +15,71 @@ from repro.faults.mask import MaskedGraph
 from repro.faults.plan import FaultModel, explicit_failures, random_failures
 from repro.faults.sweep import degradation_sweep
 from repro.topology.compiled import compile_graph
+from repro.topology.graph import Network
 from tests.fault_oracle import (
+    alive_partition,
     connection_ratio,
     largest_component_fraction,
     legacy_trial,
     sweep_panel,
 )
 
-FAMILIES = ["abccc_medium", "abccc_s3", "bcube_small", "fattree_small"]
+FAMILIES = ["abccc_medium", "abccc_s3", "bcube_small", "fattree_small", "abccc_large"]
+
+
+#: a mixed random draw per seed, then three corner masks
+CASES = [0, 1, 2, 3, "links-only", "every-node", "last-node"]
+
+
+def _scenario(net, case):
+    if case == "links-only":
+        return random_failures(net, link_fraction=0.2, seed=0).scenario
+    if case == "every-node":
+        return explicit_failures(
+            dead_servers=tuple(net.servers), dead_switches=tuple(net.switches)
+        ).scenario
+    if case == "last-node":
+        last = compile_graph(net).names[-1]
+        kind = "dead_servers" if net.node(last).is_server else "dead_switches"
+        return explicit_failures(**{kind: (last,)}).scenario
+    return random_failures(
+        net, server_fraction=0.15, switch_fraction=0.10, link_fraction=0.05, seed=case
+    ).scenario
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("case", CASES)
 class TestMetricParity:
-    def _scenario(self, net, seed):
-        return random_failures(
-            net,
-            server_fraction=0.15,
-            switch_fraction=0.10,
-            link_fraction=0.05,
-            seed=seed,
-        ).scenario
-
-    def test_connection_ratio_identical(self, family, seed, request):
+    def _masked(self, family, case, request):
         _, net = request.getfixturevalue(family)
-        scenario = self._scenario(net, seed)
-        masked = MaskedGraph(compile_graph(net), scenario)
+        scenario = _scenario(net, case)
+        return net, scenario, MaskedGraph(compile_graph(net), scenario)
+
+    def test_connection_ratio_identical(self, family, case, request):
+        net, scenario, masked = self._masked(family, case, request)
+        seed = case if isinstance(case, int) else 0
         assert masked.connection_ratio(
             sample_pairs=120, seed=seed
         ) == connection_ratio(net, scenario, sample_pairs=120, seed=seed)
 
-    def test_largest_component_identical(self, family, seed, request):
-        _, net = request.getfixturevalue(family)
-        scenario = self._scenario(net, seed)
-        masked = MaskedGraph(compile_graph(net), scenario)
+    def test_largest_component_identical(self, family, case, request):
+        net, scenario, masked = self._masked(family, case, request)
         assert masked.largest_component_fraction() == largest_component_fraction(
             net, scenario
         )
+
+    def test_components_identical(self, family, case, request):
+        net, scenario, masked = self._masked(family, case, request)
+        members = {}
+        for node, label in enumerate(masked.component_labels()):
+            if label >= 0:
+                members.setdefault(int(label), []).append(node)
+        # each component is labeled by its smallest node index
+        assert all(label == nodes[0] for label, nodes in members.items())
+        names = masked.graph.names
+        assert {
+            frozenset(names[i] for i in nodes) for nodes in members.values()
+        } == alive_partition(net, scenario)
 
 
 class TestMaskedGraph:
@@ -181,6 +209,28 @@ class TestDegenerateScenarios:
         alive = masked.num_alive_servers()
         assert count == alive - 1
         assert len(examples) == min(count, 10)
+
+    def test_cut_off_tie_keeps_the_lowest_indexed_component(self):
+        # Killing "mid" leaves two components of two servers each.  The
+        # one holding node 0 ("left") is the majority, although the
+        # first servers in insertion order ("a", "b") sit in the other.
+        net = Network("tie")
+        for name in ("left", "mid", "right"):
+            net.add_switch(name, ports=3)
+        for name in ("a", "b", "p", "q"):
+            net.add_server(name, ports=1)
+        for u, v in (
+            ("a", "right"),
+            ("b", "right"),
+            ("p", "left"),
+            ("q", "left"),
+            ("left", "mid"),
+            ("mid", "right"),
+        ):
+            net.add_link(u, v)
+        masked = self._masked(net, dead_switches=("mid",))
+        assert masked.largest_component_fraction() == 0.5
+        assert masked.cut_off_servers() == (2, ["a", "b"])
 
     def test_indexed_ratio_partition_consistency(self, abccc_medium):
         _, net = abccc_medium

@@ -104,7 +104,8 @@ class TestJournalResume:
         with TrialJournal(path) as journal:
             full = _sweep(net, journal=journal)
         # Drop the last two lines — as if the run was killed mid-sweep.
-        lines = open(path).read().splitlines()
+        with open(path) as handle:
+            lines = handle.read().splitlines()
         with open(path, "w") as handle:
             handle.write("\n".join(lines[:-2]) + "\n")
         with TrialJournal(path) as partial:
@@ -193,15 +194,17 @@ class TestParallelPath:
         registry = MetricsRegistry()
         previous = set_registry(registry)
         try:
-            with pytest.raises(RuntimeError, match="doomed"):
-                _sweep(net, journal=TrialJournal(path), workers=2, trials=4)
+            with TrialJournal(path) as journal:
+                with pytest.raises(RuntimeError, match="doomed"):
+                    _sweep(net, journal=journal, workers=2, trials=4)
         finally:
             set_registry(previous)
         failed_trials = registry.counter_values()["faults.trials"]
         assert len(TrialJournal(path)) == 11  # every trial but the doomed one
 
         monkeypatch.undo()
-        resumed, resumed_trials = counted(journal=TrialJournal(path))
+        with TrialJournal(path) as journal:
+            resumed, resumed_trials = counted(journal=journal)
         assert resumed_trials == 1
         assert failed_trials + resumed_trials == fresh_trials
         assert resumed == fresh

@@ -294,7 +294,8 @@ class TestShards:
             assert validate_trace(events) == []
             keys = [(e["t"], e["pid"], e["seq"]) for e in events]
             assert keys == sorted(keys)
-            outputs.append(open(path, "rb").read())
+            with open(path, "rb") as handle:
+                outputs.append(handle.read())
         # Identical shard content => byte-identical merged trace.
         assert outputs[0] == outputs[1]
 
@@ -303,9 +304,11 @@ class TestShards:
         with obs.run(path):
             with obs_trace.span("solo"):
                 pass
-        before = open(path).read()
+        with open(path) as handle:
+            before = handle.read()
         assert merge_shards(path) == 0
-        assert open(path).read() == before
+        with open(path) as handle:
+            assert handle.read() == before
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_fork_worker_redirects_to_shard(self, tmp_path):
