@@ -42,7 +42,8 @@ Commands:
   (see docs/OBSERVABILITY.md).  Empty traces print ``no events``
   and exit 0.
 * ``obs tail TRACE [--poll S] [--timeout S]`` — follow a live trace
-  file (shards included), one rendered line per span/event.
+  file, one rendered line per span/event (pool and serve workers'
+  events included, as their tasks and replies come home).
 
 Error handling contract: user-level mistakes — unknown topology kind,
 malformed ``--param``, a ``--memmap`` path that is not a usable
@@ -416,7 +417,7 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
     from repro import obs
     from repro.experiments.harness import write_runtimes
     from repro.faults.journal import journaled
-    from repro.metrics.engine import resolve_workers
+    from repro.pool import resolve_workers
     from repro.traffic import run_traffic
 
     if args.trials < 1:
@@ -879,7 +880,7 @@ def build_parser() -> argparse.ArgumentParser:
     obs_tail = obs_sub.add_parser(
         "tail", help="follow a live trace file, one line per span/event"
     )
-    obs_tail.add_argument("trace", help="trace JSONL file (shards picked up too)")
+    obs_tail.add_argument("trace", help="trace JSONL file (worker events included)")
     obs_tail.add_argument(
         "--poll", type=float, default=0.25, metavar="S", help="poll interval"
     )

@@ -226,7 +226,7 @@ def run_experiment(
     run of the experiment left in ``out_dir``, quick or full.
 
     ``workers`` sets the sweep engine's default worker count for the
-    duration of the run (see :mod:`repro.metrics.engine`); every run
+    duration of the run (see :mod:`repro.pool`); every run
     replaces its rows of ``out_dir/runtimes.csv`` (keyed by
     experiment/quick/workers) with one row per phase that ran.
 
@@ -245,7 +245,7 @@ def run_experiment(
     ``profile`` the cProfile hook (``None`` consults ``REPRO_PROFILE``).
     """
     from repro.faults.journal import journaled
-    from repro.metrics import engine
+    from repro import pool
 
     experiment = get_experiment(exp_id)
     logger = obs.get_logger("repro.harness")
@@ -253,9 +253,9 @@ def run_experiment(
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         journal_file = journal_path(out_dir, experiment.exp_id)
-    previous = engine.set_default_workers(workers) if workers is not None else None
+    previous = pool.set_default_workers(workers) if workers is not None else None
     try:
-        effective_workers = engine.resolve_workers(workers)
+        effective_workers = pool.resolve_workers(workers)
         with journaled(journal_file, resume) as journal:
             if resume and verbose and len(journal):
                 logger.info(
@@ -322,7 +322,7 @@ def run_experiment(
                 logger.info("%s trace written to %s", experiment.exp_id, scope.trace)
     finally:
         if previous is not None:
-            engine.set_default_workers(previous)
+            pool.set_default_workers(previous)
     return tables
 
 

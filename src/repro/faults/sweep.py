@@ -15,11 +15,10 @@ Robustness:
 * every completed trial is journaled (when a
   :class:`~repro.faults.journal.TrialJournal` is active or passed), so
   a killed run resumes without recomputing finished trials;
-* worker fan-out goes through
-  :func:`repro.metrics.engine.map_with_pool_recovery` — a crashed pool
-  is retried once, then degraded to sequential with a loud
-  :class:`~repro.metrics.engine.DegradedModeWarning` — and the
-  workers' counts (``faults.trials``) come home with their results.
+* worker fan-out goes through :func:`repro.pool.map_graph` — a
+  crashed pool is retried once, then degraded to sequential with a
+  loud :class:`~repro.pool.DegradedModeWarning` — and the workers'
+  counts (``faults.trials``) and spans come home with their results.
 
 The copy-and-recompile reference path (``subgraph_without`` plus a cold
 compile per trial) lives in ``tests/fault_oracle.py``; the parity tests
@@ -32,6 +31,7 @@ run deterministically.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import statistics
@@ -42,8 +42,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.faults.journal import TrialJournal, get_active_journal
 from repro.faults.mask import MaskedGraph
 from repro.faults.plan import FailureScenario, FaultModel, FaultPlan, child_seed, seed_stream
-from repro.metrics.engine import map_with_pool_recovery, resolve_workers
 from repro.obs import trace as _obs
+from repro.pool import map_graph, resolve_workers
 from repro.topology.compiled import CompiledGraph, compile_graph
 from repro.topology.graph import Network
 
@@ -151,7 +151,7 @@ def _draw_panel(
 # trial evaluation
 # ----------------------------------------------------------------------
 def _evaluate_masked(
-    graph: CompiledGraph, panel: Sequence[Tuple[int, int]], scenario: FailureScenario
+    graph: CompiledGraph, scenario: FailureScenario, panel: Sequence[Tuple[int, int]]
 ) -> Tuple[float, float, int]:
     """``(connection_ratio, largest_component, alive_servers)`` via masks."""
     with _obs.span("faults.mask"):
@@ -163,26 +163,6 @@ def _evaluate_masked(
             masked.largest_component_fraction(),
             masked.num_alive_servers(),
         )
-
-
-# Worker-process state: compiled graph + panel arrive once per pool —
-# the graph as a shared-memory GraphHandle (attached zero-copy), or as
-# a pickled graph on the legacy/test path.
-_WORKER_STATE: Optional[Tuple[CompiledGraph, Tuple[Tuple[int, int], ...]]] = None
-
-
-def _sweep_worker_init(graph, panel: Tuple[Tuple[int, int], ...]) -> None:
-    global _WORKER_STATE
-    if hasattr(graph, "materialize"):  # a shm GraphHandle descriptor
-        graph = graph.materialize()
-    _WORKER_STATE = (graph, panel)
-    _obs.maybe_init_worker()
-
-
-def _sweep_worker_trial(scenario: FailureScenario) -> Tuple[float, float, int]:
-    assert _WORKER_STATE is not None, "sweep worker pool not initialised"
-    graph, panel = _WORKER_STATE
-    return _evaluate_masked(graph, panel, scenario)
 
 
 # ----------------------------------------------------------------------
@@ -247,55 +227,33 @@ def degradation_sweep(
                 plans[key] = model.draw(net, level, trial_seed)
                 pending.append(key)
 
-    computed: Dict[str, Tuple[float, float, int]] = {}
     # Trials with identical scenarios (every trial of the 0.0 level draws
     # the same empty scenario, for one) evaluate once and share the
     # result — scenarios are frozen/hashable, so this is parity-exact.
-    by_scenario: Dict[FailureScenario, Tuple[float, float, int]] = {}
+    keys_of: Dict[FailureScenario, List[str]] = {}
+    for key in pending:
+        keys_of.setdefault(plans[key].scenario, []).append(key)
+    unique = list(keys_of)
+    _obs.counter("faults.scenario_dedup", len(pending) - len(unique))
+    computed: Dict[str, Tuple[float, float, int]] = {}
     workers = resolve_workers(workers)
-    trials_span = _obs.span(
+    pooled = workers > 1 and len(pending) >= max(SWEEP_PARALLEL_THRESHOLD, 2 * workers)
+    with _obs.span(
         "faults.trials", net=net.name, model=tag, pending=len(pending), workers=workers
-    )
-    with trials_span:
-        if workers > 1 and len(pending) >= max(SWEEP_PARALLEL_THRESHOLD, 2 * workers):
-            keys_of: Dict[FailureScenario, List[str]] = {}
-            for key in pending:
-                keys_of.setdefault(plans[key].scenario, []).append(key)
-            unique = list(keys_of)
-            _obs.counter("faults.scenario_dedup", len(pending) - len(unique))
-            from repro.topology.shm import export_graph
-
-            handle = export_graph(graph)
-            try:
-                # each scenario's trials are journaled as soon as it finishes
-                for index, result in map_with_pool_recovery(
-                    _sweep_worker_trial,
-                    unique,
-                    workers=workers,
-                    initializer=_sweep_worker_init,
-                    initargs=(handle, panel),
-                    sequential=lambda scenario: _evaluate_masked(graph, panel, scenario),
-                    context=f"degradation sweep {net.name}/{tag}",
-                ):
-                    for key in keys_of[unique[index]]:
-                        computed[key] = result
-                        if journal is not None:
-                            _record(journal, key, plans[key], result)
-            finally:
-                handle.release()
-        else:
-            for key in pending:
-                scenario = plans[key].scenario
-                result = by_scenario.get(scenario)
-                if result is None:
-                    result = _evaluate_masked(graph, panel, scenario)
-                    by_scenario[scenario] = result
-                else:
-                    _obs.counter("faults.scenario_dedup")
+    ):
+        # each scenario's trials are journaled as soon as it finishes
+        for index, result in map_graph(
+            functools.partial(_evaluate_masked, panel=panel),
+            graph,
+            unique,
+            workers=workers if pooled else 1,
+            context=f"degradation sweep {net.name}/{tag}",
+        ):
+            for key in keys_of[unique[index]]:
                 computed[key] = result
                 _trial_sleep()
                 if journal is not None:
-                    _record(journal, key, plans[key], computed[key])
+                    _record(journal, key, plans[key], result)
 
     # Assemble outcomes from journal replays + fresh computations.
     outcomes: List[TrialOutcome] = []

@@ -41,12 +41,8 @@ from repro.metrics.distance import (
     server_diameter,
     server_hop_stats,
 )
-from repro.metrics.engine import (
-    get_default_workers,
-    resolve_workers,
-    set_default_workers,
-    sweep_distance_stats,
-)
+from repro.metrics.engine import sweep_distance_stats
+from repro.pool import get_default_workers, resolve_workers, set_default_workers
 
 __all__ = [
     "CablePlan",

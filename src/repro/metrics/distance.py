@@ -79,7 +79,7 @@ def link_hop_stats(
     Exact (all sources) when ``sample_sources`` is None; otherwise one BFS
     per sampled source — diameter becomes a lower bound, means stay
     unbiased.  ``workers`` fans the sweep out over processes (``None`` =
-    engine default, see :func:`repro.metrics.engine.resolve_workers`).
+    default, see :func:`repro.pool.resolve_workers`).
     """
     from repro.metrics.engine import sweep_distance_stats
 

@@ -3,12 +3,9 @@
 Every distance experiment reduces to the same kernel: one BFS per source
 server, histogram the distances to all other servers, merge.  This
 module runs that kernel over the compiled views from
-:mod:`repro.topology.compiled` and fans the source set out over a
-:class:`~concurrent.futures.ProcessPoolExecutor` in chunks.  Workers do
-not receive a pickled graph: the pool initializer gets a
-:class:`~repro.topology.shm.GraphHandle` — the CSR arrays live once in
-shared memory (or in their memmap files) and every worker attaches
-zero-copy, so pool spin-up is O(graph), not O(workers x graph).
+:mod:`repro.topology.compiled` and fans the source set out in chunks
+over :func:`repro.pool.map_graph`, which hands the kernel view to its
+workers through shared memory, once per pool.
 
 Two public entries:
 
@@ -30,32 +27,21 @@ with the frontier bit-packed into uint64 words (64 sources per word).
 Expansion is a CSR gather + ``bitwise_or.reduceat``, histogramming is
 popcount, and distances never materialise.  Sources run in blocks sized
 from ``SWEEP_BUDGET_MB``.
-
-Worker-count resolution (``resolve_workers``): an explicit int wins; 0
-or a negative value means "all cores"; ``None`` falls back to the
-``REPRO_WORKERS`` environment variable (invalid values warn and fall
-back), then the module default set by :func:`set_default_workers` (the
-experiment runner's ``--workers`` flag sets that default for a run).
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import os
-import pickle
 import random
-import time
-import warnings
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as _np
 
 from repro.metrics.distance import DistanceStats
-from repro.obs import metrics as _metrics
 from repro.obs import trace as _obs
+from repro.pool import map_graph, resolve_workers
 from repro.topology.compiled import (
     CompiledGraph,
     CSRGraphView,
@@ -66,9 +52,6 @@ from repro.topology.graph import Network
 
 #: below this many sources the fork/pickle overhead outweighs the fan-out.
 PARALLEL_THRESHOLD = 16
-
-#: seconds to back off before the single pool-recovery retry.
-POOL_RETRY_BACKOFF_S = 0.25
 
 #: above this many servers `sweep_graph_distance_stats` defaults to
 #: sampled-source estimation (exact all-pairs at 786k servers would be
@@ -82,170 +65,6 @@ AUTO_SAMPLE_SOURCES = 1024
 #: per-block working-set budget of the bit-packed kernel, in MB
 #: (gather buffer + frontier + visited + next).
 SWEEP_BUDGET_MB = 192.0
-
-#: exception classes that mean "the worker pool is unusable", not "the
-#: computation is wrong": a crashed/OOM-killed worker, an unpicklable
-#: payload, or a platform without fork/semaphores.  AttributeError and
-#: TypeError are what CPython's pickle actually raises for local
-#: functions and unpicklable objects (not PicklingError); catching them
-#: here is safe because the sequential fallback re-runs the computation
-#: and reproduces any genuine error in the task function itself.
-POOL_FAILURES = (
-    BrokenProcessPool,
-    OSError,
-    PermissionError,
-    pickle.PicklingError,
-    AttributeError,
-    TypeError,
-)
-
-_DEFAULT_WORKERS = 1
-
-
-class DegradedModeWarning(UserWarning):
-    """A parallel stage lost its worker pool and ran sequentially.
-
-    Structured: carries the stage ``context``, the requested ``workers``
-    and the final ``error`` so harnesses and tests can filter on them
-    rather than parse the message.
-    """
-
-    def __init__(self, context: str, workers: int, error: BaseException) -> None:
-        self.context = context
-        self.workers = workers
-        self.error = error
-        super().__init__(
-            f"{context}: worker pool (workers={workers}) failed twice "
-            f"({type(error).__name__}: {error}); degraded to sequential "
-            f"execution — results are complete but slower"
-        )
-
-
-def _counted(fn: Callable, task):
-    """Run one pool task under a fresh registry: ``(result, snapshot)``."""
-    registry = _metrics.MetricsRegistry()
-    previous = _metrics.set_registry(registry)
-    try:
-        return fn(task), registry.snapshot()
-    finally:
-        _metrics.set_registry(previous)
-
-
-def map_with_pool_recovery(
-    fn: Callable,
-    tasks: Sequence,
-    *,
-    workers: int,
-    initializer: Optional[Callable] = None,
-    initargs: Tuple = (),
-    sequential: Callable[[Any], Any],
-    context: str,
-) -> Iterator[Tuple[int, Any]]:
-    """``fn`` over ``tasks`` in a worker pool, yielding ``(index, result)``
-    as each task completes; callers put results back in task order.
-
-    Each task runs under a fresh metrics registry in its worker and
-    ships that registry's snapshot home with its result, which folds
-    into the caller's registry when the result is handed over.  A task
-    that raises does not throw away the others: every result that
-    completes is handed over, then the error propagates.  A crashed
-    pool (``BrokenProcessPool``), a pickling failure or a missing-fork
-    platform is retried once after a short backoff, and if it fails
-    again the tasks run through ``sequential(task)`` in this process —
-    loudly, via a :class:`DegradedModeWarning`.  The retry and the
-    fallback run only the tasks still without a result, so no task is
-    computed or counted twice.
-    """
-    remaining = dict(enumerate(tasks))
-    registry = _metrics.get_registry()
-    last_error: Optional[BaseException] = None
-    with _obs.span("pool", context=context, workers=workers, tasks=len(tasks)) as pool_span:
-        for attempt in (1, 2):
-            try:
-                failed: Optional[BaseException] = None
-                with ProcessPoolExecutor(
-                    max_workers=workers, initializer=initializer, initargs=initargs
-                ) as pool:
-                    futures = {
-                        pool.submit(_counted, fn, task): index
-                        for index, task in remaining.items()
-                    }
-                    for future in as_completed(futures):
-                        try:
-                            result, snapshot = future.result()
-                        except Exception as error:
-                            failed = failed or error
-                            continue
-                        registry.merge(snapshot)
-                        del remaining[futures[future]]
-                        yield futures[future], result
-                if failed is not None:
-                    raise failed
-                pool_span.tag(attempts=attempt)
-                return
-            except POOL_FAILURES as error:
-                last_error = error
-                if attempt == 1:
-                    _obs.event(
-                        "pool-retry",
-                        f"{context}: worker pool failed, retrying once",
-                        context=context,
-                        workers=workers,
-                        error=f"{type(error).__name__}: {error}",
-                    )
-                    _obs.counter("pool.retries")
-                    time.sleep(POOL_RETRY_BACKOFF_S)
-        assert last_error is not None
-        _obs.event(
-            "degraded-mode",
-            f"{context}: worker pool failed twice; degraded to sequential",
-            context=context,
-            workers=workers,
-            error=f"{type(last_error).__name__}: {last_error}",
-        )
-        _obs.counter("pool.degraded")
-        pool_span.tag(degraded=True)
-        warnings.warn(
-            DegradedModeWarning(context, workers, last_error), stacklevel=2
-        )
-        for index, task in list(remaining.items()):
-            yield index, sequential(task)
-
-
-def set_default_workers(workers: int) -> int:
-    """Set the module-default worker count; returns the previous value."""
-    global _DEFAULT_WORKERS
-    previous = _DEFAULT_WORKERS
-    _DEFAULT_WORKERS = int(workers)
-    return previous
-
-
-def get_default_workers() -> int:
-    return _DEFAULT_WORKERS
-
-
-def resolve_workers(workers: Optional[int] = None) -> int:
-    """Resolve an effective worker count (see module docstring)."""
-    if workers is None:
-        env = os.environ.get("REPRO_WORKERS", "").strip()
-        if env:
-            try:
-                workers = int(env)
-            except ValueError:
-                warnings.warn(
-                    f"ignoring invalid REPRO_WORKERS={env!r} (not an integer); "
-                    f"using the module default ({_DEFAULT_WORKERS})",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                workers = _DEFAULT_WORKERS
-        else:
-            workers = _DEFAULT_WORKERS
-    workers = int(workers)
-    if workers <= 0:
-        workers = os.cpu_count() or 1
-    return workers
-
 
 def resolve_kernel(kernel: Optional[str] = None, graph: Optional[CompiledGraph] = None) -> str:
     """Name of the sweep kernel, for reports: always ``"bitpack"``.
@@ -489,75 +308,20 @@ def pairwise_distances(
 
 
 # ----------------------------------------------------------------------
-# the worker pool: shared-memory graph hand-off
+# the fan-out: one task per chunk of sources
 # ----------------------------------------------------------------------
-# Worker-process state: the graph arrives once via the pool initializer
-# — as a GraphHandle attaching shared memory, or (legacy/test path) a
-# pickled graph — and is reused by every chunk the worker executes.
-_WORKER_GRAPH: Optional[CompiledGraph] = None
-_WORKER_PER_SOURCE: bool = False
-
-
-def _worker_init(graph, per_source: bool = False) -> None:
-    global _WORKER_GRAPH, _WORKER_PER_SOURCE
-    if hasattr(graph, "materialize"):  # a shm GraphHandle descriptor
-        graph = graph.materialize()
-    _WORKER_GRAPH = graph
-    _WORKER_PER_SOURCE = per_source
-    _obs.maybe_init_worker()
-
-
-def _worker_sweep(sources: Sequence[int]):
-    assert _WORKER_GRAPH is not None, "worker pool not initialised"
+def _sweep_chunk(graph: CompiledGraph, sources: Sequence[int], per_source: bool):
+    """One chunk of a sweep, in a pool worker, the fallback or in-process."""
     with _obs.span("engine.batch", sources=len(sources)):
         _obs.counter("engine.batches")
         _obs.counter("engine.sources", len(sources))
-        return _sweep_bitpack(_WORKER_GRAPH, sources, _WORKER_PER_SOURCE)
+        return _sweep_bitpack(graph, sources, per_source)
 
 
 def _chunk(sources: Sequence[int], workers: int) -> List[Sequence[int]]:
     """Split sources into ~4 chunks per worker for load balancing."""
     per = max(1, math.ceil(len(sources) / (workers * 4)))
     return [sources[i : i + per] for i in range(0, len(sources), per)]
-
-
-def _parallel_sweep(
-    graph: CompiledGraph,
-    sources: Sequence[int],
-    workers: int,
-    per_source: bool = False,
-) -> Tuple[Dict[int, int], int, List[int], List[int]]:
-    from repro.topology import shm as _shm
-
-    with _obs.span("engine.handoff", workers=workers):
-        handle = _shm.export_graph(CSRGraphView.of(graph))
-    chunks = _chunk(sources, workers)
-    results: List = [None] * len(chunks)
-    try:
-        for index, result in map_with_pool_recovery(
-            _worker_sweep,
-            chunks,
-            workers=workers,
-            initializer=_worker_init,
-            initargs=(handle, per_source),
-            sequential=lambda chunk: _sweep_bitpack(graph, chunk, per_source),
-            context="all-pairs distance sweep",
-        ):
-            results[index] = result
-    finally:
-        handle.release()
-    # merged in task order, so the per-source lists (and mean_ci95) are
-    # bit-identical to the sequential path
-    merged: Counter = Counter()
-    unreachable = 0
-    sums: List[int] = []
-    reached: List[int] = []
-    for histogram, missed, chunk_sums, chunk_reached in results:
-        merged.update(histogram)
-        unreachable += missed
-        sums.extend(chunk_sums)
-        reached.extend(chunk_reached)
-    return dict(merged), unreachable, sums, reached
 
 
 # ----------------------------------------------------------------------
@@ -669,21 +433,34 @@ def sweep_graph_distance_stats(
 
     per_source = not exact
     workers = resolve_workers(workers)
+    pooled = workers > 1 and len(source_idx) >= max(PARALLEL_THRESHOLD, 2 * workers)
+    chunks = _chunk(source_idx, workers) if pooled else [source_idx]
+    results: List = [None] * len(chunks)
     with _obs.span(
         "engine.sweep",
         sources=len(source_idx),
         workers=workers,
         exact=exact,
     ):
-        if workers <= 1 or len(source_idx) < max(PARALLEL_THRESHOLD, 2 * workers):
-            _obs.counter("engine.sources", len(source_idx))
-            histogram, missed, sums, reached = _sweep_bitpack(
-                view, source_idx, per_source
-            )
-        else:
-            histogram, missed, sums, reached = _parallel_sweep(
-                view, source_idx, workers, per_source
-            )
+        for index, result in map_graph(
+            functools.partial(_sweep_chunk, per_source=per_source),
+            CSRGraphView.of(view),
+            chunks,
+            workers=workers if pooled else 1,
+            context="all-pairs distance sweep",
+        ):
+            results[index] = result
+    # merged in task order, so the per-source lists (and mean_ci95) are
+    # bit-identical whatever the chunking
+    histogram: Counter = Counter()
+    missed = 0
+    sums: List[int] = []
+    reached: List[int] = []
+    for chunk_histogram, chunk_missed, chunk_sums, chunk_reached in results:
+        histogram.update(chunk_histogram)
+        missed += chunk_missed
+        sums.extend(chunk_sums)
+        reached.extend(chunk_reached)
     if missed and unreachable == "raise":
         raise ValueError(
             f"{missed} (src, dst) server pairs unreachable in {label}"

@@ -6,7 +6,8 @@ serve daemon's ``GET /metrics``:
 * :mod:`repro.obs.scope` — :func:`run`, the one scope that installs a
   run's registry and trace file and reports its phase totals;
 * :mod:`repro.obs.trace` — spans, the one timer, plus the JSONL
-  tracer, trace-id context propagation and worker-shard handling;
+  tracer (in memory in worker processes) and trace-id context
+  propagation;
 * :mod:`repro.obs.metrics` — the live metrics registry, the one store
   of counts and timings: counters, gauges and log-linear latency
   histograms with mergeable snapshots and Prometheus text exposition;
@@ -64,7 +65,6 @@ from repro.obs.trace import (
     NULL_TRACER,
     PROFILE_ENV,
     SCHEMA_VERSION,
-    SHARD_ENV,
     TRACE_ENV,
     NullTracer,
     Span,
@@ -73,8 +73,6 @@ from repro.obs.trace import (
     current_trace_id,
     event,
     get_tracer,
-    maybe_init_worker,
-    merge_shards,
     mint_trace_id,
     record_span,
     set_tracer,
@@ -98,7 +96,6 @@ __all__ = [
     "PoolStats",
     "RunScope",
     "SCHEMA_VERSION",
-    "SHARD_ENV",
     "Span",
     "TRACE_ENV",
     "TraceSummary",
@@ -114,10 +111,8 @@ __all__ = [
     "get_tracer",
     "heartbeat_interval",
     "load_trace",
-    "maybe_init_worker",
     "maybe_profile",
     "memory_sample",
-    "merge_shards",
     "merge_snapshots",
     "mint_trace_id",
     "peak_rss_mb",

@@ -25,8 +25,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.obs.trace import read_events
-
 _NUMERIC = (int, float)
 
 #: event types defined by schema version 1 (see docs/OBSERVABILITY.md).
@@ -34,8 +32,21 @@ KNOWN_EVENTS = ("meta", "span", "counters", "rss", "warning", "note")
 
 
 def load_trace(path: str) -> List[Dict[str, Any]]:
-    """All parseable events of one JSONL trace file, in file order."""
-    return read_events(path)[0]
+    """All parseable events of one JSONL trace file, in file order.
+
+    A run killed mid-write leaves a truncated final line; such lines
+    (and any other junk) are skipped, not raised.
+    """
+    events: List[Dict[str, Any]] = []
+    with open(path, "r", encoding="utf-8") as handle:
+        for line in handle:
+            try:
+                event = json.loads(line)
+            except ValueError:
+                continue
+            if isinstance(event, dict):
+                events.append(event)
+    return events
 
 
 def validate_trace(events: Sequence[Dict[str, Any]]) -> List[str]:
@@ -472,56 +483,42 @@ def follow_trace(
     timeout_s: Optional[float] = None,
     max_events: Optional[int] = None,
 ) -> Iterator[Dict[str, Any]]:
-    """Yield events appended to a live trace file (and its worker shards).
+    """Yield events appended to a live trace file.
 
     ``tail -f`` for JSONL traces: starts at the beginning, then polls
     for growth.  Partial trailing lines (a writer mid-``write``) are
-    held back until their newline arrives.  Worker shard files
-    (``<path>.shard-*``) are picked up as they appear, so spans emitted
-    by pool workers stream too.  Stops after ``timeout_s`` without the
-    file existing/growing, or once ``max_events`` events were yielded;
-    runs forever when both are ``None`` (caller interrupts).
+    held back until their newline arrives.  Pool and serve workers'
+    events arrive in the same file when their task or reply comes home.
+    Stops after ``timeout_s`` without the file existing/growing, or
+    once ``max_events`` events were yielded; runs forever when both are
+    ``None`` (caller interrupts).
     """
-    import glob as _glob
-
     yielded = 0
-    offsets: Dict[str, int] = {}
-    buffers: Dict[str, str] = {}
+    offset = 0
+    buffer = ""
     last_progress = time.monotonic()
-
-    def _drain(file_path: str) -> Iterator[Dict[str, Any]]:
-        try:
-            size = os.path.getsize(file_path)
-        except OSError:
-            return
-        offset = offsets.get(file_path, 0)
-        if size <= offset:
-            if size < offset:  # merged/rewritten: start over
-                offsets[file_path] = 0
-                buffers[file_path] = ""
-            return
-        with open(file_path, "r", encoding="utf-8") as handle:
-            handle.seek(offset)
-            chunk = handle.read()
-            offsets[file_path] = handle.tell()
-        pending = buffers.get(file_path, "") + chunk
-        lines = pending.split("\n")
-        buffers[file_path] = lines.pop()  # tail without newline: hold back
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(event, dict):
-                yield event
-
     while True:
         progressed = False
-        for file_path in [path] + sorted(_glob.glob(_glob.escape(path) + ".shard-*")):
-            for event in _drain(file_path):
+        try:
+            size = os.path.getsize(path)
+        except OSError:
+            size = offset
+        if size < offset:  # rewritten: start over
+            offset, buffer = 0, ""
+        if size > offset:
+            with open(path, "r", encoding="utf-8") as handle:
+                handle.seek(offset)
+                chunk = handle.read()
+                offset = handle.tell()
+            lines = (buffer + chunk).split("\n")
+            buffer = lines.pop()  # tail without newline: hold back
+            for line in lines:
+                try:
+                    event = json.loads(line)
+                except ValueError:
+                    continue
+                if not isinstance(event, dict):
+                    continue
                 progressed = True
                 yielded += 1
                 yield event

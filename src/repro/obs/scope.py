@@ -5,8 +5,8 @@ installs a registry or a tracer for a run.  ``repro run`` (once per
 experiment), ``repro traffic``, ``repro sweep``, ``repro build --fast``
 and ``repro serve`` each open one, and every time they print or write
 comes from the spans it collected (:meth:`RunScope.phases`).  Pool
-workers' counts and timings are included: each task ships its registry
-home with its result (:func:`repro.metrics.engine.map_with_pool_recovery`).
+workers' counts, timings and trace lines are included: each task
+ships them home with its result (:func:`repro.pool.map_graph`).
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ def run(trace: Optional[str] = None, **tags: Any) -> Iterator[RunScope]:
 
     The registry goes in before the tracer, because a tracer reports the
     counts of the registry active when it opens.  ``tags`` become the
-    trace's ``meta`` tags.  On any exit the tracer closes (worker shards
-    merge, so a failed run's trace still reports) and the registry's
+    trace's ``meta`` tags.  On any exit the tracer closes (it writes its
+    counters, so a failed run's trace still reports) and the registry's
     snapshot folds into the caller's registry.
     """
     registry = _metrics.MetricsRegistry()

@@ -1,4 +1,4 @@
-"""Span-based tracing: the one timer, JSONL events, worker shards.
+"""Span-based tracing: the one timer, JSONL events, worker lines.
 
 One tracer is active per process (installed by :func:`repro.obs.run`,
 through :func:`set_tracer`); instrumented code talks to it through the
@@ -28,54 +28,44 @@ A :class:`Tracer` additionally streams one JSON object per line to its
   ``None`` for top-level spans), ``name`` and ``tags``;
 * ``counters`` — one event, written by the main tracer on close: the
   counts of the run's registry, labeled series keyed ``name{k=v,...}``.
-  Pool workers' counts are already in them: each pool task ships its
-  counts home with its result (see
-  :func:`repro.metrics.engine.map_with_pool_recovery`).  Shards write
-  none;
+  Worker processes' counts are already in them: each pool task and
+  each serve reply ships its counts home (see :mod:`repro.pool`);
 * ``rss`` — periodic memory samples (see :mod:`repro.obs.memory`);
 * ``warning`` — structured degradation/retry events;
 * ``note`` — any other structured event (serve lifecycle, auto-sample
   decisions, gauges).
 
 Every event carries ``t`` (``time.perf_counter()``), ``pid`` and a
-per-emitter ``seq``; the merged trace is sorted by ``(t, pid, seq)``,
-which makes merging deterministic.  On Linux ``perf_counter`` is
-``CLOCK_MONOTONIC`` and therefore comparable across the processes of
-one boot; on platforms where it is per-process, cross-process ordering
-is approximate but per-process durations stay exact.
+per-process ``seq``, so ``(t, pid, seq)`` is a total order.  On Linux
+``perf_counter`` is ``CLOCK_MONOTONIC`` and therefore comparable across
+the processes of one boot; on platforms where it is per-process,
+cross-process ordering is approximate but per-process durations stay
+exact.
 
-Worker processes: a tracer exports its path via the
-``REPRO_TRACE_SHARD_BASE`` environment variable.  Fork-started workers
-inherit the tracer object itself — the first emit in a child notices
-the pid change and reopens onto a private ``<path>.shard-<pid>`` file.
-Spawn-started workers call :func:`maybe_init_worker` from the pool
-initializer and get a fresh shard tracer from the environment variable.
-Either way the parent's :meth:`Tracer.close` merges all shards into the
-main file (sorted, then deleted), so a finished trace is always a
-single self-contained JSONL file.
+Worker processes (pool workers, serve workers) trace into memory: a
+``Tracer(None)`` of their own, installed before their first task.  Its
+lines come home with each task's result or reply (:meth:`Tracer.drain`
+in the worker, :meth:`Tracer.write_lines` in the parent), so the trace
+file is append-only, in arrival order, and every reader that needs
+time order sorts by ``(t, pid, seq)``.
 """
 
 from __future__ import annotations
 
-import atexit
 import contextlib
 import contextvars
-import glob
+import io
 import json
 import os
-import re
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.obs import metrics as _metrics
 
 #: bump when the event schema changes incompatibly (documented in
 #: docs/OBSERVABILITY.md).
 SCHEMA_VERSION = 1
-
-#: environment variable carrying the main trace path to worker processes.
-SHARD_ENV = "REPRO_TRACE_SHARD_BASE"
 
 #: environment variable enabling tracing without the ``--trace`` flag
 #: ("1"/"true" = default per-run path; anything else = explicit path).
@@ -111,7 +101,7 @@ def current_trace_id() -> Optional[str]:
 def trace_context(trace_id: Optional[str]):
     """Bind ``trace_id`` for the duration of the block.
 
-    Spans opened inside the block on a *file-backed* tracer are tagged
+    Spans opened inside the block on a :class:`Tracer` are tagged
     ``trace=<id>``, which is what ``repro obs report --trace-id`` uses
     to stitch the client → queue → worker critical path back together.
     ``None`` unbinds (useful to keep an inherited id out of unrelated
@@ -158,6 +148,15 @@ class NullTracer:
     def record_span(self, name: str, t0: float, dur: float, **tags: Any) -> None:
         _observe(name, dur, tags)
 
+    def sample_memory(self) -> None:
+        return None
+
+    def drain(self) -> str:
+        return ""
+
+    def write_lines(self, text: str) -> None:
+        return None
+
     def close(self) -> None:
         return None
 
@@ -170,7 +169,7 @@ class Span:
 
     Closing it observes its duration into ``<name>_seconds`` of the
     active registry, labeled by its :data:`LABEL_TAGS` tags at close; a
-    file-backed tracer also writes a ``span`` event.  The duration stays
+    :class:`Tracer` also writes a ``span`` event.  The duration stays
     readable as :attr:`dur` once the span has closed, so code that needs
     the time of its own region reads the span instead of a second timer.
     """
@@ -190,7 +189,7 @@ class Span:
     def __enter__(self) -> "Span":
         tracer = self._tracer
         # sid/parent bookkeeping only matters for written events; spans
-        # without a trace file skip it so per-trial spans stay cheap.
+        # of the NullTracer skip it so per-trial spans stay cheap.
         if tracer._handle is not None:
             stack = tracer._stack()
             self.parent = stack[-1].sid if stack else None
@@ -225,27 +224,24 @@ class Span:
 
 
 class Tracer:
-    """File-backed tracer: spans time like :class:`NullTracer`'s, and
-    every span and event is also streamed as JSONL to ``path``.
+    """Tracer that writes: spans time like :class:`NullTracer`'s, and
+    every span and event is also written as one JSON line.
 
-    ``run_tags`` lands in the ``meta`` header event.  On close, the
-    ``counters`` event holds the counts of the registry that was active
-    when the tracer opened; :func:`repro.obs.run` opens every run's
-    tracer on a fresh registry, so those are the run's counts.
-    ``shard`` marks a worker-side tracer: it neither exports
-    :data:`SHARD_ENV` nor merges shards on close, and writes no
-    ``counters`` event.
+    With a ``path`` the lines stream to that file, after a ``meta``
+    header carrying ``run_tags``; on close, the ``counters`` event holds
+    the counts of the registry that was active when the tracer opened
+    (:func:`repro.obs.run` opens every run's tracer on a fresh registry,
+    so those are the run's counts).  With ``path=None`` the lines stay
+    in memory until :meth:`drain` takes them: that is a worker
+    process's tracer, whose lines the parent appends to its own file
+    with :meth:`write_lines`.
     """
 
     def __init__(
-        self,
-        path: str,
-        run_tags: Optional[Dict[str, Any]] = None,
-        shard: bool = False,
+        self, path: Optional[str], run_tags: Optional[Dict[str, Any]] = None
     ) -> None:
         self.enabled = True
         self.path = path
-        self._shard = shard
         self._pid = os.getpid()
         self._sid = 0
         self._seq = 0
@@ -254,6 +250,9 @@ class Tracer:
         self._local = threading.local()
         self._sampler = None
         self._closed = False
+        if path is None:
+            self._handle = io.StringIO()
+            return
         directory = os.path.dirname(path)
         if directory:
             os.makedirs(directory, exist_ok=True)
@@ -266,28 +265,19 @@ class Tracer:
                 "tags": dict(run_tags or {}),
             }
         )
-        if not shard:
-            os.environ[SHARD_ENV] = path
-            interval = os.environ.get("REPRO_TRACE_MEM_INTERVAL", "0.5").strip()
-            if interval and float(interval) > 0:
-                from repro.obs.memory import MemorySampler
+        interval = os.environ.get("REPRO_TRACE_MEM_INTERVAL", "0.5").strip()
+        if interval and float(interval) > 0:
+            from repro.obs.memory import MemorySampler
 
-                self._sampler = MemorySampler(self, float(interval))
+            self._sampler = MemorySampler(self, float(interval))
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
     def _stack(self) -> List[Span]:
-        # Keyed by pid: a fork-started worker inherits this tracer with
-        # the parent's open spans on the stack — its own spans must not
-        # parent onto sids emitted by another process.
-        local = self._local
-        pid = os.getpid()
-        stack = getattr(local, "stack", None)
-        if stack is None or getattr(local, "pid", None) != pid:
-            stack = []
-            local.stack = stack
-            local.pid = pid
+        stack = getattr(self._local, "stack", None)
+        if stack is None:
+            stack = self._local.stack = []
         return stack
 
     def _next_sid(self) -> int:
@@ -298,33 +288,12 @@ class Tracer:
     def _emit(self, obj: Dict[str, Any]) -> None:
         if self._handle is None:
             return
-        if os.getpid() != self._pid:
-            self._become_shard()
         with self._lock:
-            obj["pid"] = os.getpid()
+            obj["pid"] = self._pid
             obj["seq"] = self._seq
             self._seq += 1
             self._handle.write(json.dumps(obj) + "\n")
             self._handle.flush()
-
-    def _become_shard(self) -> None:
-        """First emit after a fork: redirect this copy to a shard file.
-
-        Fork-started pool workers inherit the parent tracer object (and
-        its open handle); writing through it would interleave bytes with
-        the parent.  Instead the child reopens onto its own
-        ``<path>.shard-<pid>`` file, which the parent merges on close.
-        """
-        pid = os.getpid()
-        self._pid = pid
-        self._seq = 0
-        self._sid = int(pid) * 1_000_000  # keep sids unique across shards
-        self._local = threading.local()
-        self._shard = True
-        self._sampler = None
-        self.path = f"{self.path}.shard-{pid}"
-        self._handle = open(self.path, "w", encoding="utf-8")
-        atexit.register(self.close)
 
     # ------------------------------------------------------------------
     # public API (mirrors NullTracer)
@@ -386,11 +355,24 @@ class Tracer:
         if sample:
             self._emit({"ev": "rss", "t": time.perf_counter(), **sample})
 
-    def close(self) -> None:
-        """Stop sampling, write the counters event, merge worker shards.
+    def drain(self) -> str:
+        """Take the lines an in-memory tracer has written since the last drain."""
+        with self._lock:
+            text = self._handle.getvalue()
+            self._handle = io.StringIO()
+        return text
 
-        Idempotent; shard tracers also run it from ``atexit`` so a
-        spawn-started worker's file gets its last memory sample.
+    def write_lines(self, text: str) -> None:
+        """Append JSON lines drained from a worker's tracer (no-op once closed)."""
+        if text and self._handle is not None:
+            with self._lock:
+                self._handle.write(text)
+                self._handle.flush()
+
+    def close(self) -> None:
+        """Stop sampling and write the last memory sample and the counters.
+
+        Idempotent.
         """
         if self._closed:
             return
@@ -400,99 +382,11 @@ class Tracer:
             self._sampler = None
         self.sample_memory()
         counts = self._registry.counter_values()
-        if counts and not self._shard:
+        if counts:
             event = {"ev": "counters", "t": time.perf_counter(), "values": counts}
             self._emit(event)
         self._handle.close()
         self._handle = None
-        if not self._shard:
-            merge_shards(self.path)
-            if os.environ.get(SHARD_ENV) == self.path:
-                del os.environ[SHARD_ENV]
-
-
-# ----------------------------------------------------------------------
-# shard merging
-# ----------------------------------------------------------------------
-def read_events(path: str) -> Tuple[List[Dict[str, Any]], int]:
-    """Events of one JSONL file plus the number of skipped bad lines.
-
-    A worker killed mid-write (SIGKILL, OOM) leaves a truncated final
-    line; such lines parse as garbage and are counted, not raised.
-    """
-    events: List[Dict[str, Any]] = []
-    skipped = 0
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                event = json.loads(stripped)
-            except ValueError:
-                skipped += 1  # truncated tail from a killed writer
-                continue
-            if isinstance(event, dict):
-                events.append(event)
-            else:
-                skipped += 1
-    return events, skipped
-
-
-_SHARD_PID_RE = re.compile(r"\.shard-(\d+)$")
-
-
-def merge_shards(path: str) -> int:
-    """Fold ``<path>.shard-*`` files into ``path``, deterministically.
-
-    Events are sorted by ``(t, pid, seq)`` — a total order, since
-    ``seq`` is unique per pid — so merging the same shard set twice
-    produces byte-identical output.  Returns the number of shard files
-    merged (0 when there were none; the main file is then untouched).
-
-    Truncated records (a worker SIGKILLed mid-write leaves a partial
-    final line in its shard) are skipped, and one synthetic
-    ``warning``/``truncated-shard`` event per affected file is merged
-    in their place, so the loss is visible in ``repro obs report``
-    instead of silently dropped or fatal.
-    """
-    shards = sorted(glob.glob(glob.escape(path) + ".shard-*"))
-    if not shards:
-        return 0
-    events, _ = read_events(path)
-    for shard in shards:
-        shard_events, skipped = read_events(shard)
-        events.extend(shard_events)
-        if skipped:
-            match = _SHARD_PID_RE.search(shard)
-            pid = int(match.group(1)) if match else 0
-            last_t = max((e.get("t", 0.0) for e in shard_events), default=0.0)
-            events.append(
-                {
-                    "ev": "warning",
-                    "t": last_t,
-                    "pid": pid,
-                    # far above any real seq so the warning sorts after
-                    # the shard's surviving events at the same t
-                    "seq": 1_000_000_000,
-                    "kind": "truncated-shard",
-                    "message": f"skipped {skipped} partial record(s) "
-                    f"(writer likely killed mid-write)",
-                    "data": {"path": os.path.basename(shard), "skipped": skipped},
-                }
-            )
-    events.sort(key=lambda e: (e.get("t", 0.0), e.get("pid", 0), e.get("seq", 0)))
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        for event in events:
-            handle.write(json.dumps(event) + "\n")
-    os.replace(tmp, path)
-    for shard in shards:
-        try:
-            os.unlink(shard)
-        except FileNotFoundError:
-            pass
-    return len(shards)
 
 
 # ----------------------------------------------------------------------
@@ -532,31 +426,6 @@ def event(kind: str, message: str = "", **data: Any) -> None:
 def record_span(name: str, t0: float, dur: float, **tags: Any) -> None:
     """Record a retroactively-measured span on the active tracer."""
     _ACTIVE.record_span(name, t0, dur, **tags)
-
-
-def maybe_init_worker() -> None:
-    """Adopt a shard tracer in a worker process, if the parent traces.
-
-    Called from pool initializers.  Fork-started workers share the
-    parent's tracer: sharding it here, before the first task, gives the
-    worker its own file and span ids up front (lazy self-sharding on
-    first emit remains the fallback).  Spawn workers get a fresh shard
-    tracer from :data:`SHARD_ENV`.
-    """
-    if _ACTIVE.enabled:
-        if (
-            isinstance(_ACTIVE, Tracer)
-            and os.getpid() != _ACTIVE._pid
-            and _ACTIVE._handle is not None
-        ):
-            _ACTIVE._become_shard()
-        return
-    base = os.environ.get(SHARD_ENV, "").strip()
-    if not base:
-        return
-    shard = Tracer(path=f"{base}.shard-{os.getpid()}", shard=True)
-    set_tracer(shard)
-    atexit.register(shard.close)
 
 
 def trace_path_from_env(default_path: str) -> Optional[str]:

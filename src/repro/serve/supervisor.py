@@ -155,7 +155,12 @@ class WorkerAgent(threading.Thread):
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         process = ctx.Process(
             target=worker_main,
-            args=(child_conn, self.sup.handle, self.sup.config.scenario_cache),
+            args=(
+                child_conn,
+                self.sup.handle,
+                self.sup.config.scenario_cache,
+                _obs.get_tracer().enabled,
+            ),
             name=f"serve-worker-{self.slot}",
             daemon=True,
         )
@@ -176,6 +181,7 @@ class WorkerAgent(threading.Thread):
             while time.monotonic() < budget and not self._stopping.is_set():
                 if parent_conn.poll(0.05):
                     reply = parent_conn.recv()
+                    _obs.get_tracer().write_lines(reply.get("trace", ""))
                     if reply.get("seq") == self._seq and "result" in reply:
                         self.ready = True
                         self.sup.note_ready()
@@ -250,6 +256,7 @@ class WorkerAgent(threading.Thread):
                     self._fail_lost(job, "pipe closed")
                     self._teardown_process()
                     return
+                _obs.get_tracer().write_lines(reply.get("trace", ""))
                 if reply.get("seq") != seq:
                     _obs.counter("serve.worker.stale_replies")
                     continue

@@ -25,7 +25,10 @@ Protocol on the pipe (all plain picklable dicts):
   a ``"worker"`` meta dict (popped by the parent agent, never sent to
   clients) with the worker's pid, scenario-cache stats, a live metrics
   snapshot and its peak RSS — the piggyback channel that merges
-  worker-side telemetry into the parent without extra IPC.
+  worker-side telemetry into the parent without extra IPC.  When the
+  parent traces, every reply also carries ``"trace"``: the JSON lines
+  the worker's in-memory tracer wrote since the last reply, which the
+  parent appends to its trace file.
 
 The ``seq`` echo lets the parent discard stale replies after it has
 already timed out a request — the pipe stays usable without a restart.
@@ -43,13 +46,20 @@ from repro.serve.protocol import ServeError
 from repro.serve.scenario import ScenarioCache
 
 
-def worker_main(conn, handle, scenario_capacity: int = 64) -> None:
-    """Blocking request loop; returns (exiting the process) on EOF."""
+def worker_main(
+    conn, handle, scenario_capacity: int = 64, traced: bool = False
+) -> None:
+    """Blocking request loop; returns (exiting the process) on EOF.
+
+    ``traced`` says whether the parent traces: then this worker traces
+    into memory and sends its lines home on every reply.
+    """
     from repro.obs import trace as obs_trace
     from repro.obs.memory import peak_rss_mb
     from repro.obs.metrics import get_registry
 
-    obs_trace.maybe_init_worker()
+    tracer = obs_trace.Tracer(None) if traced else obs_trace.NULL_TRACER
+    obs_trace.set_tracer(tracer)
     graph = handle.materialize()
     scenarios = ScenarioCache(graph, capacity=scenario_capacity)
     registry = get_registry()
@@ -90,6 +100,8 @@ def worker_main(conn, handle, scenario_capacity: int = 64) -> None:
                 # parent pops it, so the wire payload stays unchanged.
                 reply["result"]["worker"]["metrics"] = registry.snapshot()
                 reply["result"]["worker"]["rss_mb"] = peak_rss_mb()
+            if traced:
+                reply["trace"] = tracer.drain()
             try:
                 conn.send(reply)
             except (BrokenPipeError, OSError):

@@ -23,9 +23,9 @@ FCT distribution.  Results land in the standard pipeline:
 * every completed trial journaled under a deterministic key — a killed
   multi-trial run resumes without recomputing finished trials.
 
-Trials fan out over a process pool above a threshold, with the compiled
-graph shipped once per pool through the shared-memory exporter and the
-usual crash-recovery / sequential-degrade ladder.
+Trials fan out over :func:`repro.pool.map_graph` above a threshold:
+the compiled graph ships once per pool through shared memory, and each
+trial's row, counts and spans come home together.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from repro.faults.journal import TrialJournal, get_active_journal
 from repro.faults.mask import MaskedGraph
 from repro.faults.plan import child_seed, random_index_failures
-from repro.metrics.engine import map_with_pool_recovery, resolve_workers
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _obs
+from repro.pool import map_graph, resolve_workers
 from repro.sim.results import ResultTable
 from repro.traffic.engine import fluid_fct, max_min_rates
 from repro.traffic.matrix import generate_matrix
@@ -182,24 +182,6 @@ def trial_key(label: str, spec: TrafficTrialSpec) -> str:
     )
 
 
-# Worker-process state: the compiled graph arrives once per pool, as a
-# shared-memory handle (zero-copy attach) or a pickled graph.
-_WORKER_GRAPH = None
-
-
-def _traffic_worker_init(graph) -> None:
-    global _WORKER_GRAPH
-    if hasattr(graph, "materialize"):  # a shm GraphHandle descriptor
-        graph = graph.materialize()
-    _WORKER_GRAPH = graph
-    _obs.maybe_init_worker()
-
-
-def _traffic_worker_trial(spec: TrafficTrialSpec) -> Dict[str, Any]:
-    assert _WORKER_GRAPH is not None, "traffic worker pool not initialised"
-    return run_trial(_WORKER_GRAPH, spec)
-
-
 def run_traffic(
     graph,
     label: str,
@@ -262,6 +244,7 @@ def run_traffic(
         pending.append(spec)
 
     workers = resolve_workers(workers)
+    pooled = workers > 1 and len(pending) >= TRAFFIC_PARALLEL_THRESHOLD
     with _obs.span(
         "traffic.run",
         pattern=pattern,
@@ -270,32 +253,18 @@ def run_traffic(
         pending=len(pending),
         workers=workers,
     ):
-        handle = None
-        if workers > 1 and len(pending) >= TRAFFIC_PARALLEL_THRESHOLD:
-            from repro.topology.shm import export_graph
-
-            handle = export_graph(graph)
-            results = map_with_pool_recovery(
-                _traffic_worker_trial,
-                pending,
-                workers=min(workers, len(pending)),
-                initializer=_traffic_worker_init,
-                initargs=(handle,),
-                sequential=lambda spec: run_trial(graph, spec),
-                context=f"traffic {label}/{pattern}",
-            )
-        else:
-            results = ((i, run_trial(graph, spec)) for i, spec in enumerate(pending))
-        try:
-            # each trial is journaled as soon as it finishes
-            for index, row in results:
-                spec = pending[index]
-                rows[spec.trial] = row
-                if journal is not None:
-                    journal.record(trial_key(label, spec), row)
-        finally:
-            if handle is not None:
-                handle.release()
+        # each trial is journaled as soon as it finishes
+        for index, row in map_graph(
+            run_trial,
+            graph,
+            pending,
+            workers=min(workers, len(pending)) if pooled else 1,
+            context=f"traffic {label}/{pattern}",
+        ):
+            spec = pending[index]
+            rows[spec.trial] = row
+            if journal is not None:
+                journal.record(trial_key(label, spec), row)
 
     table = ResultTable(
         title=f"Traffic: {pattern} on {label} ({num_servers} servers)",

@@ -212,18 +212,18 @@ class TestParallelHandoff:
         assert shm.owned_segments() == ()
 
     def test_degraded_pool_still_releases_shm(self, monkeypatch):
-        from repro.metrics import engine
+        from repro import pool
 
         class AlwaysBroken:
             def __init__(self, *a, **k):
                 raise OSError("no semaphores here")
 
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", AlwaysBroken)
-        monkeypatch.setattr(engine, "POOL_RETRY_BACKOFF_S", 0.0)
+        monkeypatch.setattr(pool, "ProcessPoolExecutor", AlwaysBroken)
+        monkeypatch.setattr(pool, "POOL_RETRY_BACKOFF_S", 0.0)
         net = AbcccSpec(3, 1, 2).build()
         sample = max(PARALLEL_THRESHOLD, 4)
         want = sweep_distance_stats(net, sample_sources=sample, seed=0)
-        with pytest.warns(engine.DegradedModeWarning):
+        with pytest.warns(pool.DegradedModeWarning):
             got = sweep_distance_stats(
                 net, sample_sources=sample, seed=0, workers=2
             )

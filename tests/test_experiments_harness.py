@@ -113,7 +113,7 @@ class TestRunner:
         assert {row[0] for row in rows} == {"F11"}
 
     def test_workers_default_restored_after_run(self, tmp_path):
-        from repro.metrics.engine import get_default_workers
+        from repro.pool import get_default_workers
 
         before = get_default_workers()
         run_experiment("F11", quick=True, out_dir=str(tmp_path), verbose=False, workers=3)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.faults.journal import TrialJournal, set_active_journal
 from repro.faults.plan import FaultModel, child_seed
-from repro.faults.sweep import degradation_sweep
+from repro.faults.sweep import _evaluate_masked, degradation_sweep
 from repro.obs.metrics import MetricsRegistry, set_registry
 
 
@@ -172,12 +172,6 @@ class TestParallelPath:
         doomed = model.draw(
             net, 0.3, child_seed(5, sweep_module._model_tag(model), 0.3, 3)
         ).scenario
-        real = sweep_module._evaluate_masked
-
-        def doomed_fails(graph, panel, scenario):
-            if scenario == doomed:
-                raise RuntimeError("doomed scenario")
-            return real(graph, panel, scenario)
 
         def counted(**kwargs):
             registry = MetricsRegistry()
@@ -189,7 +183,9 @@ class TestParallelPath:
             return curve, registry.counter_values().get("faults.trials", 0)
 
         fresh, fresh_trials = counted()
-        monkeypatch.setattr(sweep_module, "_evaluate_masked", doomed_fails)
+        # module-level, so it pickles and really runs in the pool
+        monkeypatch.setattr(sweep_module, "_evaluate_masked", _doomed_fails)
+        monkeypatch.setitem(_DOOMED, "scenario", doomed)
         path = str(tmp_path / "sweep.journal.jsonl")
         registry = MetricsRegistry()
         previous = set_registry(registry)
@@ -212,7 +208,7 @@ class TestParallelPath:
     def test_broken_pool_degrades_loudly_with_same_results(
         self, abccc_medium, monkeypatch
     ):
-        from repro.metrics import engine
+        from repro import pool
 
         _, net = abccc_medium
 
@@ -220,8 +216,19 @@ class TestParallelPath:
             def __init__(self, *args, **kwargs):
                 raise OSError("fork refused (simulated)")
 
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", AlwaysBroken)
-        monkeypatch.setattr(engine, "POOL_RETRY_BACKOFF_S", 0.0)
-        with pytest.warns(engine.DegradedModeWarning):
+        monkeypatch.setattr(pool, "ProcessPoolExecutor", AlwaysBroken)
+        monkeypatch.setattr(pool, "POOL_RETRY_BACKOFF_S", 0.0)
+        with pytest.warns(pool.DegradedModeWarning):
             degraded = _sweep(net, workers=2, trials=4, levels=[0.0, 0.1, 0.3])
         assert degraded == _sweep(net, workers=1, trials=4, levels=[0.0, 0.1, 0.3])
+
+
+#: the scenario :func:`_doomed_fails` raises on, set by the test that
+#: patches it in before the pool forks.
+_DOOMED: dict = {}
+
+
+def _doomed_fails(graph, scenario, panel):
+    if scenario == _DOOMED.get("scenario"):
+        raise RuntimeError("doomed scenario")
+    return _evaluate_masked(graph, scenario, panel)

@@ -21,12 +21,8 @@ except ImportError:  # pragma: no cover
 from repro.baselines import BcubeSpec, DcellSpec, FiconnSpec, JellyfishSpec
 from repro.core import AbcccSpec
 from repro.metrics.distance import link_hop_stats, server_hop_stats
-from repro.metrics.engine import (
-    PARALLEL_THRESHOLD,
-    resolve_workers,
-    set_default_workers,
-    sweep_distance_stats,
-)
+from repro.metrics.engine import PARALLEL_THRESHOLD, sweep_distance_stats
+from repro.pool import resolve_workers, set_default_workers
 from tests.hop_oracle import legacy_link_hop_stats, legacy_server_hop_stats
 
 # Jellyfish is switch-centric: its server "projection" is edgeless, so
@@ -130,7 +126,7 @@ class TestEngineKnobs:
     def test_garbage_env_warns_and_falls_back(self, monkeypatch):
         import warnings
 
-        from repro.metrics.engine import get_default_workers
+        from repro.pool import get_default_workers
 
         monkeypatch.setenv("REPRO_WORKERS", "lots")
         with pytest.warns(RuntimeWarning, match="REPRO_WORKERS='lots'"):
@@ -175,40 +171,38 @@ class TestPoolRecovery:
     and degrading to sequential must be loud, not silent."""
 
     @staticmethod
-    def _call(**overrides):
-        from repro.metrics.engine import map_with_pool_recovery
+    def _call(fn=None, **overrides):
+        from repro.pool import map_graph
+        from repro.topology.fastbuild import fast_compiled
 
-        kwargs = dict(
-            workers=2,
-            sequential=lambda task: task * 10,
-            context="unit test",
-        )
+        kwargs = dict(workers=2, context="unit test")
         kwargs.update(overrides)
-        results = dict(map_with_pool_recovery(_times_ten, [1, 2, 3], **kwargs))
+        graph = fast_compiled(AbcccSpec(3, 1, 2))
+        results = dict(map_graph(fn or _times_ten, graph, [1, 2, 3], **kwargs))
         return [results[index] for index in range(3)]
 
     def test_healthy_pool_no_warning(self, recwarn):
         assert self._call() == [10, 20, 30]
-        from repro.metrics.engine import DegradedModeWarning
+        from repro.pool import DegradedModeWarning
 
         assert not [w for w in recwarn.list if w.category is DegradedModeWarning]
 
     def test_always_broken_pool_degrades_loudly(self, monkeypatch):
-        from repro.metrics import engine
+        from repro import pool
 
         class AlwaysBroken:
             def __init__(self, *args, **kwargs):
                 raise OSError("no fork for you")
 
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", AlwaysBroken)
-        monkeypatch.setattr(engine, "POOL_RETRY_BACKOFF_S", 0.0)
-        with pytest.warns(engine.DegradedModeWarning, match="unit test"):
+        monkeypatch.setattr(pool, "ProcessPoolExecutor", AlwaysBroken)
+        monkeypatch.setattr(pool, "POOL_RETRY_BACKOFF_S", 0.0)
+        with pytest.warns(pool.DegradedModeWarning, match="unit test"):
             assert self._call() == [10, 20, 30]
 
     def test_fails_once_then_recovers_without_warning(self, monkeypatch, recwarn):
-        from repro.metrics import engine
+        from repro import pool
 
-        real_pool = engine.ProcessPoolExecutor
+        real_pool = pool.ProcessPoolExecutor
         attempts = []
 
         class FlakyPool:
@@ -224,31 +218,22 @@ class TestPoolRecovery:
             def __exit__(self, *exc):
                 return self._pool.__exit__(*exc)
 
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", FlakyPool)
-        monkeypatch.setattr(engine, "POOL_RETRY_BACKOFF_S", 0.0)
+        monkeypatch.setattr(pool, "ProcessPoolExecutor", FlakyPool)
+        monkeypatch.setattr(pool, "POOL_RETRY_BACKOFF_S", 0.0)
         assert self._call() == [10, 20, 30]
         assert len(attempts) == 2  # first crashed, retry succeeded
         assert not [
-            w for w in recwarn.list if w.category is engine.DegradedModeWarning
+            w for w in recwarn.list if w.category is pool.DegradedModeWarning
         ]
 
     def test_unpicklable_task_degrades_loudly(self, monkeypatch):
-        from repro.metrics import engine
+        from repro import pool
 
-        monkeypatch.setattr(engine, "POOL_RETRY_BACKOFF_S", 0.0)
-        unpicklable = lambda x: x + 1  # noqa: E731 — lambdas cannot pickle
-        with pytest.warns(engine.DegradedModeWarning):
-            result = dict(
-                engine.map_with_pool_recovery(
-                    unpicklable,
-                    [1, 2],
-                    workers=2,
-                    sequential=unpicklable,
-                    context="pickle test",
-                )
-            )
-        assert result == {0: 2, 1: 3}
+        monkeypatch.setattr(pool, "POOL_RETRY_BACKOFF_S", 0.0)
+        unpicklable = lambda graph, x: x + 1  # noqa: E731 — lambdas cannot pickle
+        with pytest.warns(pool.DegradedModeWarning, match="pickle test"):
+            assert self._call(unpicklable, context="pickle test") == [2, 3, 4]
 
 
-def _times_ten(x):
+def _times_ten(graph, x):
     return x * 10

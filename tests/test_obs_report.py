@@ -431,17 +431,35 @@ class TestTail:
         path = str(tmp_path / "never-written.jsonl")
         assert list(follow_trace(path, poll_s=0.01, timeout_s=0.1)) == []
 
-    def test_follow_picks_up_shards(self, tmp_path):
+    def test_follow_yields_each_pooled_event_once(self, tmp_path):
+        import threading
+
+        from repro import obs
+        from repro.core import AbcccSpec
+        from repro.topology.fastbuild import fast_compiled
+        from repro.traffic import run_traffic
+
+        graph = fast_compiled(AbcccSpec(3, 2, 2))
         path = str(tmp_path / "live.jsonl")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(_fixture_events()[0]) + "\n")
-        shard = f"{path}.shard-201"
-        with open(shard, "w", encoding="utf-8") as handle:
-            handle.write(
-                json.dumps(_traced_span(201, 1, 2.0, 0.1, "worker-span")) + "\n"
+        seen = []
+        with obs.run(path):
+            # tail the trace while a pooled run writes it
+            follower = threading.Thread(
+                target=lambda: seen.extend(
+                    follow_trace(path, poll_s=0.01, timeout_s=1.0)
+                )
             )
-        seen = list(follow_trace(path, poll_s=0.01, timeout_s=0.5, max_events=2))
-        assert {e["ev"] for e in seen} == {"meta", "span"}
+            follower.start()
+            run_traffic(graph, "t", "permutation", trials=8, workers=2)
+        follower.join(timeout=30)
+        assert not follower.is_alive()
+        events = load_trace(path)
+        keys = [(e["pid"], e["seq"]) for e in seen]
+        assert len(keys) == len(set(keys)), "an event was tailed twice"
+        assert sorted(keys) == sorted((e["pid"], e["seq"]) for e in events)
+        # worker spans arrive in the one file, under the workers' own pids
+        main_pid = events[0]["pid"]
+        assert {e["pid"] for e in seen if e["ev"] == "span"} - {main_pid}
 
     def test_render_tail_event_forms(self):
         span_line = render_tail_event(
@@ -449,10 +467,10 @@ class TestTail:
         )
         assert "serve.execute" in span_line and "12.30 ms" in span_line
         warn_line = render_tail_event(
-            {"ev": "warning", "pid": 7, "kind": "truncated-shard",
-             "message": "skipped 1", "data": {}}
+            {"ev": "warning", "pid": 7, "kind": "pool-retry",
+             "message": "retrying once", "data": {}}
         )
-        assert "truncated-shard" in warn_line
+        assert "pool-retry" in warn_line
         rss_line = render_tail_event(
             {"ev": "rss", "pid": 7, "rss_mb": 10.0, "peak_mb": 12.0}
         )

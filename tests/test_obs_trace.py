@@ -1,8 +1,6 @@
-"""Tracer core: no-op mode, nesting, schema, shards, warning events,
-and the run scope that opens a run's registry and trace."""
+"""Tracer core: no-op mode, nesting, schema, in-memory worker lines,
+warning events, and the run scope that opens a run's registry and trace."""
 
-import json
-import os
 import time
 
 import pytest
@@ -14,9 +12,7 @@ from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 from repro.obs.report import load_trace, validate_trace
 from repro.obs.trace import (
     NULL_TRACER,
-    SHARD_ENV,
     get_tracer,
-    merge_shards,
     set_tracer,
     trace_path_from_env,
 )
@@ -26,7 +22,6 @@ from repro.obs.trace import (
 def _restore_tracer(monkeypatch):
     """Every test leaves the module-global tracer as it found it, and
     counts into a registry of its own."""
-    monkeypatch.delenv(SHARD_ENV, raising=False)
     monkeypatch.setenv("REPRO_TRACE_MEM_INTERVAL", "0")  # no sampler thread
     previous = get_tracer()
     previous_registry = set_registry(MetricsRegistry())
@@ -244,121 +239,31 @@ class TestSchema:
         assert validate_trace(events) == []
 
 
-class TestShards:
-    @staticmethod
-    def _write_shard(path, pid, t0):
-        with open(path, "w", encoding="utf-8") as handle:
-            for seq, t in enumerate((t0, t0 + 0.5)):
-                handle.write(
-                    json.dumps(
-                        {
-                            "ev": "span",
-                            "t": t,
-                            "dur": 0.1,
-                            "name": f"worker-{pid}",
-                            "sid": pid * 1_000_000 + seq + 1,
-                            "parent": None,
-                            "tags": {},
-                            "pid": pid,
-                            "seq": seq,
-                        }
-                    )
-                    + "\n"
-                )
-
-    def test_merge_is_deterministic_and_sorted(self, tmp_path):
-        main_line = json.dumps(
-            {
-                "ev": "meta",
-                "t": 0.0,
-                "schema": 1,
-                "tags": {"run": "merge-test"},
-                "pid": 7,
-                "seq": 0,
-            }
-        )
-        outputs = []
-        for attempt in range(2):
-            path = str(tmp_path / f"trace-{attempt}.jsonl")
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(main_line + "\n")
-            # Shards as two fork-workers would leave them, written in
-            # "wrong" (descending-pid) order to prove sorting.
-            self._write_shard(f"{path}.shard-999", 999, t0=2.0)
-            self._write_shard(f"{path}.shard-42", 42, t0=1.0)
-            assert merge_shards(path) == 2
-            assert not [
-                name for name in os.listdir(tmp_path) if ".shard-" in name
-            ], "shards must be consumed by the merge"
-            events = load_trace(path)
-            assert validate_trace(events) == []
-            keys = [(e["t"], e["pid"], e["seq"]) for e in events]
-            assert keys == sorted(keys)
-            with open(path, "rb") as handle:
-                outputs.append(handle.read())
-        # Identical shard content => byte-identical merged trace.
-        assert outputs[0] == outputs[1]
-
-    def test_merge_without_shards_leaves_file_alone(self, tmp_path):
+class TestWorkerLines:
+    def test_drained_lines_land_in_the_parent_trace(self, tmp_path):
+        worker = obs_trace.Tracer(None)
+        previous = set_tracer(worker)
+        try:
+            with obs_trace.span("worker-task"):
+                with obs_trace.span("worker-step"):
+                    pass
+        finally:
+            set_tracer(previous)
+        worker.sample_memory()
+        lines = worker.drain()
+        assert worker.drain() == ""  # drained lines are forgotten
+        assert NULL_TRACER.drain() == ""
+        NULL_TRACER.write_lines(lines)  # untraced parents drop them
         path = str(tmp_path / "t.jsonl")
         with obs.run(path):
-            with obs_trace.span("solo"):
-                pass
-        with open(path) as handle:
-            before = handle.read()
-        assert merge_shards(path) == 0
-        with open(path) as handle:
-            assert handle.read() == before
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-    def test_fork_worker_redirects_to_shard(self, tmp_path):
-        import multiprocessing
-
-        path = str(tmp_path / "t.jsonl")
-        with obs.run(path):
-            ctx = multiprocessing.get_context("fork")
-            proc = ctx.Process(target=_emit_child_span)
-            proc.start()
-            proc.join(timeout=30)
-            assert proc.exitcode == 0
-            with obs_trace.span("parent-span"):
-                pass
+            get_tracer().write_lines(lines)
         events = load_trace(path)
         assert validate_trace(events) == []
-        pids = {e["pid"] for e in events if e["ev"] == "span"}
-        assert len(pids) == 2, "child span must arrive via its shard"
-        child_spans = [
-            e for e in events if e["ev"] == "span" and e["name"] == "child-work"
-        ]
-        assert len(child_spans) == 1
-        assert child_spans[0]["parent"] is None  # no cross-process parents
-
-    def test_maybe_init_worker_adopts_shard_from_env(self, tmp_path, monkeypatch):
-        base = str(tmp_path / "main.jsonl")
-        monkeypatch.setenv(SHARD_ENV, base)
-        set_tracer(NULL_TRACER)
-        obs_trace.maybe_init_worker()
-        adopted = get_tracer()
-        try:
-            assert adopted.enabled
-            assert adopted.path == f"{base}.shard-{os.getpid()}"
-            with adopted.span("adopted-work"):
-                pass
-        finally:
-            adopted.close()
-        assert os.path.exists(f"{base}.shard-{os.getpid()}")
-
-    def test_maybe_init_worker_noop_without_env(self, monkeypatch):
-        monkeypatch.delenv(SHARD_ENV, raising=False)
-        set_tracer(NULL_TRACER)
-        obs_trace.maybe_init_worker()
-        assert get_tracer() is NULL_TRACER
-
-
-def _emit_child_span():
-    with obs_trace.span("child-work"):
-        pass
-    get_tracer().close()
+        # the worker's lines, then the parent's closing memory sample
+        assert [e["ev"] for e in events] == ["meta", "span", "span", "rss", "rss"]
+        step, task = events[1], events[2]
+        assert step["parent"] == task["sid"]
+        assert task["pid"] == step["pid"]
 
 
 class TestTraceContext:
@@ -419,87 +324,6 @@ class TestTraceContext:
         obs_trace.record_span("nothing", 0.0, 1.0)  # must not raise
 
 
-class TestTruncatedShards:
-    """Satellite: a worker SIGKILLed mid-write must not corrupt the merge."""
-
-    def test_truncated_final_line_yields_warning_event(self, tmp_path):
-        path = str(tmp_path / "t.jsonl")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(
-                '{"ev": "meta", "t": 0.0, "pid": 1, "seq": 0, '
-                '"schema": 1, "tags": {}}\n'
-            )
-        shard = f"{path}.shard-4242"
-        with open(shard, "w", encoding="utf-8") as handle:
-            handle.write(
-                '{"ev": "span", "t": 1.0, "dur": 0.1, "name": "work", '
-                '"sid": 1, "parent": null, "tags": {}, "pid": 4242, "seq": 0}\n'
-            )
-            handle.write('{"ev": "span", "t": 2.0, "dur": 0.2, "na')  # killed here
-        assert merge_shards(path) == 1
-        events = load_trace(path)
-        assert validate_trace(events) == []
-        (warning,) = [e for e in events if e["ev"] == "warning"]
-        assert warning["kind"] == "truncated-shard"
-        assert warning["pid"] == 4242
-        assert warning["data"]["skipped"] == 1
-        # surviving events still merge in order
-        assert [e["ev"] for e in events] == ["meta", "span", "warning"]
-
-    def test_intact_shards_produce_no_warning(self, tmp_path):
-        path = str(tmp_path / "t.jsonl")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(
-                '{"ev": "meta", "t": 0.0, "pid": 1, "seq": 0, '
-                '"schema": 1, "tags": {}}\n'
-            )
-        TestShards._write_shard(f"{path}.shard-7", 7, t0=1.0)
-        assert merge_shards(path) == 1
-        assert [e for e in load_trace(path) if e["ev"] == "warning"] == []
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork + SIGKILL")
-    def test_sigkill_mid_write_is_survivable(self, tmp_path):
-        """A real writer killed mid-line: merge skips the tail, warns."""
-        import signal
-
-        path = str(tmp_path / "t.jsonl")
-        # the scope's close merges the child's shard, tail and all
-        with obs.run(path):
-            import multiprocessing
-
-            ctx = multiprocessing.get_context("fork")
-            proc = ctx.Process(target=_write_then_die_mid_line)
-            proc.start()
-            proc.join(timeout=30)
-            assert proc.exitcode == -signal.SIGKILL
-        assert not [
-            name for name in os.listdir(tmp_path) if ".shard-" in name
-        ], "shard must be consumed by the close-time merge"
-        events = load_trace(path)
-        assert validate_trace(events) == []
-        survivors = [
-            e for e in events if e["ev"] == "span" and e["name"] == "whole-span"
-        ]
-        assert len(survivors) == 1
-        (warning,) = [e for e in events if e["ev"] == "warning"]
-        assert warning["kind"] == "truncated-shard"
-
-
-def _write_then_die_mid_line():
-    """Child body: one whole event, then SIGKILL self mid-record."""
-    import signal
-
-    with obs_trace.span("whole-span"):
-        pass
-    tracer = get_tracer()
-    tracer._handle.flush()
-    # Start a record but never finish the line, then die like an
-    # OOM-killed worker would: no atexit, no flush, no close.
-    tracer._handle.write('{"ev": "span", "t": 9.9, "dur": 0.1, "name"')
-    tracer._handle.flush()
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
 class TestEnvResolution:
     def test_trace_env_off(self, monkeypatch):
         monkeypatch.delenv(obs_trace.TRACE_ENV, raising=False)
@@ -522,23 +346,23 @@ class TestDegradedModeEvents:
     """Satellite: pool degradation must be visible in the trace."""
 
     def test_degraded_pool_emits_warning_events(self, tmp_path, monkeypatch):
-        from repro.metrics import engine
+        from repro import pool
 
         class AlwaysBroken:
             def __init__(self, *args, **kwargs):
                 raise OSError("no fork for you")
 
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", AlwaysBroken)
-        monkeypatch.setattr(engine, "POOL_RETRY_BACKOFF_S", 0.0)
+        monkeypatch.setattr(pool, "ProcessPoolExecutor", AlwaysBroken)
+        monkeypatch.setattr(pool, "POOL_RETRY_BACKOFF_S", 0.0)
         path = str(tmp_path / "t.jsonl")
         with obs.run(path):
-            with pytest.warns(engine.DegradedModeWarning):
+            with pytest.warns(pool.DegradedModeWarning):
                 result = dict(
-                    engine.map_with_pool_recovery(
+                    pool.map_graph(
                         _times_three,
+                        _graph(),
                         [1, 2],
                         workers=2,
-                        sequential=_times_three,
                         context="obs unit test",
                     )
                 )
@@ -562,16 +386,16 @@ class TestDegradedModeEvents:
         assert counters["values"]["pool.degraded"] == 1
 
     def test_healthy_pool_emits_no_warnings(self, tmp_path):
-        from repro.metrics import engine
+        from repro import pool
 
         path = str(tmp_path / "t.jsonl")
         with obs.run(path):
             result = dict(
-                engine.map_with_pool_recovery(
+                pool.map_graph(
                     _times_three,
+                    _graph(),
                     [1, 2, 3],
                     workers=2,
-                    sequential=_times_three,
                     context="healthy",
                 )
             )
@@ -580,7 +404,14 @@ class TestDegradedModeEvents:
         assert [e for e in events if e["ev"] == "warning"] == []
 
 
-def _times_three(x):
+def _graph():
+    from repro.core import AbcccSpec
+    from repro.topology.fastbuild import fast_compiled
+
+    return fast_compiled(AbcccSpec(3, 1, 2))
+
+
+def _times_three(graph, x):
     return x * 3
 
 

@@ -129,9 +129,9 @@ class TestWorkerTelemetry:
         front = None
         thread = None
         client = None
-        # The scope's tracer must exist before the workers spawn: it
-        # exports the shard env var the spawned workers adopt.  Closing
-        # it merges the worker shards into the main file.
+        # The scope's tracer must exist before the workers spawn: the
+        # supervisor tells each worker at spawn whether to trace, and
+        # every reply carries the worker's trace lines home.
         with obs.run(trace_path) as scope:
             try:
                 service = TopologyService(

@@ -179,14 +179,8 @@ class TestRunTraffic:
     ):
         from repro.traffic import run as run_module
 
-        real = run_module.run_trial
-
-        def trial_7_fails(g, spec):
-            if spec.trial == 7:
-                raise RuntimeError("trial 7 failed")
-            return real(g, spec)
-
-        monkeypatch.setattr(run_module, "run_trial", trial_7_fails)
+        # module-level, so it pickles and really runs in the pool
+        monkeypatch.setattr(run_module, "run_trial", _trial_7_fails)
         path = str(tmp_path / "traffic.journal.jsonl")
         with pytest.raises(RuntimeError, match="trial 7"):
             with journaled(path, resume=False):
@@ -205,9 +199,9 @@ class TestRunTraffic:
     def test_pool_failure_recomputes_only_missing_trials(self, graph, monkeypatch):
         from concurrent.futures.process import BrokenProcessPool
 
-        from repro.metrics import engine
+        from repro import pool
 
-        real_pool, real_as_completed = engine.ProcessPoolExecutor, engine.as_completed
+        real_pool, real_as_completed = pool.ProcessPoolExecutor, pool.as_completed
         pools = []
 
         class RecordingPool(real_pool):
@@ -225,9 +219,9 @@ class TestRunTraffic:
                     raise BrokenProcessPool("injected after three results")
                 yield future
 
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(engine, "as_completed", break_after_three)
-        monkeypatch.setattr(engine, "POOL_RETRY_BACKOFF_S", 0.0)
+        monkeypatch.setattr(pool, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(pool, "as_completed", break_after_three)
+        monkeypatch.setattr(pool, "POOL_RETRY_BACKOFF_S", 0.0)
         with obs.run() as scope:
             table = run_traffic(graph, "t", "uniform", trials=8, seed=9, workers=2)
         first, retry = pools
@@ -254,3 +248,9 @@ class TestRunTraffic:
         )
         assert any("degraded" in note for note in table.notes)
         assert _rows(table)[0]["unreachable"] > 0
+
+
+def _trial_7_fails(graph, spec):
+    if spec.trial == 7:
+        raise RuntimeError("trial 7 failed")
+    return run_trial(graph, spec)
